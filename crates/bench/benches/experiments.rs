@@ -171,9 +171,9 @@ fn bench_fig7(c: &mut Criterion) {
                 testbed.devices().to_vec(),
                 RoundConfig::new(wl, link, bytes, 9),
             )
-            .build_sim()
+            .build_event_sim()
             .expect("valid sim config");
-            black_box(sim.run(&schedule, 1).mean_makespan())
+            black_box(sim.run(&schedule, 1).timing.mean_makespan())
         })
     });
 }

@@ -2,10 +2,6 @@
 //! 10 to 10,000 devices across worker thread counts (1M devices with the
 //! arena-backed mega arm at `--scale paper`).
 //!
-//! `--event-check` runs only the event-vs-lockstep comparison as a CI
-//! gate: report parity at 1k devices, then parity plus a wall-clock win
-//! at 10k devices under sparse participation.
-//!
 //! `--hier-check` runs the hierarchical-aggregation gate: flat-vs-hier
 //! byte-identity at 1k devices across thread counts, then the arena
 //! sweep against the real `HierEngine` at 100k devices under wall-clock
@@ -57,33 +53,6 @@ fn main() {
                  procfs, RSS budget skipped)",
             ),
         }
-        return;
-    }
-    if std::env::args().any(|a| a == "--event-check") {
-        let small = scaleout::event_point(1_000, 10, 20, 42);
-        assert!(
-            small.parity,
-            "event engine diverged from lockstep at 1k devices"
-        );
-        let big = scaleout::event_point(10_000, 25, 100, 42);
-        assert!(
-            big.parity,
-            "event engine diverged from lockstep at 10k devices"
-        );
-        assert!(
-            big.speedup > 1.0,
-            "event engine must beat the lockstep scan at 10k devices \
-             (lockstep {:.2} ms, event {:.2} ms)",
-            big.lockstep_wall_s * 1e3,
-            big.event_wall_s * 1e3,
-        );
-        println!(
-            "[exp_scale] event check ok: 1k parity; 10k parity, \
-             lockstep {:.2} ms vs event {:.2} ms ({:.2}x)",
-            big.lockstep_wall_s * 1e3,
-            big.event_wall_s * 1e3,
-            big.speedup,
-        );
         return;
     }
     let scale = Scale::from_args();

@@ -119,7 +119,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
                     RoundConfig::new(wl, link, bytes, seed ^ (tb_index as u64) << 8),
                 )
                 .probe(Probe::attached(log.clone()))
-                .build_sim()
+                .build_event_sim()
                 .expect("valid sim config");
                 let _ = sim.run(&schedule, rounds);
                 // The replay's telemetry is the measurement: per-cell mean

@@ -79,9 +79,12 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Point> {
 
                 let mut sim =
                     SimBuilder::new(devices.clone(), RoundConfig::new(wl, link, bytes, seed))
-                        .build_sim()
+                        .build_event_sim()
                         .expect("valid sim config");
-                let time_s = sim.run(schedule, scale.pick(1usize, 3)).mean_makespan();
+                let time_s = sim
+                    .run(schedule, scale.pick(1usize, 3))
+                    .timing
+                    .mean_makespan();
 
                 let assignment = materialize_assignment(&train, &sets, schedule, seed);
                 let accuracy = if assignment.iter().any(|a| !a.is_empty()) {

@@ -223,7 +223,7 @@ fn replay(
         RoundConfig::new(*wl, *link, bytes, seed),
     )
     .probe(Probe::attached(log.clone()))
-    .build_sim()
+    .build_event_sim()
     .expect("valid sim config");
     let _ = sim.run(schedule, rounds);
     let mut run_metrics = MetricsRegistry::new();

@@ -6,7 +6,7 @@
 //! *invisible* in the results: round digests and telemetry bytes are a
 //! pure function of the job request, never of scheduling order or of
 //! what else the service is running. This sweep drives a mixed fleet —
-//! resilient, event-driven with churn, parallel engine, and a
+//! sequential with crashes, sequential with churn, parallel engine, and a
 //! bandit-selection job under performance drift — through one supervisor
 //! with all workers racing, then replays the same requests one at a time
 //! through a fresh supervisor and compares every byte.
@@ -86,7 +86,7 @@ fn requests(scale: Scale, seed: u64) -> Vec<(&'static str, JobRequest)> {
     };
 
     let resilient = {
-        let mut spec = spec_for(BuildTarget::Resilient, 1, seed);
+        let mut spec = spec_for(BuildTarget::EventSim, 1, seed);
         spec.faults = Some((FaultConfig::none().with_crash_prob(0.2), rounds));
         spec
     };

@@ -60,9 +60,9 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Cell> {
                     testbed.devices().to_vec(),
                     RoundConfig::new(wl, link, bytes, seed),
                 )
-                .build_sim()
+                .build_event_sim()
                 .expect("valid sim config");
-                let makespan = sim.run(&schedule, 2).mean_makespan();
+                let makespan = sim.run(&schedule, 2).timing.mean_makespan();
                 cells.push(Cell {
                     dataset: kind.name(),
                     testbed: tb_index,

@@ -21,7 +21,7 @@
 //!
 //! let config = RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, 7);
 //! let sim = SimBuilder::new(Testbed::testbed_1(7).devices().to_vec(), config)
-//!     .build_sim()
+//!     .build_event_sim()
 //!     .unwrap();
 //! # let _ = sim;
 //! ```
@@ -37,12 +37,11 @@ use fedsched_profiler::LinearProfile;
 use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::Probe;
 
-use crate::cohorts::{ChaosOptions, EngineKind, ParallelRoundEngine};
+use crate::cohorts::{ChaosOptions, ParallelRoundEngine};
 use crate::coordinator::{CoordinationMode, Coordinator};
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
 use crate::hier::HierEngine;
 use crate::resilient::ResilientRoundSim;
-use crate::roundsim::RoundSim;
 
 /// Why a simulator could not be built or reconfigured.
 ///
@@ -244,38 +243,35 @@ pub(crate) struct AsyncOptions {
     pub(crate) eta: f64,
 }
 
-/// One builder for every simulator: [`RoundSim`], [`ResilientRoundSim`],
-/// [`EventRoundSim`], [`ParallelRoundEngine`], [`Coordinator`] and
-/// [`HierEngine`].
+/// One builder for every simulator: the sequential [`EventRoundSim`] and
+/// the population engines built on it — [`ParallelRoundEngine`],
+/// [`Coordinator`] and [`HierEngine`].
 ///
 /// Setters are infallible and record raw values; each terminal `build_*`
 /// validates the full configuration against its target and rejects knobs
 /// the target cannot honour with
-/// [`ConfigError::UnsupportedOption`] — a deadline on a plain
-/// [`RoundSim`] is an error, not a silent no-op.
+/// [`ConfigError::UnsupportedOption`] — a cohort size on the sequential
+/// sim is an error, not a silent no-op.
 ///
 /// Which knobs each target honours (mirrors the README migration table):
 ///
-/// | Knob | `sim` | `resilient` | `event_sim` | `engine` | `coordinator` | `hier` |
-/// |------|:-----:|:-----------:|:-----------:|:--------:|:-------------:|:------:|
-/// | [`probe`](SimBuilder::probe) | ✓ | ✓ | ✓ | ✓ | ✓ | ✓ |
-/// | [`deadline`](SimBuilder::deadline) | — | ✓ | ✓ | ✓ | ✓¹ | ✓ |
-/// | [`retry`](SimBuilder::retry), [`no_rescue`](SimBuilder::no_rescue), [`rescue_soc_floor`](SimBuilder::rescue_soc_floor), [`faults`](SimBuilder::faults) | — | ✓ | ✓ | ✓ | ✓ | ✓ |
-/// | [`injector`](SimBuilder::injector), [`rescheduler`](SimBuilder::rescheduler), [`priors`](SimBuilder::priors) ² | — | ✓ | ✓ | — | — | — |
-/// | [`aggregator`](SimBuilder::aggregator), [`adversary`](SimBuilder::adversary) | — | ✓ | ✓ | ✓ | ✓ | ✓ |
-/// | [`cohort_size`](SimBuilder::cohort_size), [`threads`](SimBuilder::threads) | — | — | — | ✓ | ✓ | ✓ |
-/// | [`engine_kind`](SimBuilder::engine_kind) | — | — | — | ✓ | ✓ | ✓ |
-/// | [`churn`](SimBuilder::churn), [`admission`](SimBuilder::admission) ³ | — | — | ✓ | ✓³ | ✓³ | ✓³ |
-/// | [`selection`](SimBuilder::selection) | — | ✓ | ✓ | ✓ | ✓ | ✓ |
-/// | [`buffered_async`](SimBuilder::buffered_async) | — | — | — | — | ✓¹ | — |
-/// | [`edges`](SimBuilder::edges), [`edge_link`](SimBuilder::edge_link), [`edge_aggregator`](SimBuilder::edge_aggregator), [`server_aggregator`](SimBuilder::server_aggregator) | — | — | — | — | — | ✓ |
+/// | Knob | `event_sim` | `engine` | `coordinator` | `hier` |
+/// |------|:-----------:|:--------:|:-------------:|:------:|
+/// | [`probe`](SimBuilder::probe) | ✓ | ✓ | ✓ | ✓ |
+/// | [`deadline`](SimBuilder::deadline) | ✓ | ✓ | ✓¹ | ✓ |
+/// | [`retry`](SimBuilder::retry), [`no_rescue`](SimBuilder::no_rescue), [`rescue_soc_floor`](SimBuilder::rescue_soc_floor), [`faults`](SimBuilder::faults) | ✓ | ✓ | ✓ | ✓ |
+/// | [`injector`](SimBuilder::injector), [`rescheduler`](SimBuilder::rescheduler), [`priors`](SimBuilder::priors) ² | ✓ | — | — | — |
+/// | [`aggregator`](SimBuilder::aggregator), [`adversary`](SimBuilder::adversary) | ✓ | ✓ | ✓ | ✓ |
+/// | [`cohort_size`](SimBuilder::cohort_size), [`threads`](SimBuilder::threads) | — | ✓ | ✓ | ✓ |
+/// | [`churn`](SimBuilder::churn), [`admission`](SimBuilder::admission) | ✓ | ✓ | ✓ | ✓ |
+/// | [`selection`](SimBuilder::selection) | ✓ | ✓ | ✓ | ✓ |
+/// | [`buffered_async`](SimBuilder::buffered_async) | — | — | ✓¹ | — |
+/// | [`edges`](SimBuilder::edges), [`edge_link`](SimBuilder::edge_link), [`edge_aggregator`](SimBuilder::edge_aggregator), [`server_aggregator`](SimBuilder::server_aggregator) | — | — | — | ✓ |
 ///
 /// ¹ a coordinator takes a deadline *or* `buffered_async`, not both.
 /// ² ad-hoc injected objects; accepted in-process but rejected by
 ///   [`SimBuilder::to_spec`] with `"not_serializable"` — they have no
 ///   wire form.
-/// ³ event-driven cores only: `build_event_sim`, or the engine-family
-///   targets with [`EngineKind::EventDriven`].
 ///
 /// Every “—” cell is a typed [`ConfigError`], never a silent drop.
 pub struct SimBuilder {
@@ -295,7 +291,6 @@ pub struct SimBuilder {
     pub(crate) async_opts: Option<AsyncOptions>,
     pub(crate) aggregator: Option<AggregatorKind>,
     pub(crate) adversary: Option<(AdversaryConfig, usize)>,
-    pub(crate) engine_kind: Option<EngineKind>,
     pub(crate) churn: Option<ChurnConfig>,
     pub(crate) admission: Option<AdmissionPolicy>,
     pub(crate) selection: Option<SelectionConfig>,
@@ -329,7 +324,6 @@ impl SimBuilder {
             async_opts: None,
             aggregator: None,
             adversary: None,
-            engine_kind: None,
             churn: None,
             admission: None,
             selection: None,
@@ -347,13 +341,12 @@ impl SimBuilder {
         self
     }
 
-    /// Set the per-round deadline policy. On [`build_resilient`] adaptive
+    /// Set the per-round deadline policy. On [`build_event_sim`] adaptive
     /// policies resolve against the cohort's own predicted times each
     /// round; on [`build_engine`] against each cohort separately; on
-    /// [`build_coordinator`] against the pooled population
-    /// (the tentpole difference).
+    /// [`build_coordinator`] against the pooled population.
     ///
-    /// [`build_resilient`]: SimBuilder::build_resilient
+    /// [`build_event_sim`]: SimBuilder::build_event_sim
     /// [`build_engine`]: SimBuilder::build_engine
     /// [`build_coordinator`]: SimBuilder::build_coordinator
     pub fn deadline(mut self, policy: DeadlinePolicy) -> Self {
@@ -361,7 +354,7 @@ impl SimBuilder {
         self
     }
 
-    /// Set the transfer retry policy (resilient/engine/coordinator).
+    /// Set the transfer retry policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = Some(retry);
         self
@@ -386,7 +379,7 @@ impl SimBuilder {
         self
     }
 
-    /// Use a pre-built fault injector (resilient target only). Overrides
+    /// Use a pre-built fault injector (event_sim target only). Overrides
     /// [`faults`](SimBuilder::faults); lets callers decouple the fault-plan
     /// seed from the simulation seed.
     pub fn injector(mut self, injector: FaultInjector) -> Self {
@@ -394,13 +387,13 @@ impl SimBuilder {
         self
     }
 
-    /// Re-plan the shard allocation every `every` rounds (resilient only).
+    /// Re-plan the shard allocation every `every` rounds (event_sim only).
     pub fn rescheduler(mut self, scheduler: Box<dyn Scheduler>, every: usize) -> Self {
         self.rescheduler = Some((scheduler, every));
         self
     }
 
-    /// Warm-start online profilers from offline priors (resilient only).
+    /// Warm-start online profilers from offline priors (event_sim only).
     pub fn priors(mut self, priors: Vec<LinearProfile>) -> Self {
         self.priors = Some(priors);
         self
@@ -419,9 +412,9 @@ impl SimBuilder {
     }
 
     /// Select the robust aggregation rule the server scores deliveries
-    /// with (resilient/engine/coordinator). [`AggregatorKind::FedAvg`] —
-    /// the default — keeps today's behaviour bit for bit; any other kind
-    /// forces the fault-tolerant path so rejections have somewhere to go.
+    /// with. [`AggregatorKind::FedAvg`] — the default — keeps today's
+    /// behaviour bit for bit; other kinds only act while an adversary is
+    /// attached.
     ///
     /// Tier naming: unqualified `aggregator` always means the **device
     /// tier** — the rule applied to per-device deliveries — on every
@@ -436,8 +429,8 @@ impl SimBuilder {
         self
     }
 
-    /// Attach an adversary model planned for `planned_rounds`
-    /// (resilient/engine/coordinator). On the engine/coordinator each
+    /// Attach an adversary model planned for `planned_rounds`. On the
+    /// engine-family targets each
     /// cohort derives its own [`AdversaryPlan`] from the cohort seed,
     /// mirroring per-cohort fault injectors.
     pub fn adversary(mut self, config: AdversaryConfig, planned_rounds: usize) -> Self {
@@ -445,35 +438,21 @@ impl SimBuilder {
         self
     }
 
-    /// Select the per-cohort round engine (engine/coordinator only).
-    /// [`EngineKind::Lockstep`] — the default — scans every scheduled
-    /// device each round; [`EngineKind::EventDriven`] drains a discrete
-    /// event queue instead, producing bit-identical reports and traces
-    /// while touching parked devices only when one of their events fires.
-    pub fn engine_kind(mut self, kind: EngineKind) -> Self {
-        self.engine_kind = Some(kind);
-        self
-    }
-
     /// Continuous mid-round churn: devices arrive and depart inside
-    /// rounds at seed-derived exponential times (event-driven targets
-    /// only — [`build_event_sim`](SimBuilder::build_event_sim) or an
-    /// [`EngineKind::EventDriven`] engine/coordinator). Requires a fault
-    /// source ([`faults`](SimBuilder::faults)) because churn timelines
-    /// ride on the fault plan; lockstep targets reject the knob with
-    /// [`ConfigError::UnsupportedOption`].
+    /// rounds at seed-derived exponential times. Requires a fault source
+    /// ([`faults`](SimBuilder::faults)) because churn timelines ride on
+    /// the fault plan.
     ///
     /// ```
     /// use fedsched_device::{Testbed, TrainingWorkload};
     /// use fedsched_faults::{ChurnConfig, FaultConfig};
-    /// use fedsched_fl::{EngineKind, RoundConfig, SimBuilder};
+    /// use fedsched_fl::{RoundConfig, SimBuilder};
     /// use fedsched_net::Link;
     ///
     /// let config = RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, 7);
     /// let engine = SimBuilder::new(Testbed::testbed_1(7).devices().to_vec(), config)
     ///     .faults(FaultConfig::none(), 4)
     ///     .churn(ChurnConfig::symmetric(0.05, 60.0)) // events/s per device, horizon
-    ///     .engine_kind(EngineKind::EventDriven)
     ///     .build_engine()?;
     /// # let _ = engine;
     /// # Ok::<(), fedsched_fl::ConfigError>(())
@@ -483,8 +462,8 @@ impl SimBuilder {
         self
     }
 
-    /// What to do with devices that arrive mid-round (event-driven
-    /// targets only; requires [`churn`](SimBuilder::churn)):
+    /// What to do with devices that arrive mid-round (requires
+    /// [`churn`](SimBuilder::churn)):
     /// [`AdmissionPolicy::Reject`] logs and drops,
     /// [`AdmissionPolicy::NextRound`] parks arrivals for the following
     /// round, and [`AdmissionPolicy::MidRoundFill`] additionally grants
@@ -510,8 +489,7 @@ impl SimBuilder {
         self
     }
 
-    /// Online bandit-driven client selection
-    /// (resilient/event_sim/engine/coordinator/hier). Each round the
+    /// Online bandit-driven client selection. Each round the
     /// policy picks a `k`-device cohort per scheduling domain, the inner
     /// scheduler splits the full shard load among the picked devices, and
     /// observed round outcomes (throughput discounted by battery drain)
@@ -534,7 +512,7 @@ impl SimBuilder {
     ///         PolicyKind::Ucb1 { c: 1.0 },
     ///         2,
     ///     )))
-    ///     .build_resilient()?;
+    ///     .build_event_sim()?;
     /// # let _ = sim;
     /// # Ok::<(), fedsched_fl::ConfigError>(())
     /// ```
@@ -606,52 +584,21 @@ impl SimBuilder {
         Ok(())
     }
 
-    /// True iff some knob forces the fault-tolerant path.
-    fn wants_chaos(&self) -> bool {
-        self.faults.is_some()
-            || self.injector.is_some()
-            || self.retry.is_some()
-            || !self.deadline.is_off()
-            || !self.rescue
-            || self.rescue_soc_floor > 0.0
-            || self.rescheduler.is_some()
-            || self.priors.is_some()
-            || self.aggregator.is_some_and(|k| !k.is_fedavg())
-            || self.adversary.is_some()
-            || self.churn.is_some()
-            || self.admission.is_some()
-            || self.selection.is_some()
-    }
-
-    /// The first chaos-only knob set, for precise error payloads.
-    fn first_chaos_option(&self) -> &'static str {
-        if self.faults.is_some() {
-            "faults"
-        } else if self.injector.is_some() {
-            "injector"
-        } else if self.retry.is_some() {
-            "retry"
-        } else if !self.deadline.is_off() {
-            "deadline"
-        } else if !self.rescue {
-            "no_rescue"
-        } else if self.rescue_soc_floor > 0.0 {
-            "rescue_soc_floor"
-        } else if self.rescheduler.is_some() {
-            "rescheduler"
-        } else if self.priors.is_some() {
-            "priors"
-        } else if self.adversary.is_some() {
-            "adversary"
-        } else if self.churn.is_some() {
-            "churn"
-        } else if self.admission.is_some() {
-            "admission"
-        } else if self.selection.is_some() {
-            "selection"
-        } else {
-            "aggregator"
+    /// Reject the knobs only the sequential sim takes: a pre-built
+    /// injector is sized for one fleet, and the rescheduler and priors act
+    /// on one set of online profiles — the engine family derives a fault
+    /// plan and profiles per cohort.
+    fn reject_sequential_only(&self) -> Result<(), ConfigError> {
+        if self.injector.is_some() {
+            return Err(ConfigError::UnsupportedOption("injector"));
         }
+        if self.rescheduler.is_some() {
+            return Err(ConfigError::UnsupportedOption("rescheduler"));
+        }
+        if self.priors.is_some() {
+            return Err(ConfigError::UnsupportedOption("priors"));
+        }
+        Ok(())
     }
 
     /// Validate the online-selection config and its knob interactions.
@@ -705,22 +652,6 @@ impl SimBuilder {
         Ok(admission)
     }
 
-    /// True iff a churn timeline reached this builder by any route — the
-    /// `churn(..)` knob, a fault config carrying a churn process, or a
-    /// pre-built injector whose plan has churn cells. Lockstep targets
-    /// reject all of them.
-    fn carries_churn(&self) -> bool {
-        self.churn.is_some()
-            || self
-                .faults
-                .as_ref()
-                .is_some_and(|(fc, _)| fc.churn_process.is_some_and(|c| !c.is_quiet()))
-            || self
-                .injector
-                .as_ref()
-                .is_some_and(|inj| inj.plan().churn_active())
-    }
-
     fn check_aggregator(&self) -> Result<AggregatorKind, ConfigError> {
         let kind = self.aggregator.unwrap_or_default();
         kind.validate().map_err(ConfigError::InvalidAggregator)?;
@@ -771,57 +702,11 @@ impl SimBuilder {
         }
     }
 
-    /// Build a plain sequential [`RoundSim`]. Rejects every fault,
-    /// deadline, cohort and async knob — the quiet sim has no machinery to
-    /// honour them, and dropping them silently would fake fidelity.
-    pub fn build_sim(self) -> Result<RoundSim, ConfigError> {
-        self.reject_hier()?;
-        if self.wants_chaos() {
-            return Err(ConfigError::UnsupportedOption(self.first_chaos_option()));
-        }
-        if self.cohort_size.is_some() {
-            return Err(ConfigError::UnsupportedOption("cohort_size"));
-        }
-        if self.threads.is_some() {
-            return Err(ConfigError::UnsupportedOption("threads"));
-        }
-        if self.async_opts.is_some() {
-            return Err(ConfigError::UnsupportedOption("buffered_async"));
-        }
-        if self.engine_kind.is_some() {
-            return Err(ConfigError::UnsupportedOption("engine_kind"));
-        }
-        let c = self.config;
-        Ok(
-            RoundSim::from_parts(self.devices, c.workload, c.link, c.model_bytes, c.seed)
-                .with_probe(self.probe),
-        )
-    }
-
-    /// Build a sequential fault-tolerant [`ResilientRoundSim`]. With no
-    /// fault source configured the injector is quiet, which is
-    /// bit-identical to [`RoundSim`] by the crate's determinism contract.
-    ///
-    /// The lockstep sweep has no mid-round event stream, so churn by any
-    /// route — the [`churn`](SimBuilder::churn) knob, a fault config with
-    /// a churn process, or an injector with churn cells — is rejected
-    /// rather than silently ignored; so is
-    /// [`admission`](SimBuilder::admission).
-    pub fn build_resilient(self) -> Result<ResilientRoundSim, ConfigError> {
-        if self.carries_churn() {
-            return Err(ConfigError::UnsupportedOption("churn"));
-        }
-        if self.admission.is_some() {
-            return Err(ConfigError::UnsupportedOption("admission"));
-        }
-        self.build_resilient_core()
-    }
-
-    /// [`build_resilient`](SimBuilder::build_resilient) minus the churn
-    /// rejections — the shared tail that
-    /// [`build_event_sim`](SimBuilder::build_event_sim) reaches after
-    /// folding churn into the fault config.
-    fn build_resilient_core(self) -> Result<ResilientRoundSim, ConfigError> {
+    /// Build the sequential round engine, [`EventRoundSim`]: every fault,
+    /// deadline, rescue, rescheduler, priors, adversary, selection and
+    /// churn knob is honoured. With no fault source configured the
+    /// injector is quiet and the fault machinery is inert.
+    pub fn build_event_sim(mut self) -> Result<EventRoundSim, ConfigError> {
         self.reject_hier()?;
         if self.cohort_size.is_some() {
             return Err(ConfigError::UnsupportedOption("cohort_size"));
@@ -832,9 +717,7 @@ impl SimBuilder {
         if self.async_opts.is_some() {
             return Err(ConfigError::UnsupportedOption("buffered_async"));
         }
-        if self.engine_kind.is_some() {
-            return Err(ConfigError::UnsupportedOption("engine_kind"));
-        }
+        let admission = self.take_churn()?;
         self.check_deadline()?;
         self.check_retry()?;
         self.check_soc_floor()?;
@@ -871,7 +754,7 @@ impl SimBuilder {
                 got: injector.plan().n_devices(),
             });
         }
-        let mut sim = ResilientRoundSim::from_parts(
+        let mut core = ResilientRoundSim::from_parts(
             self.devices,
             c.workload,
             c.link,
@@ -884,65 +767,42 @@ impl SimBuilder {
         .with_rescue_soc_floor(self.rescue_soc_floor)
         .with_aggregator(aggregator);
         if let Some((config, planned)) = adversary {
-            sim = sim.with_adversary(AdversaryPlan::generate(config, n, planned, c.seed));
+            core = core.with_adversary(AdversaryPlan::generate(config, n, planned, c.seed));
         }
         if let Some(retry) = self.retry {
-            sim = sim.with_retry(retry);
+            core = core.with_retry(retry);
         }
         if !self.rescue {
-            sim = sim.without_rescue();
+            core = core.without_rescue();
         }
         if let Some((scheduler, every)) = self.rescheduler {
-            sim = sim.with_rescheduler(scheduler, every);
+            core = core.with_rescheduler(scheduler, every);
         }
         if let Some(priors) = self.priors {
-            sim = sim.with_priors(&priors);
+            core = core.with_priors(&priors);
         }
         if let Some(config) = selection {
-            sim = sim.with_selection(config);
+            core = core.with_selection(config);
         }
-        Ok(sim)
-    }
-
-    /// Build a sequential event-driven [`EventRoundSim`]: the same
-    /// machinery as [`build_resilient`](SimBuilder::build_resilient) —
-    /// every fault, deadline, rescue, rescheduler and adversary knob is
-    /// honoured — but rounds advance by draining a discrete event queue
-    /// rather than scanning every device. Reports and traces are
-    /// bit-identical to the lockstep path; requesting
-    /// [`EngineKind::Lockstep`] here is a contradiction and is rejected.
-    pub fn build_event_sim(mut self) -> Result<EventRoundSim, ConfigError> {
-        if self.engine_kind == Some(EngineKind::Lockstep) {
-            return Err(ConfigError::UnsupportedOption("engine_kind"));
-        }
-        self.engine_kind = None;
-        let admission = self.take_churn()?;
-        let mut sim = EventRoundSim::new(self.build_resilient_core()?);
+        let mut sim = EventRoundSim::new(core);
         if let Some(policy) = admission {
             sim.set_admission(policy);
         }
         Ok(sim)
     }
 
-    /// Build a [`ParallelRoundEngine`]. Any fault/deadline knob switches
-    /// every cohort to the resilient path; adaptive deadlines resolve *per
-    /// cohort* (use [`build_coordinator`](SimBuilder::build_coordinator)
-    /// for one population-pooled deadline).
+    /// Build a [`ParallelRoundEngine`]: one [`EventRoundSim`] per cohort,
+    /// each with its own fault plan derived from the cohort seed. Adaptive
+    /// deadlines resolve *per cohort* (use
+    /// [`build_coordinator`](SimBuilder::build_coordinator) for one
+    /// population-pooled deadline).
     pub fn build_engine(self) -> Result<ParallelRoundEngine, ConfigError> {
         self.reject_hier()?;
-        if self.injector.is_some() {
-            return Err(ConfigError::UnsupportedOption("injector"));
-        }
-        if self.rescheduler.is_some() {
-            return Err(ConfigError::UnsupportedOption("rescheduler"));
-        }
-        if self.priors.is_some() {
-            return Err(ConfigError::UnsupportedOption("priors"));
-        }
+        self.reject_sequential_only()?;
         if self.async_opts.is_some() {
             return Err(ConfigError::UnsupportedOption("buffered_async"));
         }
-        self.build_engine_with(false)
+        self.build_engine_with()
     }
 
     /// Build a [`Coordinator`]: a [`ParallelRoundEngine`] driven by a
@@ -952,15 +812,7 @@ impl SimBuilder {
     /// no global barrier exists.
     pub fn build_coordinator(self) -> Result<Coordinator, ConfigError> {
         self.reject_hier()?;
-        if self.injector.is_some() {
-            return Err(ConfigError::UnsupportedOption("injector"));
-        }
-        if self.rescheduler.is_some() {
-            return Err(ConfigError::UnsupportedOption("rescheduler"));
-        }
-        if self.priors.is_some() {
-            return Err(ConfigError::UnsupportedOption("priors"));
-        }
+        self.reject_sequential_only()?;
         let mode = self.check_async()?.unwrap_or(CoordinationMode::Barrier);
         let policy = self.deadline;
         if !policy.is_off() && matches!(mode, CoordinationMode::BufferedAsync { .. }) {
@@ -970,35 +822,24 @@ impl SimBuilder {
         }
         // The coordinator owns deadline resolution: cohorts must not also
         // resolve per-cohort, so the engine is always built with its own
-        // policy Off. Applying a global deadline needs chaos machinery in
-        // every cohort, hence the forced (quiet) chaos path below.
+        // policy Off and receives the global cutoff round by round.
         let mut builder = self;
         builder.deadline = DeadlinePolicy::Off;
         builder.async_opts = None;
         policy.check().map_err(ConfigError::InvalidDeadline)?;
-        let force_chaos = !policy.is_off();
-        let engine = builder.build_engine_with(force_chaos)?;
+        let engine = builder.build_engine_with()?;
         Ok(Coordinator::from_parts(engine, policy, mode))
     }
 
     /// Build a two-tier [`HierEngine`]: edge aggregators reduce balanced
     /// contiguous cohort spans, the server reduces the edge aggregates.
     /// The underlying cohorts honour every engine knob (faults,
-    /// deadlines, event-driven cores, churn on event cores); topology
-    /// knobs add on top. With the defaults — one edge per cohort, no
+    /// deadlines, churn, selection); topology knobs add on top. With the defaults — one edge per cohort, no
     /// backhaul link, FedAvg at both tiers — reports *and traces* are
     /// byte-identical to [`build_engine`](SimBuilder::build_engine) at
     /// every thread count.
     pub fn build_hier(mut self) -> Result<HierEngine, ConfigError> {
-        if self.injector.is_some() {
-            return Err(ConfigError::UnsupportedOption("injector"));
-        }
-        if self.rescheduler.is_some() {
-            return Err(ConfigError::UnsupportedOption("rescheduler"));
-        }
-        if self.priors.is_some() {
-            return Err(ConfigError::UnsupportedOption("priors"));
-        }
+        self.reject_sequential_only()?;
         if self.async_opts.is_some() {
             return Err(ConfigError::UnsupportedOption("buffered_async"));
         }
@@ -1019,7 +860,7 @@ impl SimBuilder {
         }
         let model_bytes = self.config.model_bytes;
         let seed = self.config.seed;
-        let engine = self.build_engine_with(false)?;
+        let engine = self.build_engine_with()?;
         let n_cohorts = engine.n_cohorts();
         let edges = edges.unwrap_or(n_cohorts);
         if edges > n_cohorts {
@@ -1038,21 +879,8 @@ impl SimBuilder {
         ))
     }
 
-    fn build_engine_with(mut self, force_chaos: bool) -> Result<ParallelRoundEngine, ConfigError> {
-        // Churn is an event-core feature: per-cohort event sims drain the
-        // arrive/depart stream; the lockstep sweep cannot, so anything but
-        // an explicit event-driven engine rejects it.
-        let admission = if self.engine_kind == Some(EngineKind::EventDriven) {
-            self.take_churn()?
-        } else {
-            if self.carries_churn() {
-                return Err(ConfigError::UnsupportedOption("churn"));
-            }
-            if self.admission.is_some() {
-                return Err(ConfigError::UnsupportedOption("admission"));
-            }
-            None
-        };
+    fn build_engine_with(mut self) -> Result<ParallelRoundEngine, ConfigError> {
+        let admission = self.take_churn()?;
         self.check_deadline()?;
         self.check_retry()?;
         self.check_soc_floor()?;
@@ -1074,44 +902,27 @@ impl SimBuilder {
         if let Some(threads) = self.threads {
             engine = engine.try_with_threads(threads)?;
         }
-        if let Some(kind) = self.engine_kind {
-            engine = engine.try_with_engine_kind(kind)?;
+        let (config, planned) = self.faults.unwrap_or_else(|| (FaultConfig::none(), 0));
+        let mut opts = ChaosOptions::new(config, planned)
+            .with_deadline_policy(self.deadline)
+            .with_rescue_soc_floor(self.rescue_soc_floor)
+            .with_aggregator(aggregator);
+        if let Some((adv, adv_rounds)) = adversary {
+            opts = opts.with_adversary(adv, adv_rounds);
         }
-        let wants_chaos = self.faults.is_some()
-            || self.retry.is_some()
-            || !self.deadline.is_off()
-            || !self.rescue
-            || self.rescue_soc_floor > 0.0
-            || !aggregator.is_fedavg()
-            || adversary.is_some()
-            || selection.is_some();
-        if wants_chaos || force_chaos {
-            let (config, planned) = self
-                .faults
-                .clone()
-                .unwrap_or_else(|| (FaultConfig::none(), 0));
-            let mut opts = ChaosOptions::new(config, planned)
-                .with_deadline_policy(self.deadline)
-                .with_rescue_soc_floor(self.rescue_soc_floor)
-                .with_aggregator(aggregator);
-            if let Some((adv, adv_rounds)) = adversary {
-                opts = opts.with_adversary(adv, adv_rounds);
-            }
-            if let Some(policy) = admission {
-                opts = opts.with_admission(policy);
-            }
-            if let Some(config) = selection {
-                opts = opts.with_selection(config);
-            }
-            if let Some(retry) = self.retry {
-                opts = opts.with_retry(retry);
-            }
-            if !self.rescue {
-                opts = opts.without_rescue();
-            }
-            engine = engine.try_with_chaos(opts)?;
+        if let Some(policy) = admission {
+            opts = opts.with_admission(policy);
         }
-        Ok(engine)
+        if let Some(config) = selection {
+            opts = opts.with_selection(config);
+        }
+        if let Some(retry) = self.retry {
+            opts = opts.with_retry(retry);
+        }
+        if !self.rescue {
+            opts = opts.without_rescue();
+        }
+        engine.try_with_chaos(opts)
     }
 }
 
@@ -1135,38 +946,49 @@ mod tests {
 
     #[test]
     fn builder_sim_is_deterministic_per_seed() {
-        let mut a = SimBuilder::new(devices(7), config(7)).build_sim().unwrap();
-        let mut b = SimBuilder::new(devices(7), config(7)).build_sim().unwrap();
+        let mut a = SimBuilder::new(devices(7), config(7))
+            .build_event_sim()
+            .unwrap();
+        let mut b = SimBuilder::new(devices(7), config(7))
+            .build_event_sim()
+            .unwrap();
         assert_eq!(a.run(&schedule(), 3), b.run(&schedule(), 3));
     }
 
     #[test]
-    fn builder_resilient_defaults_to_quiet_injector() {
+    fn builder_event_sim_defaults_to_quiet_injector() {
         let mut quiet = SimBuilder::new(devices(9), config(9))
-            .build_resilient()
+            .build_event_sim()
             .unwrap();
-        let mut plain = SimBuilder::new(devices(9), config(9)).build_sim().unwrap();
         let report = quiet.run(&schedule(), 3);
-        assert_eq!(report.timing, plain.run(&schedule(), 3));
-        assert!(report.rounds.iter().all(|r| r.lost_shards == 0));
+        assert!(report
+            .rounds
+            .iter()
+            .all(|r| r.lost_shards == 0 && r.completed == 30 && r.coverage == 1.0));
+        // An explicit fault config with nothing in it is the same run.
+        let mut none = SimBuilder::new(devices(9), config(9))
+            .faults(FaultConfig::none(), 3)
+            .build_event_sim()
+            .unwrap();
+        assert_eq!(none.run(&schedule(), 3), report);
     }
 
     #[test]
     fn unsupported_knobs_are_rejected_not_dropped() {
         let err = SimBuilder::new(devices(1), config(1))
-            .deadline(DeadlinePolicy::Fixed(10.0))
-            .build_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("deadline"));
-        assert_eq!(err.cause_code(), "unsupported_option");
-
-        let err = SimBuilder::new(devices(1), config(1))
             .cohort_size(4)
-            .build_resilient()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::UnsupportedOption("cohort_size"));
+        assert_eq!(err.cause_code(), "unsupported_option");
+
+        let err = SimBuilder::new(devices(1), config(1))
+            .threads(2)
+            .build_event_sim()
+            .err()
+            .unwrap();
+        assert_eq!(err, ConfigError::UnsupportedOption("threads"));
 
         let err = SimBuilder::new(devices(1), config(1))
             .buffered_async(2, 0.5)
@@ -1176,18 +998,11 @@ mod tests {
         assert_eq!(err, ConfigError::UnsupportedOption("buffered_async"));
 
         let err = SimBuilder::new(devices(1), config(1))
-            .aggregator(AggregatorKind::Median)
-            .build_sim()
+            .rescheduler(Box::new(fedsched_core::FedLbap), 2)
+            .build_hier()
             .err()
             .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("aggregator"));
-
-        let err = SimBuilder::new(devices(1), config(1))
-            .adversary(AdversaryConfig::none(), 4)
-            .build_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("adversary"));
+        assert_eq!(err, ConfigError::UnsupportedOption("rescheduler"));
     }
 
     #[test]
@@ -1209,21 +1024,21 @@ mod tests {
 
         let err = SimBuilder::new(devices(1), config(1))
             .deadline(DeadlinePolicy::Fixed(-1.0))
-            .build_resilient()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err.cause_code(), "invalid_deadline");
 
         let err = SimBuilder::new(devices(1), config(1))
             .rescue_soc_floor(1.5)
-            .build_resilient()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::InvalidSocFloor(1.5));
 
         let err = SimBuilder::new(devices(1), config(1))
             .priors(Vec::new())
-            .build_resilient()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(
@@ -1244,7 +1059,7 @@ mod tests {
 
         let err = SimBuilder::new(devices(1), config(1))
             .aggregator(AggregatorKind::MultiKrum { f: 1, k: 0 })
-            .build_resilient()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err.cause_code(), "invalid_aggregator");
@@ -1269,94 +1084,46 @@ mod tests {
     }
 
     #[test]
-    fn event_sim_matches_resilient_bit_for_bit() {
-        use fedsched_faults::FaultConfig;
+    fn event_sim_matches_lockstep_oracle_bit_for_bit() {
         let chaos = FaultConfig::none().with_crash_prob(0.3).with_loss_prob(0.2);
-        let mut lockstep = SimBuilder::new(devices(11), config(11))
-            .faults(chaos.clone(), 4)
-            .deadline(DeadlinePolicy::Fixed(55.0))
-            .build_resilient()
-            .unwrap();
-        let mut event = SimBuilder::new(devices(11), config(11))
-            .faults(chaos, 4)
-            .deadline(DeadlinePolicy::Fixed(55.0))
-            .build_event_sim()
-            .unwrap();
-        assert_eq!(lockstep.run(&schedule(), 4), event.run(&schedule(), 4));
+        let build = || {
+            SimBuilder::new(devices(11), config(11))
+                .faults(chaos.clone(), 4)
+                .deadline(DeadlinePolicy::Fixed(55.0))
+                .build_event_sim()
+                .unwrap()
+        };
+        let oracle = build().into_inner().run(&schedule(), 4);
+        assert_eq!(build().run(&schedule(), 4), oracle);
     }
 
     #[test]
-    fn engine_kind_is_rejected_where_meaningless() {
-        let err = SimBuilder::new(devices(1), config(1))
-            .engine_kind(EngineKind::EventDriven)
-            .build_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("engine_kind"));
-
-        let err = SimBuilder::new(devices(1), config(1))
-            .engine_kind(EngineKind::EventDriven)
-            .build_resilient()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("engine_kind"));
-
-        // Asking the event-sim terminal for a lockstep engine is a
-        // contradiction, not a silent fallback.
-        let err = SimBuilder::new(devices(1), config(1))
-            .engine_kind(EngineKind::Lockstep)
-            .build_event_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("engine_kind"));
-    }
-
-    #[test]
-    fn churn_is_rejected_on_lockstep_targets() {
+    fn churn_builds_on_every_target() {
         use fedsched_faults::ChurnConfig;
         let churn = ChurnConfig::symmetric(0.05, 60.0);
+        let churned = || {
+            SimBuilder::new(devices(1), config(1))
+                .faults(FaultConfig::none(), 4)
+                .churn(churn)
+                .admission(crate::AdmissionPolicy::MidRoundFill)
+        };
+        assert!(churned().build_event_sim().is_ok());
+        assert!(churned().build_engine().is_ok());
+        assert!(churned().build_coordinator().is_ok());
+        assert!(churned().build_hier().is_ok());
 
-        let err = SimBuilder::new(devices(1), config(1))
+        // A churn process carried in the fault config itself is honoured
+        // the same way as the knob.
+        let mut knob = SimBuilder::new(devices(1), config(1))
             .faults(FaultConfig::none(), 4)
             .churn(churn)
-            .build_resilient()
-            .err()
+            .build_event_sim()
             .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("churn"));
-
-        // A churn process smuggled in through the fault config is caught
-        // too — lockstep would silently ignore the timeline otherwise.
-        let err = SimBuilder::new(devices(1), config(1))
+        let mut carried = SimBuilder::new(devices(1), config(1))
             .faults(FaultConfig::none().with_churn_process(churn), 4)
-            .build_resilient()
-            .err()
+            .build_event_sim()
             .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("churn"));
-
-        // Engine default (lockstep cohorts) rejects as well; the explicit
-        // event-driven engine accepts.
-        let err = SimBuilder::new(devices(1), config(1))
-            .faults(FaultConfig::none(), 4)
-            .churn(churn)
-            .build_engine()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("churn"));
-        assert!(SimBuilder::new(devices(1), config(1))
-            .faults(FaultConfig::none(), 4)
-            .churn(churn)
-            .engine_kind(EngineKind::EventDriven)
-            .build_engine()
-            .is_ok());
-
-        let err = SimBuilder::new(devices(1), config(1))
-            .faults(FaultConfig::none(), 4)
-            .churn(churn)
-            .admission(crate::AdmissionPolicy::MidRoundFill)
-            .build_resilient()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("churn"));
+        assert_eq!(knob.run(&schedule(), 4), carried.run(&schedule(), 4));
     }
 
     #[test]
@@ -1403,25 +1170,17 @@ mod tests {
         use fedsched_core::FedLbap;
         let ucb = SelectionConfig::new(PolicyKind::Ucb1 { c: 1.0 }, 2);
 
-        // The plain sim has no selection machinery: typed rejection.
-        let err = SimBuilder::new(devices(1), config(1))
-            .selection(Selection::Bandit(ucb))
-            .build_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("selection"));
-
-        // Selection::Off is the default, not a chaos trigger.
+        // Selection::Off is the default.
         assert!(SimBuilder::new(devices(1), config(1))
             .selection(Selection::Off)
-            .build_sim()
+            .build_event_sim()
             .is_ok());
 
-        // Malformed knobs map to invalid_selection on every chaos target.
+        // Malformed knobs map to invalid_selection on every target.
         let zero_k = SelectionConfig::new(PolicyKind::ThompsonSampling, 0);
         let err = SimBuilder::new(devices(1), config(1))
             .selection(Selection::Bandit(zero_k))
-            .build_resilient()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err.cause_code(), "invalid_selection");
@@ -1438,16 +1197,12 @@ mod tests {
         let err = SimBuilder::new(devices(1), config(1))
             .selection(Selection::Bandit(ucb))
             .rescheduler(Box::new(FedLbap), 2)
-            .build_resilient()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err.cause_code(), "invalid_selection");
 
-        // Every chaos-capable target accepts a valid config.
-        assert!(SimBuilder::new(devices(1), config(1))
-            .selection(Selection::Bandit(ucb))
-            .build_resilient()
-            .is_ok());
+        // Every target accepts a valid config.
         assert!(SimBuilder::new(devices(1), config(1))
             .selection(Selection::Bandit(ucb))
             .build_event_sim()
@@ -1470,14 +1225,14 @@ mod tests {
     fn hier_knobs_are_rejected_off_the_hier_target() {
         let err = SimBuilder::new(devices(1), config(1))
             .edges(2)
-            .build_sim()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::UnsupportedOption("edges"));
 
         let err = SimBuilder::new(devices(1), config(1))
             .edge_link(Link::lte_tmobile())
-            .build_resilient()
+            .build_coordinator()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::UnsupportedOption("edge_link"));
@@ -1612,17 +1367,16 @@ mod tests {
 
     #[test]
     fn builder_deadline_matches_post_hoc_policy_setter() {
-        // The builder's .deadline(..) and the sim-level
-        // with_deadline_policy(..) are the same configuration — pinned
-        // here since the positional shims that used to pin it are gone.
+        // The builder's .deadline(..) and the sim-level set_deadline(..)
+        // hook the coordinator uses are the same configuration.
         let mut new_style = SimBuilder::new(devices(5), config(5))
             .deadline(DeadlinePolicy::Fixed(60.0))
-            .build_resilient()
+            .build_event_sim()
             .unwrap();
         let mut setter_style = SimBuilder::new(devices(5), config(5))
-            .build_resilient()
-            .unwrap()
-            .with_deadline_policy(DeadlinePolicy::Fixed(60.0));
+            .build_event_sim()
+            .unwrap();
+        setter_style.set_deadline(Some(60.0));
         assert_eq!(
             new_style.run(&schedule(), 4),
             setter_style.run(&schedule(), 4)

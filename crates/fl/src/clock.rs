@@ -1,16 +1,101 @@
-//! The single simulated-clock vocabulary shared by the lockstep and
-//! event-driven round paths.
+//! The single simulated-clock vocabulary of the round core: the timing
+//! report every engine returns, side-effect-free round-time predictions,
+//! and the deadline/detection/rescue arithmetic.
 //!
-//! Historically [`ResilientRoundSim`](crate::ResilientRoundSim) computed
-//! deadline cuts and crash-detection times inline in its per-round sweep.
-//! With a second execution path ([`EventRoundSim`](crate::EventRoundSim))
-//! replaying the same rounds from an event queue, any off-by-one between
-//! two copies of that arithmetic would surface as trace drift in the
-//! differential suites. These helpers are that arithmetic, extracted once:
-//! both paths call the same functions, so the differential tests compare a
-//! single time source.
+//! [`EventRoundSim`](crate::EventRoundSim) and the crate's test-only
+//! lockstep oracle replay the same rounds two different ways; any
+//! off-by-one between two copies of this arithmetic would surface as trace
+//! drift in the differential tests. Both call these functions, so the
+//! differential tests compare a single time source.
 //!
 //! All times are simulated seconds, relative to the round's start.
+
+use fedsched_core::Schedule;
+use fedsched_device::{Device, TrainingWorkload};
+use fedsched_net::Link;
+use fedsched_telemetry::Probe;
+use serde::Serialize;
+
+/// Timing statistics over simulated rounds.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct TimingReport {
+    /// Synchronous round time (straggler) for every round.
+    pub per_round_makespan: Vec<f64>,
+    /// Mean per-user total time across rounds (computation + comm).
+    pub per_user_mean: Vec<f64>,
+    /// Mean fraction of the makespan spent on communication by the
+    /// straggler.
+    pub comm_fraction: f64,
+}
+
+impl TimingReport {
+    /// Mean makespan across rounds.
+    pub fn mean_makespan(&self) -> f64 {
+        if self.per_round_makespan.is_empty() {
+            return 0.0;
+        }
+        self.per_round_makespan.iter().sum::<f64>() / self.per_round_makespan.len() as f64
+    }
+
+    /// Total synchronous time over all rounds.
+    pub fn total_time(&self) -> f64 {
+        self.per_round_makespan.iter().sum()
+    }
+}
+
+/// Predicted per-user round times for `schedule` on `devices`, with zero
+/// side effects: communication is the link's deterministic expectation (no
+/// jitter draw) and computation runs on *clones* of the devices with
+/// telemetry detached, so neither the RNG stream, the thermal state, nor
+/// the event log of the real simulation is perturbed. Idle users predict
+/// `0.0`.
+///
+/// This is the pooling input for [`DeadlinePolicy`](fedsched_core::DeadlinePolicy)
+/// resolution across a whole population: the pooling in
+/// [`Coordinator`](crate::Coordinator). A single cohort predicts its
+/// active users only, through [`predict_user_time`].
+pub fn predict_round_times(
+    devices: &[Device],
+    workload: &TrainingWorkload,
+    link: &Link,
+    model_bytes: f64,
+    schedule: &Schedule,
+) -> Vec<f64> {
+    debug_assert_eq!(devices.len(), schedule.shards.len());
+    let comm = link.round_seconds(model_bytes);
+    schedule
+        .shards
+        .iter()
+        .zip(devices)
+        .map(|(&k, device)| {
+            let samples = (k as f64 * schedule.shard_size) as usize;
+            predict_user_time(device, workload, comm, samples)
+        })
+        .collect()
+}
+
+/// Predicted round time for one user: `comm` (the link's deterministic
+/// per-round expectation) plus speculative training of `samples` on a
+/// clone of the device. Idle users (`samples == 0`) predict `0.0`.
+///
+/// Shared by [`predict_round_times`] and the event-driven engine's
+/// active-set-only deadline resolution, so both resolve deadlines from
+/// the same per-user predictor.
+pub fn predict_user_time(
+    device: &Device,
+    workload: &TrainingWorkload,
+    comm: f64,
+    samples: usize,
+) -> f64 {
+    if samples == 0 {
+        return 0.0;
+    }
+    // Clones share the Arc-backed probe with the original — detach it so
+    // speculative training never reaches the event log.
+    let mut scratch = device.clone();
+    scratch.set_probe(Probe::disabled());
+    comm + scratch.train_samples(workload, samples)
+}
 
 /// What a per-round deadline leaves of a straggler's work.
 ///

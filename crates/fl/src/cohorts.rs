@@ -1,14 +1,14 @@
 //! Parallel multi-cohort round engine: shard a large population into
 //! cohorts, simulate cohorts concurrently, merge deterministically.
 //!
-//! [`RoundSim`] is inherently sequential: one RNG stream consumed in
+//! [`EventRoundSim`] is inherently sequential: one RNG stream consumed in
 //! device-index order. [`ParallelRoundEngine`] scales it out by making the
 //! **cohort** the unit of parallelism instead of the device. The population
 //! is partitioned into fixed, contiguous cohorts ([`fixed_chunks`]); each
-//! cohort owns a self-contained [`RoundSim`] (or [`ResilientRoundSim`] when
-//! chaos is configured) seeded from [`derive_cohort_seed`], so a cohort's
-//! timeline depends only on the master seed and its index — never on which
-//! worker thread simulated it or in what order.
+//! cohort owns a self-contained [`EventRoundSim`] seeded from
+//! [`derive_cohort_seed`], so a cohort's timeline depends only on the
+//! master seed and its index — never on which worker thread simulated it or
+//! in what order.
 //!
 //! # Determinism contract
 //!
@@ -20,8 +20,8 @@
 //! * Cohort 0 continues the master RNG stream verbatim
 //!   (`derive_cohort_seed(seed, 0) == seed`), so an engine whose cohort
 //!   size covers the whole population produces byte-for-byte the output of
-//!   a sequential [`RoundSim`] / [`ResilientRoundSim`] built with the same
-//!   master seed. `tests/parallel_identity.rs` pins this differentially.
+//!   a sequential [`EventRoundSim`] built with the same master seed.
+//!   `tests/parallel_identity.rs` pins this differentially.
 //! * Cohort sims live as long as the engine: repeated [`run`] calls
 //!   continue each cohort's RNG stream, thermal state and round numbering
 //!   exactly like repeated runs of a long-lived sequential sim.
@@ -54,26 +54,10 @@ use fedsched_telemetry::{Event, EventLog, Probe};
 use serde::Serialize;
 
 use crate::builder::ConfigError;
+use crate::clock::{predict_round_times, TimingReport};
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
+use crate::hier::fold_tier;
 use crate::resilient::{ResilientRoundSim, RoundOutcome};
-use crate::roundsim::{predict_round_times, RoundSim, TimingReport};
-
-/// Which execution core each cohort runs on.
-///
-/// Both kinds produce byte-identical reports and telemetry for the same
-/// configuration (pinned by `tests/event_identity.rs` and the golden
-/// traces); they differ only in how the hot loop scales. Selected through
-/// [`SimBuilder::engine_kind`](crate::SimBuilder::engine_kind).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Sweep every device every round ([`RoundSim`] /
-    /// [`ResilientRoundSim`]): `O(devices × rounds)`.
-    #[default]
-    Lockstep,
-    /// Discrete-event core ([`EventRoundSim`]): parked (idle) devices are
-    /// never touched, so the hot loop is `O(active + events)` per round.
-    EventDriven,
-}
 
 /// Default devices per cohort. Large enough that the per-cohort setup cost
 /// is amortized, small enough that a 10k-device population spreads over
@@ -113,9 +97,9 @@ pub fn default_engine_threads() -> usize {
         .unwrap_or_else(recommended_threads)
 }
 
-/// Fault-model configuration for the engine's resilient path. Mirrors the
-/// [`ResilientRoundSim`] builders; the engine instantiates one injector per
-/// cohort from `config`, planned for that cohort's size and derived seed.
+/// Fault-model configuration for every cohort. The engine instantiates one
+/// injector per cohort from `config`, planned for that cohort's size and
+/// derived seed.
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
     /// Fault probabilities (crash, loss, churn, contention, outages).
@@ -143,9 +127,7 @@ pub struct ChaosOptions {
     /// from [`ChaosOptions::planned_rounds`] so attacks and faults can
     /// cover different spans.
     pub adversary: Option<(AdversaryConfig, usize)>,
-    /// Mid-round arrival admission policy, applied to every event-driven
-    /// cohort. Ignored by lockstep cohorts (the builder rejects churn on
-    /// them before it ever reaches here).
+    /// Mid-round arrival admission policy, applied to every cohort.
     pub admission: AdmissionPolicy,
     /// Online bandit-driven client selection, applied per cohort: each
     /// cohort's policy picks its own `k`-device sub-cohort every round
@@ -235,18 +217,16 @@ pub struct CohortReport {
     pub seed: u64,
     /// The cohort's own timing report (user indices are cohort-local).
     pub timing: TimingReport,
-    /// Per-round fault outcomes. On the quiet path these are synthesized
-    /// (full coverage, no failures) so the report shape does not depend on
-    /// whether chaos was configured.
+    /// Per-round fault outcomes (full coverage, no failures on a quiet
+    /// cohort).
     pub rounds: Vec<RoundOutcome>,
 }
 
 /// Aggregate result of one [`ParallelRoundEngine::run`] call.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineReport {
-    /// Population-wide timing, shape-compatible with [`RoundSim`] output:
-    /// per-round makespan is the max across cohorts, per-user means are in
-    /// population order.
+    /// Population-wide timing: per-round makespan is the max across
+    /// cohorts, per-user means are in population order.
     pub timing: TimingReport,
     /// Population-wide per-round outcomes (shard counts summed across
     /// cohorts, coverage recomputed).
@@ -270,26 +250,13 @@ impl EngineReport {
     }
 }
 
-/// A cohort's simulator: quiet or fault-injected lockstep, or the
-/// event-driven core — chosen at engine build time for the whole
-/// population.
-enum CohortSim {
-    Quiet(Box<RoundSim>),
-    Chaos(Box<ResilientRoundSim>),
-    /// Event-driven path. Hosts both quiet and chaotic configurations: a
-    /// quiet one is an [`EventRoundSim`] over a quiet injector, which is
-    /// bit-identical to [`RoundSim`] by the resilient determinism
-    /// contract.
-    Event(Box<EventRoundSim>),
-}
-
 /// A cohort and its long-lived simulator. The `Mutex` is never contended —
 /// each work item touches exactly one slot — it exists to hand `&mut`
 /// access to whichever worker claims the cohort.
 struct CohortSlot {
     range: Range<usize>,
     seed: u64,
-    sim: Mutex<CohortSim>,
+    sim: Mutex<EventRoundSim>,
     /// Per-cohort event buffer; `Some` iff the engine probe is enabled.
     log: Option<Arc<EventLog>>,
 }
@@ -302,9 +269,9 @@ struct CohortRun {
     events: Vec<Event>,
 }
 
-/// Scales [`RoundSim`] / [`ResilientRoundSim`] to large populations by
-/// simulating fixed cohorts concurrently. See the module docs for the
-/// determinism contract and merge semantics.
+/// Scales [`EventRoundSim`] to large populations by simulating fixed
+/// cohorts concurrently. See the module docs for the determinism contract
+/// and merge semantics.
 pub struct ParallelRoundEngine {
     /// Population, held until the first run builds the cohort sims.
     pending_devices: Vec<Device>,
@@ -316,8 +283,7 @@ pub struct ParallelRoundEngine {
     cohort_size: usize,
     threads: usize,
     probe: Probe,
-    chaos: Option<ChaosOptions>,
-    engine_kind: EngineKind,
+    chaos: ChaosOptions,
     slots: Vec<CohortSlot>,
     rounds_done: usize,
 }
@@ -344,35 +310,10 @@ impl ParallelRoundEngine {
             cohort_size: DEFAULT_COHORT_SIZE,
             threads: default_engine_threads(),
             probe: Probe::disabled(),
-            chaos: None,
-            engine_kind: EngineKind::default(),
+            chaos: ChaosOptions::new(FaultConfig::none(), 0),
             slots: Vec::new(),
             rounds_done: 0,
         }
-    }
-
-    /// Select the per-cohort execution core (see [`EngineKind`]). The
-    /// default is [`EngineKind::Lockstep`].
-    ///
-    /// # Panics
-    /// Panics if the engine has already run.
-    pub fn with_engine_kind(self, kind: EngineKind) -> Self {
-        match self.try_with_engine_kind(kind) {
-            Ok(eng) => eng,
-            Err(err) => panic!("configure the engine before its first run ({err})"),
-        }
-    }
-
-    /// Fallible form of [`ParallelRoundEngine::with_engine_kind`].
-    pub fn try_with_engine_kind(mut self, kind: EngineKind) -> Result<Self, ConfigError> {
-        self.check_unbuilt("engine kind")?;
-        self.engine_kind = kind;
-        Ok(self)
-    }
-
-    /// The execution core cohorts run on.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine_kind
     }
 
     /// Set the cohort size (devices per parallel unit). Changing it changes
@@ -440,8 +381,9 @@ impl ParallelRoundEngine {
         Ok(self)
     }
 
-    /// Switch every cohort to the resilient path with faults drawn from
-    /// `options`. Each cohort gets its own injector planned for its size
+    /// Configure every cohort's fault model and recovery controls from
+    /// `options` (without it, cohorts run a quiet injector with the default
+    /// controls). Each cohort gets its own injector planned for its size
     /// and derived seed, so fault fates — like everything else — depend
     /// only on the master seed and cohort geometry.
     ///
@@ -457,7 +399,7 @@ impl ParallelRoundEngine {
     /// Fallible form of [`ParallelRoundEngine::with_chaos`].
     pub fn try_with_chaos(mut self, options: ChaosOptions) -> Result<Self, ConfigError> {
         self.check_unbuilt("chaos options")?;
-        self.chaos = Some(options);
+        self.chaos = options;
         Ok(self)
     }
 
@@ -504,12 +446,7 @@ impl ParallelRoundEngine {
         }
         let mut out = Vec::with_capacity(self.n);
         for slot in &self.slots {
-            let sim = slot.sim.lock().unwrap();
-            match &*sim {
-                CohortSim::Quiet(rs) => out.extend_from_slice(rs.devices()),
-                CohortSim::Chaos(rs) => out.extend_from_slice(rs.devices()),
-                CohortSim::Event(rs) => out.extend_from_slice(rs.devices()),
-            }
+            out.extend_from_slice(slot.sim.lock().unwrap().devices());
         }
         out
     }
@@ -520,12 +457,7 @@ impl ParallelRoundEngine {
             d.cool_down();
         }
         for slot in &self.slots {
-            let mut sim = slot.sim.lock().unwrap();
-            match &mut *sim {
-                CohortSim::Quiet(rs) => rs.cool_down(),
-                CohortSim::Chaos(rs) => rs.cool_down(),
-                CohortSim::Event(rs) => rs.cool_down(),
-            }
+            slot.sim.lock().unwrap().cool_down();
         }
     }
 
@@ -550,73 +482,42 @@ impl ParallelRoundEngine {
                 Some(log) => Probe::attached(log.clone() as Arc<_>),
                 None => Probe::disabled(),
             };
-            let sim = match (&self.chaos, self.engine_kind) {
-                (None, EngineKind::Lockstep) => CohortSim::Quiet(Box::new(
-                    RoundSim::from_parts(
-                        cohort_devices,
-                        self.workload,
-                        self.link,
-                        self.model_bytes,
-                        seed,
-                    )
-                    .with_probe(cohort_probe),
-                )),
-                // Everything else is resilient machinery: chaotic lockstep
-                // cohorts, and event-driven cohorts of either kind (a quiet
-                // event cohort wraps a quiet injector, bit-identical to
-                // `RoundSim` by the resilient determinism contract).
-                (chaos, kind) => {
-                    let injector = match chaos {
-                        Some(opts) => FaultInjector::from_config(
-                            opts.config.clone(),
-                            range.len(),
-                            opts.planned_rounds,
-                            seed,
-                        ),
-                        None => FaultInjector::quiet(range.len()),
-                    };
-                    let mut sim = ResilientRoundSim::from_parts(
-                        cohort_devices,
-                        self.workload,
-                        self.link,
-                        self.model_bytes,
-                        seed,
-                        injector,
-                    )
-                    .with_probe(cohort_probe);
-                    if let Some(opts) = chaos {
-                        sim = sim
-                            .with_retry(opts.retry)
-                            .with_deadline_policy(opts.deadline)
-                            .with_rescue_soc_floor(opts.rescue_soc_floor)
-                            .with_aggregator(opts.aggregator);
-                        if !opts.rescue {
-                            sim = sim.without_rescue();
-                        }
-                        if let Some((adv, adv_rounds)) = &opts.adversary {
-                            sim = sim.with_adversary(AdversaryPlan::generate(
-                                *adv,
-                                range.len(),
-                                *adv_rounds,
-                                seed,
-                            ));
-                        }
-                        if let Some(sel) = &opts.selection {
-                            sim = sim.with_selection(*sel);
-                        }
-                    }
-                    match kind {
-                        EngineKind::Lockstep => CohortSim::Chaos(Box::new(sim)),
-                        EngineKind::EventDriven => {
-                            let mut ev = EventRoundSim::new(sim);
-                            if let Some(opts) = chaos {
-                                ev.set_admission(opts.admission);
-                            }
-                            CohortSim::Event(Box::new(ev))
-                        }
-                    }
-                }
-            };
+            let opts = &self.chaos;
+            let injector = FaultInjector::from_config(
+                opts.config.clone(),
+                range.len(),
+                opts.planned_rounds,
+                seed,
+            );
+            let mut core = ResilientRoundSim::from_parts(
+                cohort_devices,
+                self.workload,
+                self.link,
+                self.model_bytes,
+                seed,
+                injector,
+            )
+            .with_probe(cohort_probe)
+            .with_retry(opts.retry)
+            .with_deadline_policy(opts.deadline)
+            .with_rescue_soc_floor(opts.rescue_soc_floor)
+            .with_aggregator(opts.aggregator);
+            if !opts.rescue {
+                core = core.without_rescue();
+            }
+            if let Some((adv, adv_rounds)) = &opts.adversary {
+                core = core.with_adversary(AdversaryPlan::generate(
+                    *adv,
+                    range.len(),
+                    *adv_rounds,
+                    seed,
+                ));
+            }
+            if let Some(sel) = &opts.selection {
+                core = core.with_selection(*sel);
+            }
+            let mut sim = EventRoundSim::new(core);
+            sim.set_admission(opts.admission);
             slots.push(CohortSlot {
                 range,
                 seed,
@@ -656,22 +557,7 @@ impl ParallelRoundEngine {
         let runs: Vec<CohortRun> = parallel_map_stealing(slots.len(), self.threads, |c| {
             let slot = &slots[c];
             let sub = &sub_schedules[c];
-            let mut sim = slot.sim.lock().unwrap();
-            let (timing, outcomes) = match &mut *sim {
-                CohortSim::Quiet(rs) => {
-                    let timing = rs.run(sub, rounds);
-                    let outcomes = synth_outcomes(&timing, sub, first_round);
-                    (timing, outcomes)
-                }
-                CohortSim::Chaos(rs) => {
-                    let report = rs.run(sub, rounds);
-                    (report.timing, report.rounds)
-                }
-                CohortSim::Event(rs) => {
-                    let report = rs.run(sub, rounds);
-                    (report.timing, report.rounds)
-                }
-            };
+            let report = slot.sim.lock().unwrap().run(sub, rounds);
             let events = match &slot.log {
                 Some(log) => log
                     .take()
@@ -681,8 +567,8 @@ impl ParallelRoundEngine {
                 None => Vec::new(),
             };
             CohortRun {
-                timing,
-                rounds: outcomes,
+                timing: report.timing,
+                rounds: report.rounds,
                 events,
             }
         });
@@ -701,20 +587,14 @@ impl ParallelRoundEngine {
         report
     }
 
-    /// Push one straggler deadline into every chaos cohort (or clear them
-    /// with `None`). Quiet cohorts have no deadline machinery and are left
-    /// untouched. This is the [`Coordinator`](crate::Coordinator) hook for
+    /// Push one straggler deadline into every cohort (or clear them with
+    /// `None`). This is the [`Coordinator`](crate::Coordinator) hook for
     /// applying a globally-resolved deadline before a round runs; it builds
     /// the cohort sims if needed but never advances any RNG stream.
     pub(crate) fn set_cohort_deadlines(&mut self, deadline_s: Option<f64>) {
         self.ensure_slots();
         for slot in &self.slots {
-            let mut sim = slot.sim.lock().unwrap();
-            match &mut *sim {
-                CohortSim::Chaos(rs) => rs.set_deadline(deadline_s),
-                CohortSim::Event(rs) => rs.set_deadline(deadline_s),
-                CohortSim::Quiet(_) => {}
-            }
+            slot.sim.lock().unwrap().set_deadline(deadline_s);
         }
     }
 
@@ -740,33 +620,8 @@ impl ParallelRoundEngine {
     }
 }
 
-/// Synthesize per-round outcomes for a fault-free cohort so quiet and chaos
-/// engine reports share one shape: everything scheduled completes.
-fn synth_outcomes(timing: &TimingReport, sub: &Schedule, first_round: usize) -> Vec<RoundOutcome> {
-    let scheduled = sub.total_shards();
-    timing
-        .per_round_makespan
-        .iter()
-        .enumerate()
-        .map(|(r, &makespan_s)| RoundOutcome {
-            round: first_round + r,
-            scheduled,
-            completed: scheduled,
-            rescued: 0,
-            lost_shards: 0,
-            admitted: 0,
-            admit_done: 0,
-            carried: 0,
-            coverage: 1.0,
-            makespan_s,
-            failed_users: 0,
-            timed_out: 0,
-            rejected_updates: 0,
-        })
-        .collect()
-}
-
-/// Fold per-cohort runs into the aggregate report, in cohort order.
+/// Fold per-cohort runs into the aggregate report, in cohort order, with
+/// the same tier fold the hierarchy applies at its edges and server.
 fn merge_runs(
     slots: &[CohortSlot],
     sub_schedules: &[Schedule],
@@ -774,100 +629,26 @@ fn merge_runs(
     rounds: usize,
     first_round: usize,
 ) -> EngineReport {
-    // A single cohort IS the sequential sim: pass its reports through
-    // verbatim so even the comm-fraction float is bit-identical.
-    let single = runs.len() == 1;
-
-    let mut per_round_makespan = vec![0.0f64; rounds];
-    let mut per_user_mean = Vec::new();
-    let mut comm_weighted = 0.0f64;
-    let mut total_participants = 0usize;
-    let mut merged_rounds: Vec<RoundOutcome> = (0..rounds)
-        .map(|r| RoundOutcome {
-            round: first_round + r,
-            scheduled: 0,
-            completed: 0,
-            rescued: 0,
-            lost_shards: 0,
-            admitted: 0,
-            admit_done: 0,
-            carried: 0,
-            coverage: 1.0,
-            makespan_s: 0.0,
-            failed_users: 0,
-            timed_out: 0,
-            rejected_updates: 0,
-        })
-        .collect();
-    let mut cohorts = Vec::with_capacity(runs.len());
-
-    for ((slot, sub), run) in slots.iter().zip(sub_schedules).zip(runs) {
-        for (r, &m) in run.timing.per_round_makespan.iter().enumerate() {
-            if m > per_round_makespan[r] {
-                per_round_makespan[r] = m;
-            }
-        }
-        per_user_mean.extend_from_slice(&run.timing.per_user_mean);
-        let participants = sub.active_users();
-        comm_weighted += run.timing.comm_fraction * participants as f64;
-        total_participants += participants;
-
-        for (merged, outcome) in merged_rounds.iter_mut().zip(&run.rounds) {
-            debug_assert_eq!(merged.round, outcome.round, "cohort round indices diverged");
-            merged.scheduled += outcome.scheduled;
-            merged.completed += outcome.completed;
-            merged.rescued += outcome.rescued;
-            merged.lost_shards += outcome.lost_shards;
-            merged.admitted += outcome.admitted;
-            merged.admit_done += outcome.admit_done;
-            merged.carried += outcome.carried;
-            merged.failed_users += outcome.failed_users;
-            merged.timed_out += outcome.timed_out;
-            merged.rejected_updates += outcome.rejected_updates;
-            if outcome.makespan_s > merged.makespan_s {
-                merged.makespan_s = outcome.makespan_s;
-            }
-        }
-
-        cohorts.push(CohortReport {
+    let cohorts: Vec<CohortReport> = slots
+        .iter()
+        .zip(runs)
+        .map(|(slot, run)| CohortReport {
             start: slot.range.start,
             end: slot.range.end,
             seed: slot.seed,
             timing: run.timing,
             rounds: run.rounds,
-        });
-    }
-
-    for merged in &mut merged_rounds {
-        merged.coverage = if merged.scheduled == 0 {
-            1.0
-        } else {
-            (merged.completed + merged.rescued + merged.admit_done) as f64
-                / (merged.scheduled + merged.admitted) as f64
-        };
-    }
-
-    let (timing, rounds_out) = if single {
-        let c = &cohorts[0];
-        (c.timing.clone(), c.rounds.clone())
-    } else {
-        (
-            TimingReport {
-                per_round_makespan,
-                per_user_mean,
-                comm_fraction: if total_participants == 0 {
-                    0.0
-                } else {
-                    comm_weighted / total_participants as f64
-                },
-            },
-            merged_rounds,
-        )
-    };
-
+        })
+        .collect();
+    let items: Vec<_> = cohorts
+        .iter()
+        .zip(sub_schedules)
+        .map(|(c, sub)| (&c.timing, c.rounds.as_slice(), sub.active_users()))
+        .collect();
+    let (timing, rounds) = fold_tier(&items, rounds, first_round);
     EngineReport {
         timing,
-        rounds: rounds_out,
+        rounds,
         cohorts,
     }
 }
@@ -915,15 +696,16 @@ mod tests {
     }
 
     #[test]
-    fn single_cohort_engine_matches_sequential_roundsim() {
+    fn single_cohort_engine_matches_lockstep_oracle() {
         let tb = Testbed::testbed_1(7);
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
-        let mut reference = RoundSim::from_parts(
+        let mut reference = ResilientRoundSim::from_parts(
             tb.devices().to_vec(),
             TrainingWorkload::lenet(),
             Link::wifi_campus(),
             MODEL_BYTES,
             7,
+            FaultInjector::quiet(3),
         );
         let expected = reference.run(&schedule, 4);
 
@@ -937,7 +719,8 @@ mod tests {
             )
             .with_threads(threads);
             let report = eng.run(&schedule, 4);
-            assert_eq!(report.timing, expected, "threads={threads}");
+            assert_eq!(report.timing, expected.timing, "threads={threads}");
+            assert_eq!(report.rounds, expected.rounds, "threads={threads}");
             assert_eq!(report.cohorts.len(), 1);
         }
     }

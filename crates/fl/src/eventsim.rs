@@ -1,34 +1,34 @@
-//! Event-driven round execution: the same rounds as
-//! [`ResilientRoundSim`], replayed from a discrete-event queue instead of
-//! a lockstep sweep.
+//! The round core: synchronous rounds replayed from a discrete-event
+//! queue.
 //!
-//! The lockstep paths touch every device every round — `RoundSim` hoists
-//! the idle check but still scans `O(devices)` per round, which at the
-//! roadmap's population targets means almost all cycles go to devices with
-//! nothing scheduled. [`EventRoundSim`] keeps a
-//! [`Parking`](fedsched_core::Parking) bitmap over the cohort: devices
+//! [`EventRoundSim`] is the only round engine. The sequential target
+//! ([`SimBuilder::build_event_sim`](crate::SimBuilder::build_event_sim))
+//! is one of them; every population engine runs one per cohort. It keeps
+//! a [`Parking`](fedsched_core::Parking) bitmap over the cohort: devices
 //! with no scheduled shards are *parked* and are never iterated, never
 //! predicted against, and never scheduled into the queue. The per-round
-//! hot loop is `O(active + events)` instead of `O(devices)` — the
-//! `exp_scale` benchmark's event arm demonstrates the win.
+//! hot loop is `O(active + events)` instead of `O(devices)`, which at the
+//! roadmap's population targets is where almost all the cycles would go.
 //!
 //! # Determinism contract
 //!
-//! Byte-identical reports and telemetry with the lockstep path, for every
-//! configuration, enforced by `tests/event_identity.rs` and the golden
-//! traces. The load-bearing rules:
+//! Reports and telemetry are a pure function of the configuration. The
+//! crate's test-only lockstep oracle sweeps every device in index order
+//! through the same phases; the event core reproduces it byte for byte
+//! (pinned by this module's differential tests and the golden traces).
+//! The load-bearing rules:
 //!
-//! * All round phases delegate to the *same* `pub(crate)` primitives as
-//!   `ResilientRoundSim::run` (`phase1_device`, `RoundTally::absorb`,
-//!   `rescue_phase`, `robust_overlay`, `close_round`), in the same order,
-//!   so RNG consumption and telemetry are shared by construction.
+//! * All round phases delegate to shared `pub(crate)` primitives
+//!   (`phase1_device`, `RoundTally::absorb`, `rescue_phase`,
+//!   `robust_overlay`, `close_round`) in a fixed order, so RNG
+//!   consumption and telemetry are shared by construction.
 //! * Completion events are pushed into the [`EventQueue`] in device index
 //!   order, *after* the full phase-1 loop — a crashed user's server-side
 //!   wait (`crash_det`) is only known once everyone has been swept, and
 //!   pushing afterwards makes sequence order equal index order. The
 //!   straggler is then selected from ascending `(time, seq)` pops with a
 //!   strictly-greater comparison, which picks the lowest-index device
-//!   among equal-time finishers — exactly the lockstep index scan.
+//!   among equal-time finishers — exactly an index scan.
 //! * Rescue begins only after the phase-1 queue drains ([`RoundEvent::RescueBegin`]
 //!   fires at the failure-detection time): a mid-drain rescue could race a
 //!   later finisher for the straggler slot and flip a tie.
@@ -91,14 +91,14 @@ pub enum AdmissionPolicy {
     MidRoundFill,
 }
 
-/// [`ResilientRoundSim`] semantics on a discrete-event core.
+/// The round engine: faults, deadlines, rescue, rescheduling, selection
+/// and churn on a discrete-event core.
 ///
 /// Construct through
-/// [`SimBuilder::build_event_sim`](crate::SimBuilder::build_event_sim),
-/// or host it per cohort inside
-/// [`ParallelRoundEngine`](crate::ParallelRoundEngine) via
-/// [`SimBuilder::engine_kind`](crate::SimBuilder::engine_kind) /
-/// [`EngineKind::EventDriven`](crate::EngineKind::EventDriven).
+/// [`SimBuilder::build_event_sim`](crate::SimBuilder::build_event_sim);
+/// every population engine
+/// ([`ParallelRoundEngine`](crate::ParallelRoundEngine) and the targets
+/// built on it) hosts one per cohort.
 pub struct EventRoundSim {
     inner: ResilientRoundSim,
     queue: EventQueue<RoundEvent>,
@@ -109,6 +109,9 @@ pub struct EventRoundSim {
     /// exceed `active.len()` when fractional shard sizes round a user's
     /// sample count to zero.
     participants: usize,
+    /// Shards held by such zero-sample users: scheduled, but never placed
+    /// on a device, so the shard-conservation check leaves them out.
+    unplaced: usize,
     /// Devices that left via the churn process and have not re-arrived.
     /// Distinct from the inner sim's gone flag: legacy per-round fates
     /// stay on the plan-driven path for lockstep byte-identity, while
@@ -129,8 +132,11 @@ impl EventRoundSim {
             inner,
             queue: EventQueue::new(),
             parking: Parking::new(n),
-            active: (0..n).collect(),
+            // Filled by the first `run`, which rebinds before anything
+            // reads it; an empty list costs nothing per idle device.
+            active: Vec::new(),
             participants: 0,
+            unplaced: 0,
             gone: vec![false; n],
             admission: AdmissionPolicy::default(),
         }
@@ -141,17 +147,26 @@ impl EventRoundSim {
         self.admission = policy;
     }
 
+    /// The configured phase core, for driving it through the test-only
+    /// lockstep oracle instead.
+    #[cfg(test)]
+    pub(crate) fn into_inner(self) -> ResilientRoundSim {
+        self.inner
+    }
+
     /// Re-derive the parked set and active list from `schedule`. Runs
     /// once per `run` call and once per between-round reschedule — never
     /// in the per-round hot loop.
     fn rebind(&mut self, schedule: &Schedule) {
         self.participants = schedule.shards.iter().filter(|&&k| k > 0).count();
+        self.unplaced = 0;
         for (j, &k) in schedule.shards.iter().enumerate() {
             let samples = (k as f64 * schedule.shard_size) as usize;
             if samples > 0 {
                 self.parking.unpark(j);
             } else {
                 self.parking.park(j);
+                self.unplaced += k;
             }
         }
         self.active = self.parking.active_indices();
@@ -178,9 +193,13 @@ impl EventRoundSim {
     }
 
     /// Overwrite the deadline for the next rounds with an
-    /// already-resolved cutoff (or clear it) — the
-    /// [`Coordinator`](crate::Coordinator) hook, same contract as
-    /// [`ResilientRoundSim::set_deadline`].
+    /// already-resolved cutoff (or clear it). This is the coordination
+    /// hook: [`Coordinator`](crate::Coordinator) resolves one global
+    /// deadline from population-pooled predictions and pushes it into every
+    /// cohort before the cohorts run.
+    ///
+    /// # Panics
+    /// Panics unless `deadline_s` is positive and finite.
     pub fn set_deadline(&mut self, deadline_s: Option<f64>) {
         self.inner.set_deadline(deadline_s);
     }
@@ -197,8 +216,10 @@ impl EventRoundSim {
     }
 
     /// Simulate `rounds` synchronous rounds under faults, starting from
-    /// `schedule`. Same semantics, reports and telemetry as
-    /// [`ResilientRoundSim::run`], bit for bit.
+    /// `schedule` (which a configured rescheduler or selection policy may
+    /// replace between rounds). Device thermal state persists across
+    /// rounds and across calls; call [`EventRoundSim::cool_down`] between
+    /// experiments.
     ///
     /// # Panics
     /// Panics if the schedule's user count differs from the cohort size.
@@ -222,14 +243,14 @@ impl EventRoundSim {
         for _ in 0..rounds {
             let round = self.inner.current_round();
             // Bandit selection re-splits the load before anything else
-            // looks at the schedule (same slot as the lockstep path); a
-            // replaced schedule re-derives the parked set so unpicked
-            // devices drop straight out of the hot loop.
+            // looks at the schedule; a replaced schedule re-derives the
+            // parked set so unpicked devices drop straight out of the hot
+            // loop.
             if self.inner.selection_begin(&mut current, orig_total) {
                 self.rebind(&current);
             }
             // Deadline first (prediction draws nothing from the RNG), then
-            // round framing — the same order as the lockstep path.
+            // round framing.
             let deadline_s = self.inner.round_deadline_active(&current, &self.active);
             let participants = self.participants;
             probe.emit(|| Event::RoundStart {
@@ -435,6 +456,22 @@ impl EventRoundSim {
                 rejected_updates,
                 observed,
             );
+            // Shard conservation and coverage <= 1 hold for every round
+            // the core closes; the proptests sample them, this checks all.
+            debug_assert_eq!(
+                outcome.completed
+                    + outcome.admit_done
+                    + outcome.lost_shards
+                    + outcome.rescued
+                    + outcome.carried
+                    + self.unplaced,
+                outcome.scheduled + outcome.admitted,
+                "round {round} breaks shard conservation: {outcome:?}"
+            );
+            debug_assert!(
+                outcome.coverage <= 1.0,
+                "round {round} coverage above 1: {outcome:?}"
+            );
             per_round.push(track.worst);
             straggler_comm += if track.worst > 0.0 {
                 track.worst_comm / track.worst
@@ -459,13 +496,13 @@ mod tests {
     use super::*;
     use crate::resilient::ResilientRoundSim;
     use fedsched_core::DeadlinePolicy;
-    use fedsched_device::{Testbed, TrainingWorkload};
+    use fedsched_device::{Device, Testbed, TrainingWorkload};
     use fedsched_faults::{FaultConfig, FaultInjector};
     use fedsched_net::{Link, RetryPolicy};
     use fedsched_telemetry::{EventLog, Probe};
     use std::sync::Arc;
 
-    fn devices(seed: u64) -> Vec<fedsched_device::Device> {
+    fn devices(seed: u64) -> Vec<Device> {
         Testbed::testbed_1(seed).devices().to_vec()
     }
 
@@ -687,8 +724,9 @@ mod tests {
         let log_a = Arc::new(EventLog::new());
         let log_b = Arc::new(EventLog::new());
         let a = builder(&log_a)
-            .build_resilient()
+            .build_event_sim()
             .unwrap()
+            .into_inner()
             .run(&schedule, 10);
         let b = builder(&log_b)
             .build_event_sim()
@@ -698,6 +736,194 @@ mod tests {
         assert_eq!(log_a.to_jsonl(), log_b.to_jsonl());
         assert!(log_a.to_jsonl().contains("\"ev\":\"bandit_select\""));
         assert!(log_a.to_jsonl().contains("\"ev\":\"bandit_reward\""));
+    }
+
+    fn quiet_sim(seed: u64) -> EventRoundSim {
+        use crate::builder::{RoundConfig, SimBuilder};
+        let config = RoundConfig::new(
+            TrainingWorkload::lenet(),
+            Link::new(100.0, 100.0, 0.0, 0.0),
+            2.5e6,
+            seed,
+        );
+        SimBuilder::new(devices(seed), config)
+            .build_event_sim()
+            .unwrap()
+    }
+
+    #[test]
+    fn makespan_is_worst_user() {
+        let report = quiet_sim(1).run(&Schedule::new(vec![10, 10, 10], 100.0), 2);
+        let timing = &report.timing;
+        assert_eq!(timing.per_round_makespan.len(), 2);
+        assert!(timing.per_round_makespan.iter().all(|&m| m > 0.0));
+        // Per-user means never exceed the worst makespan.
+        let max_makespan = timing
+            .per_round_makespan
+            .iter()
+            .cloned()
+            .fold(0.0, f64::max);
+        for &t in &timing.per_user_mean {
+            assert!(t <= max_makespan * 1.01);
+        }
+    }
+
+    #[test]
+    fn unbalanced_schedule_beats_equal_on_heterogeneous_cohort() {
+        // Pixel2 is ~1.8x faster than Mate10: giving it more work must cut
+        // the makespan vs an equal split.
+        let equal = Schedule::new(vec![20, 20, 20], 100.0);
+        let tilted = Schedule::new(vec![24, 14, 22], 100.0);
+        let me = quiet_sim(3).run(&equal, 3).timing.mean_makespan();
+        let mt = quiet_sim(3).run(&tilted, 3).timing.mean_makespan();
+        assert!(mt < me, "tilted {mt} !< equal {me}");
+    }
+
+    #[test]
+    fn comm_fraction_is_small_for_lenet_wifi() {
+        use crate::builder::{RoundConfig, SimBuilder};
+        // Paper Observation 3: ~5% average comm share.
+        let config = RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, 4);
+        let mut sim = SimBuilder::new(devices(4), config)
+            .build_event_sim()
+            .unwrap();
+        let report = sim.run(&Schedule::new(vec![10, 10, 10], 100.0), 3);
+        assert!(report.timing.comm_fraction < 0.10);
+        assert!(report.timing.comm_fraction > 0.0);
+    }
+
+    #[test]
+    fn thermal_state_persists_across_rounds() {
+        use crate::builder::{RoundConfig, SimBuilder};
+        use fedsched_device::DeviceModel;
+        // A Nexus6P-only cohort slows down in later rounds as it heats.
+        let config = RoundConfig::new(
+            TrainingWorkload::lenet(),
+            Link::new(1000.0, 1000.0, 0.0, 0.0),
+            2.5e6,
+            5,
+        );
+        let mut sim = SimBuilder::new(vec![Device::from_model(DeviceModel::Nexus6P, 5)], config)
+            .build_event_sim()
+            .unwrap();
+        let report = sim.run(&Schedule::new(vec![20], 100.0), 5);
+        let first = report.timing.per_round_makespan[0];
+        let last = *report.timing.per_round_makespan.last().unwrap();
+        assert!(last > first * 1.5, "first {first}, last {last}");
+    }
+
+    #[test]
+    fn probe_records_round_timeline() {
+        use crate::builder::{RoundConfig, SimBuilder};
+        let log = Arc::new(EventLog::new());
+        let config = RoundConfig::new(
+            TrainingWorkload::lenet(),
+            Link::new(100.0, 100.0, 0.0, 0.0),
+            2.5e6,
+            9,
+        );
+        let mut sim = SimBuilder::new(devices(9), config)
+            .probe(Probe::attached(log.clone()))
+            .build_event_sim()
+            .unwrap();
+        let report = sim.run(&Schedule::new(vec![10, 0, 10], 100.0), 2);
+
+        let events = log.events();
+        let starts: Vec<(usize, usize)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::RoundStart { round, n_users } => Some((*round, *n_users)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(starts, vec![(0, 2), (1, 2)]);
+
+        // Each round: spans only for participating users, and the round_end
+        // makespan matches the worst span and the timing report.
+        for round in 0..2usize {
+            let spans: Vec<(usize, f64)> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::UserSpan {
+                        round: r,
+                        user,
+                        compute_s,
+                        comm_s,
+                    } if *r == round => Some((*user, compute_s + comm_s)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                spans.iter().map(|(u, _)| *u).collect::<Vec<_>>(),
+                vec![0, 2]
+            );
+            let (makespan, straggler) = events
+                .iter()
+                .find_map(|e| match e {
+                    Event::RoundEnd {
+                        round: r,
+                        makespan_s,
+                        straggler,
+                    } if *r == round => Some((*makespan_s, *straggler)),
+                    _ => None,
+                })
+                .expect("round_end");
+            let worst = spans
+                .iter()
+                .cloned()
+                .fold((0usize, 0.0f64), |a, b| if b.1 > a.1 { b } else { a });
+            assert_eq!(straggler, worst.0);
+            assert!((makespan - worst.1).abs() < 1e-12);
+            assert!((makespan - report.timing.per_round_makespan[round]).abs() < 1e-12);
+        }
+
+        // A second run continues the round numbering.
+        sim.run(&Schedule::new(vec![5, 5, 5], 100.0), 1);
+        assert!(log.events().iter().any(|e| matches!(
+            e,
+            Event::RoundStart {
+                round: 2,
+                n_users: 3
+            }
+        )));
+    }
+
+    #[test]
+    fn probed_and_unprobed_runs_agree() {
+        use crate::builder::{RoundConfig, SimBuilder};
+        let schedule = Schedule::new(vec![10, 10, 10], 100.0);
+        let plain = quiet_sim(12).run(&schedule, 2);
+        let config = RoundConfig::new(
+            TrainingWorkload::lenet(),
+            Link::new(100.0, 100.0, 0.0, 0.0),
+            2.5e6,
+            12,
+        );
+        let probed = SimBuilder::new(devices(12), config)
+            .probe(Probe::attached(Arc::new(EventLog::new())))
+            .build_event_sim()
+            .unwrap()
+            .run(&schedule, 2);
+        assert_eq!(plain, probed, "observation must not perturb timing");
+    }
+
+    #[test]
+    fn zero_sample_users_stay_out_of_the_conservation_check() {
+        // At half a sample per shard, one shard rounds to zero samples:
+        // user 0 is scheduled but never placed, and closing the round must
+        // not trip the shard-conservation assertion.
+        let report = quiet_sim(8).run(&Schedule::new(vec![1, 40, 0], 0.5), 2);
+        for r in &report.rounds {
+            assert_eq!(r.scheduled, 41);
+            assert_eq!(r.completed, 40);
+            assert_eq!(r.lost_shards, 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "size mismatch")]
+    fn wrong_schedule_arity_panics() {
+        let _ = quiet_sim(6).run(&Schedule::new(vec![1, 1], 100.0), 1);
     }
 
     #[test]
@@ -714,5 +940,56 @@ mod tests {
         let after_two = sim.events_scheduled();
         sim.run(&Schedule::new(vec![5, 5, 5], 100.0), 1);
         assert!(sim.events_scheduled() > after_two);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        /// Random (population, seed, shards, crash/loss, deadline): the
+        /// event core's report and trace equal the lockstep oracle's bit
+        /// for bit, rescue and retries included.
+        #[test]
+        fn event_core_matches_lockstep_oracle(
+            n in 1usize..24,
+            seed in 0u64..500,
+            shards in 1usize..5,
+            crash_pct in 0u32..40,
+            loss_pct in 0u32..25,
+            deadline_pick in 0usize..4,
+        ) {
+            use crate::builder::{RoundConfig, SimBuilder};
+            use fedsched_device::DeviceModel;
+            let rounds = 3;
+            let models = DeviceModel::all();
+            let population: Vec<Device> = (0..n)
+                .map(|i| Device::from_model(models[i % models.len()], seed + i as u64))
+                .collect();
+            let deadline = match deadline_pick {
+                0 => DeadlinePolicy::Off,
+                1 => DeadlinePolicy::Fixed(30.0),
+                2 => DeadlinePolicy::MeanFactor(1.2),
+                _ => DeadlinePolicy::Quantile(0.8),
+            };
+            let faults = FaultConfig::none()
+                .with_crash_prob(f64::from(crash_pct) / 100.0)
+                .with_loss_prob(f64::from(loss_pct) / 100.0);
+            let build = |log: &Arc<EventLog>| {
+                let config =
+                    RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, seed);
+                SimBuilder::new(population.clone(), config)
+                    .probe(Probe::attached(log.clone()))
+                    .faults(faults.clone(), rounds)
+                    .retry(RetryPolicy::default_chaos())
+                    .deadline(deadline)
+                    .build_event_sim()
+                    .unwrap()
+            };
+            let schedule = Schedule::new(vec![shards; n], 100.0);
+            let (log_event, log_oracle) = (Arc::new(EventLog::new()), Arc::new(EventLog::new()));
+            let event = build(&log_event).run(&schedule, rounds);
+            let oracle = build(&log_oracle).into_inner().run(&schedule, rounds);
+            proptest::prop_assert_eq!(&event, &oracle);
+            proptest::prop_assert_eq!(log_event.to_jsonl(), log_oracle.to_jsonl());
+        }
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! [`HierEngine`] wraps a [`ParallelRoundEngine`] without touching its
 //! cohort geometry, seed derivation, or per-cohort sims — every cohort
-//! still runs the exact [`RoundSim`](crate::RoundSim) /
-//! [`ResilientRoundSim`](crate::ResilientRoundSim) /
-//! [`EventRoundSim`](crate::EventRoundSim) code paths. The hierarchy is a
+//! still runs the exact [`EventRoundSim`](crate::EventRoundSim) code path.
+//! The hierarchy is a
 //! *reduction topology* layered on top: cohorts are grouped into
 //! contiguous edge spans, each edge folds its cohorts' round results with
 //! the same merge arithmetic the flat engine uses, and the server folds
@@ -59,9 +58,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::cohorts::{CohortReport, EngineKind, EngineReport, ParallelRoundEngine};
+use crate::clock::TimingReport;
+use crate::cohorts::{CohortReport, EngineReport, ParallelRoundEngine};
 use crate::resilient::RoundOutcome;
-use crate::roundsim::TimingReport;
 
 /// Derive the backhaul RNG seed for `edge` from the master seed.
 ///
@@ -139,12 +138,13 @@ pub struct HierReport {
     pub server_rejections: usize,
 }
 
-/// Mirror of the flat engine's merge arithmetic over
-/// `(timing, rounds, participants)` items — one per cohort at the edge
-/// tier, one per edge at the server tier. Must stay operation-for-
-/// operation identical to `cohorts::merge_runs`, single-item verbatim
-/// passthrough included; the parity suite depends on it.
-fn fold_tier(
+/// The merge arithmetic over `(timing, rounds, participants)` items — one
+/// per cohort in the flat engine and at the edge tier, one per edge at the
+/// server tier. Per-round makespan is the max, per-user means concatenate,
+/// the comm fraction is participant-weighted and shard counts sum with
+/// coverage recomputed; a single item passes through verbatim, so one
+/// cohort is bit-identical to the sequential sim.
+pub(crate) fn fold_tier(
     items: &[(&TimingReport, &[RoundOutcome], usize)],
     rounds: usize,
     first_round: usize,
@@ -312,11 +312,6 @@ impl HierEngine {
     /// Rounds simulated so far across all `run` calls.
     pub fn rounds_done(&self) -> usize {
         self.engine.rounds_done()
-    }
-
-    /// Per-cohort engine kind.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine.engine_kind()
     }
 
     /// The edge→server backhaul link, if one is configured.

@@ -3,14 +3,15 @@
 //!
 //! The paper's experiments decompose cleanly into *time* and *accuracy*:
 //!
-//! * [`roundsim::RoundSim`] replays a schedule against the device simulator
-//!   and link models to measure wall-clock round times (Figs. 5 and 7,
-//!   Table II) — no actual ML runs, so 50-round sweeps cost milliseconds.
-//!   Device thermal state persists across rounds, exactly like the paper's
-//!   continuously-training phones. [`resilient::ResilientRoundSim`] layers a
-//!   fault model on top — crashes, churn, lossy links, retries, deadlines
-//!   and mid-round straggler rescue — while staying bit-identical to
-//!   `RoundSim` when no faults are configured.
+//! * [`EventRoundSim`] replays a schedule against the device simulator and
+//!   link models to measure wall-clock round times (Figs. 5 and 7, Table
+//!   II) — no actual ML runs, so 50-round sweeps cost milliseconds. Device
+//!   thermal state persists across rounds, exactly like the paper's
+//!   continuously-training phones. The same round core hosts the fault
+//!   model — crashes, churn, lossy links, retries, deadlines and mid-round
+//!   straggler rescue — and is inert when no faults are configured. Every
+//!   population engine ([`ParallelRoundEngine`], [`Coordinator`],
+//!   [`HierEngine`]) runs one `EventRoundSim` per cohort.
 //! * [`engine`] actually trains: synchronous FedAvg over `fedsched-nn`
 //!   networks on partitioned synthetic data (Figs. 2, 3 and 6, Tables III
 //!   and V). Clients train in parallel on scoped threads; aggregation is
@@ -34,8 +35,7 @@ pub mod eventsim;
 pub mod gossip;
 pub mod hier;
 pub mod metrics;
-pub mod resilient;
-pub mod roundsim;
+mod resilient;
 pub mod secure;
 pub mod server;
 pub mod spec;
@@ -43,9 +43,10 @@ pub mod spec;
 pub use assign::{assignment_from_schedule_iid, assignment_from_schedule_noniid};
 pub use asyncfl::{staleness_weight, AsyncFlOutcome, AsyncFlSetup};
 pub use builder::{ConfigError, RoundConfig, Selection, SimBuilder};
+pub use clock::TimingReport;
 pub use cohorts::{
-    default_engine_threads, derive_cohort_seed, ChaosOptions, CohortReport, EngineKind,
-    EngineReport, ParallelRoundEngine, DEFAULT_COHORT_SIZE, THREADS_ENV,
+    default_engine_threads, derive_cohort_seed, ChaosOptions, CohortReport, EngineReport,
+    ParallelRoundEngine, DEFAULT_COHORT_SIZE, THREADS_ENV,
 };
 pub use coordinator::{
     CoordinationMode, Coordinator, CoordinatorReport, GlobalRoundOutcome, MergeRecord,
@@ -55,8 +56,7 @@ pub use eventsim::{AdmissionPolicy, EventRoundSim};
 pub use gossip::{GossipOutcome, GossipSetup, Topology};
 pub use hier::{derive_edge_seed, edge_cohort_ranges, EdgeReport, HierEngine, HierReport};
 pub use metrics::{analyze_round, cosine_similarity, DivergenceReport};
-pub use resilient::{ChaosReport, ResilientRoundSim, RoundOutcome};
-pub use roundsim::{RoundSim, TimingReport};
+pub use resilient::{ChaosReport, RoundOutcome};
 pub use secure::{mask_update, secure_fedavg, unmask_sum};
 pub use server::fedavg_aggregate;
 pub use spec::{BuildTarget, BuiltSim, DeviceSetSpec, JobSpec, RoundDigest, SPEC_VERSION};

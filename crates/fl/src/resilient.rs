@@ -1,12 +1,11 @@
-//! A resilient round controller: [`RoundSim`](crate::RoundSim) semantics
-//! under injected faults, with retries, deadlines, straggler rescue and
-//! between-round rescheduling.
+//! The round core's phase primitives: a fault model with retries,
+//! deadlines, straggler rescue and between-round rescheduling.
 //!
 //! Production federated learning loses clients constantly — phones crash,
 //! churn out of the cohort, drop packets and slow down under background
-//! load. [`ResilientRoundSim`] replays a schedule against the device
-//! simulator while a [`FaultInjector`] decrees per-round fates, and models
-//! the server-side countermeasures:
+//! load. [`ResilientRoundSim`] holds the per-round phases a schedule goes
+//! through while a [`FaultInjector`] decrees per-round fates, and the
+//! server-side countermeasures:
 //!
 //! * **Retries** — every model push/pull goes through
 //!   [`LossyLink::transfer`] under a [`RetryPolicy`] (capped exponential
@@ -20,12 +19,17 @@
 //!   every few rounds from [`OnlineProfiler`] estimates fitted to what the
 //!   faulted cohort actually delivered.
 //!
+//! [`EventRoundSim`](crate::EventRoundSim) drives these phases from its
+//! event queue; it is the only product round engine. Under `cfg(test)` this
+//! module also keeps the lockstep sweep (`ResilientRoundSim::run`) that
+//! drives the same phases in device-index order — the differential oracle
+//! the event core is checked against.
+//!
 //! Determinism contract: with a quiet injector and the default
-//! configuration, `ResilientRoundSim` consumes the main RNG stream exactly
-//! like `RoundSim` (one comm sample + one compute call per participating
-//! device, in device-index order) and produces a bit-identical
-//! [`TimingReport`]. All fault-only randomness (loss decisions, backoff
-//! jitter) comes from counter-based [`DrawStream`](fedsched_faults::DrawStream)s.
+//! configuration, the phases consume the main RNG stream as one comm
+//! sample plus one compute call per participating device, in device-index
+//! order. All fault-only randomness (loss decisions, backoff jitter) comes
+//! from counter-based [`DrawStream`](fedsched_faults::DrawStream)s.
 
 use fedsched_bandit::{selection_stream, SelectionConfig, SelectionPolicy};
 use fedsched_core::{CostMatrix, DeadlinePolicy, FedLbap, Schedule, Scheduler};
@@ -39,8 +43,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::clock;
-use crate::roundsim::{predict_round_times, TimingReport};
+use crate::clock::{self, TimingReport};
 
 /// Cost profile assigned to devices the server knows nothing about (never
 /// observed) or knows to be gone: large but finite, so cost matrices stay
@@ -98,8 +101,8 @@ pub struct RoundOutcome {
 /// Full report of a chaos run: plain timing plus per-round fault outcomes.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ChaosReport {
-    /// Timing statistics, shape-compatible with [`RoundSim`](crate::RoundSim)
-    /// output.
+    /// Timing statistics: per-round makespans, per-user means and the
+    /// straggler's communication share.
     pub timing: TimingReport,
     /// One outcome per simulated round.
     pub rounds: Vec<RoundOutcome>,
@@ -147,9 +150,9 @@ struct SelectionState {
 
 /// Phase-1 result for one participating device.
 ///
-/// Produced by [`ResilientRoundSim::phase1_device`] and consumed by both
-/// execution paths (the lockstep sweep here and
-/// [`EventRoundSim`](crate::EventRoundSim)'s queue drain).
+/// Produced by [`ResilientRoundSim::phase1_device`] and consumed by
+/// [`EventRoundSim`](crate::EventRoundSim)'s queue drain (and by the
+/// test-only lockstep oracle).
 pub(crate) enum Phase1 {
     /// Delivered all its shards.
     Survivor {
@@ -170,8 +173,8 @@ pub(crate) enum Phase1 {
     Fail { t_fail: f64, shards: usize },
     /// Offline the whole round.
     Offline { shards: usize },
-    /// Departed mid-round at `t` via the continuous churn process (event
-    /// engine only — the lockstep path never constructs this variant).
+    /// Departed mid-round at `t` via the continuous churn process (the
+    /// lockstep oracle never constructs this variant).
     /// Delivered `done` shards of partial credit before leaving; the
     /// remaining `at_risk` shards are orphaned and rescueable from `t`.
     Departed {
@@ -207,7 +210,8 @@ impl Phase1 {
 /// order yields the same tally — except [`RoundTally::pool`], which is
 /// built in *absorption order* and therefore must be fed entries in device
 /// index order (the rescue LPT ledger and its telemetry depend on pool
-/// order). Both execution paths absorb in index order.
+/// order). The event core and the lockstep oracle both absorb in index
+/// order.
 pub(crate) struct RoundTally {
     /// Shards completed by their originally assigned user.
     pub(crate) completed: usize,
@@ -334,8 +338,9 @@ impl StragglerTrack {
     }
 }
 
-/// [`RoundSim`](crate::RoundSim) with a fault model and recovery controls.
-pub struct ResilientRoundSim {
+/// One cohort's devices, links and fault model, plus the per-round phase
+/// primitives [`EventRoundSim`](crate::EventRoundSim) drives.
+pub(crate) struct ResilientRoundSim {
     devices: Vec<Device>,
     workload: TrainingWorkload,
     link: Link,
@@ -349,6 +354,8 @@ pub struct ResilientRoundSim {
     rescue: bool,
     rescue_soc_floor: f64,
     rescheduler: Option<Rescheduler>,
+    /// Per-device online profiles. Empty until a rescheduler, selection
+    /// or priors — the only readers — are attached.
     profilers: Vec<OnlineProfiler>,
     has_prior: bool,
     /// Devices the server has observed leaving for good.
@@ -395,7 +402,7 @@ impl ResilientRoundSim {
             rescue: true,
             rescue_soc_floor: 0.0,
             rescheduler: None,
-            profilers: vec![OnlineProfiler::new(PROFILER_LAMBDA); n],
+            profilers: Vec::new(),
             has_prior: false,
             known_gone: vec![false; n],
             aggregator: AggregatorKind::FedAvg,
@@ -405,12 +412,12 @@ impl ResilientRoundSim {
         }
     }
 
-    /// Attach a telemetry probe (builder form). Emits the same
-    /// `round_start` / `user_span` / `round_end` timeline as
-    /// [`RoundSim`](crate::RoundSim), plus the fault vocabulary
+    /// Attach a telemetry probe (builder form): the `round_start` /
+    /// `user_span` / `round_end` timeline plus the fault vocabulary
     /// (`fault_injected`, `transfer_retry`, `user_timeout`,
-    /// `shards_reassigned`, `round_degraded`).
-    pub fn with_probe(mut self, probe: Probe) -> Self {
+    /// `shards_reassigned`, `round_degraded`). Every device in the cohort
+    /// emits its own thermal/battery events through the same probe.
+    pub(crate) fn with_probe(mut self, probe: Probe) -> Self {
         for d in &mut self.devices {
             d.set_probe(probe.clone());
         }
@@ -419,7 +426,7 @@ impl ResilientRoundSim {
     }
 
     /// Set the retry policy applied to every transfer.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> Self {
         retry.validate();
         self.retry = retry;
         self
@@ -428,15 +435,15 @@ impl ResilientRoundSim {
     /// Set the per-round deadline policy. `Fixed` applies a constant cutoff;
     /// `MeanFactor` / `Quantile` re-resolve the cutoff **every round** from
     /// side-effect-free predicted per-user times
-    /// ([`predict_round_times`](crate::roundsim::predict_round_times)) on
-    /// the *current* schedule and thermal state, so the deadline tightens
-    /// or relaxes as the cohort drifts.
+    /// ([`predict_user_time`](clock::predict_user_time)) on the *current*
+    /// schedule and thermal state, so the deadline tightens or relaxes as
+    /// the cohort drifts.
     ///
     /// # Panics
     /// Panics on a malformed policy (non-positive fixed deadline or mean
     /// factor, quantile outside `[0, 1]`) — the fallible path is
     /// [`SimBuilder::deadline`](crate::SimBuilder::deadline).
-    pub fn with_deadline_policy(mut self, policy: DeadlinePolicy) -> Self {
+    pub(crate) fn with_deadline_policy(mut self, policy: DeadlinePolicy) -> Self {
         if let Err(rule) = policy.check() {
             panic!("{rule}");
         }
@@ -449,7 +456,7 @@ impl ResilientRoundSim {
     /// hook: [`Coordinator`](crate::Coordinator) resolves one global
     /// deadline from population-pooled predictions and pushes it into every
     /// cohort before the cohorts run.
-    pub fn set_deadline(&mut self, deadline_s: Option<f64>) {
+    pub(crate) fn set_deadline(&mut self, deadline_s: Option<f64>) {
         if let Some(d) = deadline_s {
             assert!(d > 0.0 && d.is_finite(), "deadline must be positive");
         }
@@ -459,30 +466,11 @@ impl ResilientRoundSim {
         };
     }
 
-    /// The deadline resolved for the coming round: `Fixed` passes through,
-    /// adaptive policies pool the cohort's predicted per-user times.
-    fn round_deadline(&self, current: &Schedule) -> Option<f64> {
-        match self.deadline {
-            DeadlinePolicy::Off => None,
-            DeadlinePolicy::Fixed(d) => Some(d),
-            _ => {
-                let predicted = predict_round_times(
-                    &self.devices,
-                    &self.workload,
-                    &self.link,
-                    self.model_bytes,
-                    current,
-                );
-                self.deadline.resolve(&predicted)
-            }
-        }
-    }
-
-    /// [`ResilientRoundSim::round_deadline`] restricted to an active set:
-    /// the event-driven path predicts only the users it will actually
-    /// touch. Identical result — idle users predict `0.0` and
-    /// [`DeadlinePolicy::resolve`] ignores non-positive entries, so
-    /// dropping them from the pool never changes the resolved cutoff.
+    /// The deadline resolved for the coming round over the active set:
+    /// `Fixed` passes through, adaptive policies pool the predicted times
+    /// of the users the round will actually touch. Idle users would
+    /// predict `0.0` and [`DeadlinePolicy::resolve`] ignores non-positive
+    /// entries, so leaving them out never changes the resolved cutoff.
     pub(crate) fn round_deadline_active(
         &self,
         current: &Schedule,
@@ -497,12 +485,7 @@ impl ResilientRoundSim {
                     .iter()
                     .map(|&j| {
                         let samples = (current.shards[j] as f64 * current.shard_size) as usize;
-                        crate::roundsim::predict_user_time(
-                            &self.devices[j],
-                            &self.workload,
-                            comm,
-                            samples,
-                        )
+                        clock::predict_user_time(&self.devices[j], &self.workload, comm, samples)
                     })
                     .collect();
                 self.deadline.resolve(&predicted)
@@ -511,7 +494,7 @@ impl ResilientRoundSim {
     }
 
     /// Disable mid-round straggler rescue (failed users' shards are lost).
-    pub fn without_rescue(mut self) -> Self {
+    pub(crate) fn without_rescue(mut self) -> Self {
         self.rescue = false;
         self
     }
@@ -525,7 +508,7 @@ impl ResilientRoundSim {
     ///
     /// # Panics
     /// Panics on an invalid kind (e.g. Multi-Krum with `k == 0`).
-    pub fn with_aggregator(mut self, kind: AggregatorKind) -> Self {
+    pub(crate) fn with_aggregator(mut self, kind: AggregatorKind) -> Self {
         if let Err(rule) = kind.validate() {
             panic!("{rule}");
         }
@@ -541,7 +524,7 @@ impl ResilientRoundSim {
     ///
     /// # Panics
     /// Panics if the plan was generated for a different cohort size.
-    pub fn with_adversary(mut self, plan: AdversaryPlan) -> Self {
+    pub(crate) fn with_adversary(mut self, plan: AdversaryPlan) -> Self {
         assert_eq!(
             plan.n_devices(),
             self.devices.len(),
@@ -564,7 +547,7 @@ impl ResilientRoundSim {
     ///
     /// # Panics
     /// Panics if `floor` is outside `[0, 1]`.
-    pub fn with_rescue_soc_floor(mut self, floor: f64) -> Self {
+    pub(crate) fn with_rescue_soc_floor(mut self, floor: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&floor) && floor.is_finite(),
             "rescue SoC floor must be in [0, 1], got {floor}"
@@ -578,10 +561,18 @@ impl ResilientRoundSim {
     ///
     /// # Panics
     /// Panics if `every == 0`.
-    pub fn with_rescheduler(mut self, scheduler: Box<dyn Scheduler>, every: usize) -> Self {
+    pub(crate) fn with_rescheduler(mut self, scheduler: Box<dyn Scheduler>, every: usize) -> Self {
         assert!(every > 0, "rescheduling interval must be positive");
         self.rescheduler = Some(Rescheduler { scheduler, every });
+        self.ensure_profilers();
         self
+    }
+
+    /// Allocate cold online profilers unless priors already did.
+    fn ensure_profilers(&mut self) {
+        if self.profilers.is_empty() {
+            self.profilers = vec![OnlineProfiler::new(PROFILER_LAMBDA); self.devices.len()];
+        }
     }
 
     /// Warm-start the per-device online profilers from offline profiles, so
@@ -590,7 +581,7 @@ impl ResilientRoundSim {
     ///
     /// # Panics
     /// Panics if `priors` does not match the cohort size.
-    pub fn with_priors(mut self, priors: &[LinearProfile]) -> Self {
+    pub(crate) fn with_priors(mut self, priors: &[LinearProfile]) -> Self {
         assert_eq!(
             priors.len(),
             self.devices.len(),
@@ -619,7 +610,7 @@ impl ResilientRoundSim {
     /// Panics on an invalid config, or if a rescheduler is attached —
     /// selection owns the per-round re-plan. The fallible path is
     /// [`SimBuilder::selection`](crate::SimBuilder::selection).
-    pub fn with_selection(mut self, config: SelectionConfig) -> Self {
+    pub(crate) fn with_selection(mut self, config: SelectionConfig) -> Self {
         if let Err(rule) = config.validate() {
             panic!("{rule}");
         }
@@ -635,38 +626,63 @@ impl ResilientRoundSim {
             soc_at_select: vec![1.0; n],
             last_selected: Vec::new(),
         });
+        self.ensure_profilers();
         self
     }
 
     /// Number of devices.
-    pub fn n_devices(&self) -> usize {
+    pub(crate) fn n_devices(&self) -> usize {
         self.devices.len()
     }
 
     /// Borrow the devices (e.g. to inspect battery drain afterwards).
-    pub fn devices(&self) -> &[Device] {
+    pub(crate) fn devices(&self) -> &[Device] {
         &self.devices
     }
 
     /// The fault injector driving this run.
-    pub fn injector(&self) -> &FaultInjector {
+    pub(crate) fn injector(&self) -> &FaultInjector {
         &self.injector
     }
 
     /// Reset every device's thermal state (between experiment arms).
-    pub fn cool_down(&mut self) {
+    pub(crate) fn cool_down(&mut self) {
         for d in &mut self.devices {
             d.cool_down();
         }
     }
 
-    /// Simulate `rounds` synchronous rounds under faults, starting from
-    /// `schedule` (which a configured rescheduler may replace between
-    /// rounds). Device thermal state persists across rounds.
+    /// Lockstep oracle: the deadline resolved over *every* device's
+    /// prediction, idle ones included.
+    #[cfg(test)]
+    fn round_deadline(&self, current: &Schedule) -> Option<f64> {
+        match self.deadline {
+            DeadlinePolicy::Off => None,
+            DeadlinePolicy::Fixed(d) => Some(d),
+            _ => {
+                let predicted = clock::predict_round_times(
+                    &self.devices,
+                    &self.workload,
+                    &self.link,
+                    self.model_bytes,
+                    current,
+                );
+                self.deadline.resolve(&predicted)
+            }
+        }
+    }
+
+    /// Lockstep oracle: simulate `rounds` synchronous rounds by sweeping
+    /// every device in index order, starting from `schedule` (which a
+    /// configured rescheduler may replace between rounds). It drives the
+    /// same phase primitives as [`EventRoundSim`](crate::EventRoundSim),
+    /// which must reproduce its reports and traces bit for bit on every
+    /// configuration both support (everything but the churn process).
     ///
     /// # Panics
     /// Panics if the schedule's user count differs from the cohort size.
-    pub fn run(&mut self, schedule: &Schedule, rounds: usize) -> ChaosReport {
+    #[cfg(test)]
+    pub(crate) fn run(&mut self, schedule: &Schedule, rounds: usize) -> ChaosReport {
         assert_eq!(
             schedule.shards.len(),
             self.devices.len(),
@@ -697,9 +713,8 @@ impl ResilientRoundSim {
 
             let lossy = self.emit_round_faults(round);
 
-            // Phase 1: every scheduled device attempts its round. Device
-            // iteration order and main-RNG consumption match `RoundSim`
-            // exactly when no fault fires.
+            // Phase 1: every scheduled device attempts its round, in
+            // device index order.
             let mut entries: Vec<(usize, Phase1)> = Vec::new();
             // Profiler observations `(device, samples, seconds)` gathered
             // from everything the server actually received this round.
@@ -727,7 +742,7 @@ impl ResilientRoundSim {
             let crash_det = clock::crash_detection(deadline_s, responder_max, fail_max);
 
             // Aggregate phase 1: makespan/straggler selection runs in device
-            // index order with the same tie-breaking as `RoundSim`.
+            // index order (strictly-greater, so the first maximum wins).
             let mut tally = RoundTally::new();
             let mut track = StragglerTrack::new();
             for (j, e) in &entries {
@@ -814,9 +829,9 @@ impl ResilientRoundSim {
 
     /// Phase 1 for one scheduled device: fate check, transfer under the
     /// retry policy, compute, deadline cut — with all per-user telemetry
-    /// and profiler observations. Main-RNG consumption matches `RoundSim`
-    /// exactly when no fault fires, so callers must invoke this in device
-    /// index order over the scheduled (non-idle) users.
+    /// and profiler observations. Main-RNG consumption is one comm sample
+    /// plus one compute call when no fault fires, so callers must invoke
+    /// this in device index order over the scheduled (non-idle) users.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn phase1_device(
         &mut self,
@@ -913,8 +928,8 @@ impl ResilientRoundSim {
             }
             _ => {
                 let finish = comm + compute;
-                // Mid-round process departure (event engine only — the
-                // lockstep call site always passes `None`). Legacy fates
+                // Mid-round process departure (the lockstep oracle always
+                // passes `None`). Legacy fates
                 // take precedence above; a departure fires only on the
                 // otherwise healthy path, and only if it *strictly*
                 // precedes both the device's own finish and any deadline
@@ -1235,8 +1250,10 @@ impl ResilientRoundSim {
             straggler: track.straggler,
         });
         self.rounds_done += 1;
-        for (j, samples, seconds) in observed {
-            self.profilers[j].observe(samples, seconds);
+        if !self.profilers.is_empty() {
+            for (j, samples, seconds) in observed {
+                self.profilers[j].observe(samples, seconds);
+            }
         }
         RoundOutcome {
             round,
@@ -1525,8 +1542,8 @@ impl ResilientRoundSim {
 }
 
 /// Fold run-level accumulators into the final [`ChaosReport`]. Shared by
-/// the lockstep and event-driven paths so the report arithmetic lives in
-/// exactly one place.
+/// the event core and the lockstep oracle so the report arithmetic lives
+/// in exactly one place.
 pub(crate) fn assemble_report(
     per_round: Vec<f64>,
     outcomes: Vec<RoundOutcome>,
@@ -1551,7 +1568,6 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::roundsim::RoundSim;
     use fedsched_device::Testbed;
     use fedsched_faults::FaultConfig;
 
@@ -1568,21 +1584,21 @@ mod tests {
     }
 
     #[test]
-    fn quiet_run_is_bit_identical_to_roundsim() {
-        let mut plain =
-            RoundSim::from_parts(devices(11), TrainingWorkload::lenet(), link(), 2.5e6, 11);
-        let mut resilient = ResilientRoundSim::from_parts(
-            devices(11),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            11,
-            FaultInjector::quiet(3),
-        );
-        let a = plain.run(&schedule(), 4);
-        let b = resilient.run(&schedule(), 4);
-        assert_eq!(a, b.timing, "quiet chaos must not perturb the simulation");
-        for r in &b.rounds {
+    fn quiet_run_completes_everything_and_matches_the_event_core() {
+        let quiet = || {
+            ResilientRoundSim::from_parts(
+                devices(11),
+                TrainingWorkload::lenet(),
+                link(),
+                2.5e6,
+                11,
+                FaultInjector::quiet(3),
+            )
+        };
+        let lockstep = quiet().run(&schedule(), 4);
+        let event = crate::EventRoundSim::new(quiet()).run(&schedule(), 4);
+        assert_eq!(lockstep, event, "quiet rounds must match bit for bit");
+        for r in &lockstep.rounds {
             assert_eq!(r.completed, 30);
             assert_eq!(r.lost_shards, 0);
             assert_eq!(r.coverage, 1.0);

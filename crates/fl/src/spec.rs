@@ -36,15 +36,15 @@ use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::Probe;
 
 use crate::builder::{AsyncOptions, ConfigError, RoundConfig, Selection, SimBuilder};
-use crate::cohorts::{EngineKind, ParallelRoundEngine};
+use crate::cohorts::ParallelRoundEngine;
 use crate::coordinator::Coordinator;
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
 use crate::hier::HierEngine;
-use crate::resilient::ResilientRoundSim;
-use crate::roundsim::RoundSim;
 
 /// Wire-format version stamped into every encoded spec. Bump on any
-/// incompatible schema change; decoding rejects unknown versions.
+/// incompatible schema change; decoding rejects unknown versions. Removing
+/// a tag or field does not bump it: documents that never used it stay
+/// valid, and documents that did fail with a typed `invalid_spec`.
 pub const SPEC_VERSION: u64 = 1;
 
 fn bad(problem: impl Into<String>) -> ConfigError {
@@ -58,11 +58,7 @@ fn shape(err: JsonError) -> ConfigError {
 /// Which terminal `build_*` method a job spec targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildTarget {
-    /// [`SimBuilder::build_sim`] — the quiet sequential sim.
-    Sim,
-    /// [`SimBuilder::build_resilient`] — sequential fault-tolerant sim.
-    Resilient,
-    /// [`SimBuilder::build_event_sim`] — sequential event-driven sim.
+    /// [`SimBuilder::build_event_sim`] — the sequential round engine.
     EventSim,
     /// [`SimBuilder::build_engine`] — the parallel cohort engine.
     Engine,
@@ -76,8 +72,6 @@ impl BuildTarget {
     /// Stable snake_case wire tag.
     pub fn name(&self) -> &'static str {
         match self {
-            BuildTarget::Sim => "sim",
-            BuildTarget::Resilient => "resilient",
             BuildTarget::EventSim => "event_sim",
             BuildTarget::Engine => "engine",
             BuildTarget::Coordinator => "coordinator",
@@ -88,8 +82,6 @@ impl BuildTarget {
     /// Parse a wire tag.
     pub fn from_name(name: &str) -> Result<Self, ConfigError> {
         Ok(match name {
-            "sim" => BuildTarget::Sim,
-            "resilient" => BuildTarget::Resilient,
             "event_sim" => BuildTarget::EventSim,
             "engine" => BuildTarget::Engine,
             "coordinator" => BuildTarget::Coordinator,
@@ -99,10 +91,8 @@ impl BuildTarget {
     }
 
     /// All targets, in wire-tag order (used by the round-trip suite).
-    pub fn all() -> [BuildTarget; 6] {
+    pub fn all() -> [BuildTarget; 4] {
         [
-            BuildTarget::Sim,
-            BuildTarget::Resilient,
             BuildTarget::EventSim,
             BuildTarget::Engine,
             BuildTarget::Coordinator,
@@ -278,11 +268,9 @@ pub struct JobSpec {
     pub aggregator: Option<AggregatorKind>,
     /// Adversary model and its planned-round horizon.
     pub adversary: Option<(AdversaryConfig, usize)>,
-    /// Per-cohort execution core.
-    pub engine_kind: Option<EngineKind>,
-    /// Continuous mid-round churn process (event-driven targets).
+    /// Continuous mid-round churn process.
     pub churn: Option<ChurnConfig>,
-    /// Mid-round arrival admission policy (event-driven targets).
+    /// Mid-round arrival admission policy.
     pub admission: Option<AdmissionPolicy>,
     /// Edge-aggregator count (hier target).
     pub edges: Option<usize>,
@@ -292,7 +280,7 @@ pub struct JobSpec {
     pub edge_aggregator: Option<AggregatorKind>,
     /// Server-tier aggregation rule (hier target).
     pub server_aggregator: Option<AggregatorKind>,
-    /// Online bandit-driven client selection (chaos-family targets).
+    /// Online bandit-driven client selection.
     pub selection: Option<SelectionConfig>,
 }
 
@@ -324,7 +312,6 @@ impl JobSpec {
             buffered_async: None,
             aggregator: None,
             adversary: None,
-            engine_kind: None,
             churn: None,
             admission: None,
             edges: None,
@@ -397,13 +384,6 @@ impl JobSpec {
                 ]),
             ));
         }
-        if let Some(kind) = self.engine_kind {
-            let tag = match kind {
-                EngineKind::Lockstep => "lockstep",
-                EngineKind::EventDriven => "event_driven",
-            };
-            fields.push(("engine_kind", json::str(tag)));
-        }
         if let Some(churn) = self.churn {
             fields.push(("churn", churn_to_json(&churn)));
         }
@@ -464,7 +444,6 @@ impl JobSpec {
                 "buffered_async",
                 "aggregator",
                 "adversary",
-                "engine_kind",
                 "churn",
                 "admission",
                 "edges",
@@ -542,13 +521,6 @@ impl JobSpec {
                     .map_err(shape)?,
             ));
         }
-        if let Some(k) = v.get("engine_kind") {
-            spec.engine_kind = Some(match k.as_str().map_err(shape)? {
-                "lockstep" => EngineKind::Lockstep,
-                "event_driven" => EngineKind::EventDriven,
-                other => return Err(bad(format!("unknown engine kind `{other}`"))),
-            });
-        }
         if let Some(c) = v.get("churn") {
             spec.churn = Some(churn_from_json(c)?);
         }
@@ -598,9 +570,7 @@ impl JobSpec {
     pub fn build(&self, probe: Probe) -> Result<BuiltSim, ConfigError> {
         let builder = SimBuilder::from_spec(self)?.probe(probe);
         let sim = match self.target {
-            BuildTarget::Sim => SimKind::Sim(builder.build_sim()?),
-            BuildTarget::Resilient => SimKind::Resilient(builder.build_resilient()?),
-            BuildTarget::EventSim => SimKind::EventSim(builder.build_event_sim()?),
+            BuildTarget::EventSim => SimKind::EventSim(Box::new(builder.build_event_sim()?)),
             BuildTarget::Engine => SimKind::Engine(builder.build_engine()?),
             BuildTarget::Coordinator => SimKind::Coordinator(builder.build_coordinator()?),
             BuildTarget::Hier => SimKind::Hier(builder.build_hier()?),
@@ -652,9 +622,6 @@ impl SimBuilder {
         }
         if let Some((config, planned)) = spec.adversary {
             b = b.adversary(config, planned);
-        }
-        if let Some(kind) = spec.engine_kind {
-            b = b.engine_kind(kind);
         }
         if let Some(churn) = spec.churn {
             b = b.churn(churn);
@@ -723,7 +690,6 @@ impl SimBuilder {
             .map(|AsyncOptions { buffer, eta }| (buffer, eta));
         spec.aggregator = self.aggregator;
         spec.adversary = self.adversary;
-        spec.engine_kind = self.engine_kind;
         spec.churn = self.churn;
         spec.admission = self.admission;
         spec.edges = self.edges;
@@ -749,9 +715,7 @@ pub struct RoundDigest {
 }
 
 enum SimKind {
-    Sim(RoundSim),
-    Resilient(ResilientRoundSim),
-    EventSim(EventRoundSim),
+    EventSim(Box<EventRoundSim>),
     Engine(ParallelRoundEngine),
     Coordinator(Coordinator),
     Hier(HierEngine),
@@ -777,14 +741,6 @@ impl BuiltSim {
     pub fn step(&mut self, schedule: &Schedule) -> RoundDigest {
         let round = self.rounds_done;
         let (makespan_s, detail) = match &mut self.sim {
-            SimKind::Sim(sim) => {
-                let report = sim.run(schedule, 1);
-                (report.per_round_makespan[0], format!("{report:?}"))
-            }
-            SimKind::Resilient(sim) => {
-                let report = sim.run(schedule, 1);
-                (report.timing.per_round_makespan[0], format!("{report:?}"))
-            }
             SimKind::EventSim(sim) => {
                 let report = sim.run(schedule, 1);
                 (report.timing.per_round_makespan[0], format!("{report:?}"))
@@ -1331,7 +1287,7 @@ mod tests {
 
     #[test]
     fn minimal_spec_round_trips_through_json() {
-        let spec = base_spec(BuildTarget::Sim);
+        let spec = base_spec(BuildTarget::EventSim);
         let text = spec.canonical_json();
         assert_eq!(JobSpec::parse(&text).unwrap(), spec);
         // Canonical: encoding the decoded spec reproduces the bytes.
@@ -1362,7 +1318,6 @@ mod tests {
             AdversaryConfig::none().with_attackers(0.2, AttackKind::Boost { factor: 8.0 }),
             8,
         ));
-        spec.engine_kind = Some(EngineKind::EventDriven);
         let text = spec.canonical_json();
         let back = JobSpec::parse(&text).unwrap();
         assert_eq!(back, spec);
@@ -1384,17 +1339,17 @@ mod tests {
         let devices: Vec<Device> = Testbed::testbed_1(7).devices().to_vec();
         let config = RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, 7);
         let err = SimBuilder::new(devices, config)
-            .to_spec(BuildTarget::Sim)
+            .to_spec(BuildTarget::EventSim)
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::NotSerializable("ad-hoc device fleet"));
         assert_eq!(err.cause_code(), "not_serializable");
 
-        let spec = base_spec(BuildTarget::Resilient);
+        let spec = base_spec(BuildTarget::EventSim);
         let err = SimBuilder::from_spec(&spec)
             .unwrap()
             .injector(fedsched_faults::FaultInjector::quiet(3))
-            .to_spec(BuildTarget::Resilient)
+            .to_spec(BuildTarget::EventSim)
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::NotSerializable("injector"));
@@ -1412,16 +1367,16 @@ mod tests {
         }
 
         // Unknown fields fail loudly rather than configuring silently.
-        let mut doc = base_spec(BuildTarget::Sim).canonical_json();
+        let mut doc = base_spec(BuildTarget::EventSim).canonical_json();
         doc.insert_str(doc.len() - 1, r#","cohort_sizes":64"#);
         let err = JobSpec::parse(&doc).err().unwrap();
         assert!(matches!(err, ConfigError::InvalidSpec(_)), "{err}");
         assert!(err.to_string().contains("cohort_sizes"));
 
         // Unknown tags too.
-        let doc = base_spec(BuildTarget::Sim)
+        let doc = base_spec(BuildTarget::EventSim)
             .canonical_json()
-            .replace("\"sim\"", "\"simulator\"");
+            .replace("\"event_sim\"", "\"simulator\"");
         assert_eq!(
             JobSpec::parse(&doc).err().unwrap().cause_code(),
             "invalid_spec"
@@ -1430,9 +1385,9 @@ mod tests {
 
     #[test]
     fn build_surfaces_the_same_config_errors_as_the_builder() {
-        // cohort_size on the quiet sim: unsupported_option, same as
-        // calling .cohort_size().build_sim() in-process.
-        let mut spec = base_spec(BuildTarget::Sim);
+        // cohort_size on the sequential sim: unsupported_option, same as
+        // calling .cohort_size().build_event_sim() in-process.
+        let mut spec = base_spec(BuildTarget::EventSim);
         spec.cohort_size = Some(4);
         let err = spec.build(Probe::disabled()).err().unwrap();
         assert_eq!(err, ConfigError::UnsupportedOption("cohort_size"));
@@ -1442,7 +1397,7 @@ mod tests {
         let err = spec.build(Probe::disabled()).err().unwrap();
         assert_eq!(err, ConfigError::ZeroCohortSize);
 
-        let mut spec = base_spec(BuildTarget::Resilient);
+        let mut spec = base_spec(BuildTarget::EventSim);
         spec.deadline = Some(DeadlinePolicy::Fixed(-2.0));
         let err = spec.build(Probe::disabled()).err().unwrap();
         assert_eq!(err.cause_code(), "invalid_deadline");
@@ -1508,7 +1463,7 @@ mod tests {
             PolicyKind::ThompsonSampling,
         ] {
             for seed in [MaybeSeeded::inherit(), MaybeSeeded::pinned(u64::MAX - 9)] {
-                let mut spec = base_spec(BuildTarget::Resilient);
+                let mut spec = base_spec(BuildTarget::EventSim);
                 spec.selection = Some(SelectionConfig { policy, k: 3, seed });
                 spec.faults = Some((
                     FaultConfig::none()
@@ -1523,7 +1478,7 @@ mod tests {
                 // And through the builder: from_spec -> to_spec is the
                 // identity for selection-carrying specs too.
                 let builder = SimBuilder::from_spec(&spec).unwrap();
-                assert_eq!(builder.to_spec(BuildTarget::Resilient).unwrap(), spec);
+                assert_eq!(builder.to_spec(BuildTarget::EventSim).unwrap(), spec);
             }
         }
         // An inherited stream seed is expressed by omission.
@@ -1538,7 +1493,7 @@ mod tests {
         );
         // Selection specs build, and an invalid k surfaces the builder's
         // typed cause code on the wire path too.
-        let mut spec = base_spec(BuildTarget::Resilient);
+        let mut spec = base_spec(BuildTarget::EventSim);
         spec.selection = Some(SelectionConfig::new(PolicyKind::Ucb1 { c: 1.0 }, 2));
         assert!(spec.build(Probe::disabled()).is_ok());
         spec.selection = Some(SelectionConfig::new(PolicyKind::Ucb1 { c: 1.0 }, 0));

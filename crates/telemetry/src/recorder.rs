@@ -304,8 +304,8 @@ mod tests {
 
     #[test]
     fn cohort_buffer_splice_is_byte_identical_to_direct_recording() {
-        // Both round engines (lockstep and event-driven) buffer each
-        // cohort's events in a private log and splice the offset-remapped
+        // The population engines buffer each cohort's events in a
+        // private log and splice the offset-remapped
         // buffers into the session log in cohort order. The golden-trace
         // contract needs that buffering to be invisible in the bytes.
         let events = |base: usize| {

@@ -53,12 +53,12 @@ fn main() {
     ] {
         // How many rounds fit in the budget?
         let mut sim = SimBuilder::new(devices.clone(), RoundConfig::new(workload, link, bytes, 11))
-            .build_sim()
+            .build_event_sim()
             .expect("valid sim config");
         let mut rounds = 0usize;
         let mut elapsed = 0.0;
         while elapsed < budget_s {
-            let t = sim.run(&schedule, 1).per_round_makespan[0];
+            let t = sim.run(&schedule, 1).timing.per_round_makespan[0];
             if elapsed + t > budget_s {
                 break;
             }

@@ -59,7 +59,7 @@ fn main() {
     .aggregator(AggregatorKind::TrimmedMean { trim: 1 })
     .retry(RetryPolicy::default_chaos())
     .probe(Probe::attached(log.clone()))
-    .build_resilient()
+    .build_event_sim()
     .expect("valid byzantine config");
 
     let plan = AdversaryPlan::generate(adversary, n, rounds, SEED);

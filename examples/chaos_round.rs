@@ -2,7 +2,7 @@
 //! faults, with and without mid-round straggler rescue.
 //!
 //! A seeded [`FaultPlan`] decrees crashes, churn, lossy transfers and CPU
-//! contention; the `ResilientRoundSim` retries transfers, detects dead
+//! contention; the round engine retries transfers, detects dead
 //! users and reassigns their shards to survivors. The run is fully
 //! deterministic: the same seed replays the same chaos, byte for byte.
 //!
@@ -71,7 +71,7 @@ fn main() {
         if !rescue {
             builder = builder.no_rescue();
         }
-        let mut sim = builder.build_resilient().expect("valid chaos config");
+        let mut sim = builder.build_event_sim().expect("valid chaos config");
         let report = sim.run(&schedule, rounds);
 
         println!(

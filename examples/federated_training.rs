@@ -40,9 +40,9 @@ fn main() {
             testbed.devices().to_vec(),
             RoundConfig::new(workload, link, bytes, 13),
         )
-        .build_sim()
+        .build_event_sim()
         .expect("valid sim config");
-        let timing = sim.run(&schedule, rounds);
+        let timing = sim.run(&schedule, rounds).timing;
 
         // The actual learning, with per-round accuracy checkpoints.
         let mut setup = FlSetup::new(&train, &test, assignment, ModelKind::Mlp, rounds, 13);

@@ -88,9 +88,9 @@ fn main() {
 
         // Time: replay on the simulator. Accuracy: actually train.
         let mut sim = SimBuilder::new(devices.clone(), RoundConfig::new(workload, link, bytes, 3))
-            .build_sim()
+            .build_event_sim()
             .expect("valid sim config");
-        let time = sim.run(&outcome.schedule, 1).mean_makespan();
+        let time = sim.run(&outcome.schedule, 1).timing.mean_makespan();
 
         let assignment: Vec<Vec<usize>> = scenario
             .class_sets()

@@ -56,9 +56,9 @@ fn main() {
             testbed.devices().to_vec(),
             RoundConfig::new(workload, link, bytes, 7),
         )
-        .build_sim()
+        .build_event_sim()
         .expect("valid sim config");
-        let report = sim.run(&schedule, 5);
+        let report = sim.run(&schedule, 5).timing;
         println!("{name:>13}: shards {:?}", schedule.shards);
         println!(
             "{:>13}  mean round {:.1}s over 5 rounds (rounds: {:?})",

@@ -47,82 +47,27 @@ if [[ "$QUICK" -eq 0 ]]; then
   cargo build --release
 fi
 
+# Tier-1: the root package plus every fedsched crate in the workspace's
+# default-members (all but fedsched-bench, whose suite runs below).
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> chaos suite (pinned seed: fault invariants + replay determinism)"
-cargo test -q --test failure_injection
-cargo test -q -p fedsched-faults
-cargo test -q -p fedsched-fl resilient
+echo "==> differential suites at forced pool widths"
+for threads in 4 8; do
+  for suite in parallel_identity builder_identity coordinator_identity \
+               robust_identity event_identity hier_identity bandit_identity; do
+    FEDSCHED_THREADS=$threads cargo test -q -p fedsched --test "$suite"
+  done
+  FEDSCHED_THREADS=$threads cargo test -q -p fedsched-serve resume
+done
 
-echo "==> parallel identity suite (default worker pool)"
-cargo test -q --test parallel_identity
-cargo test -q -p fedsched-fl cohorts
+echo "==> experiment smoke tests (fedsched-bench)"
+cargo test -q -p fedsched-bench
 
-echo "==> parallel identity suite (forced multi-worker pool)"
-FEDSCHED_THREADS=4 cargo test -q --test parallel_identity
-FEDSCHED_THREADS=8 cargo test -q --test parallel_identity
-
-echo "==> builder + coordinator differential suite (default worker pool)"
-cargo test -q --test builder_identity
-cargo test -q --test coordinator_identity
-cargo test -q -p fedsched-fl builder
-cargo test -q -p fedsched-fl coordinator
-
-echo "==> builder + coordinator differential suite (forced multi-worker pool)"
-FEDSCHED_THREADS=4 cargo test -q --test builder_identity
-FEDSCHED_THREADS=4 cargo test -q --test coordinator_identity
-FEDSCHED_THREADS=8 cargo test -q --test builder_identity
-FEDSCHED_THREADS=8 cargo test -q --test coordinator_identity
-
-echo "==> robustness suite (zero-adversary bit-identity + attacked thread invariance)"
-cargo test -q -p fedsched-robust
-cargo test -q --test robust_identity
-FEDSCHED_THREADS=4 cargo test -q --test robust_identity
-FEDSCHED_THREADS=8 cargo test -q --test robust_identity
-
-echo "==> event engine suite (lockstep-vs-event bit identity)"
-cargo test -q -p fedsched-core events
-cargo test -q -p fedsched-fl eventsim
-cargo test -q --test event_identity
-FEDSCHED_THREADS=4 cargo test -q --test event_identity
-FEDSCHED_THREADS=8 cargo test -q --test event_identity
-
-echo "==> churn suite (quiet-churn inertness + conservation + thread invariance)"
-cargo test -q -p fedsched-fl eventsim
-cargo test -q --test event_identity churn
-FEDSCHED_THREADS=4 cargo test -q --test event_identity churn
-FEDSCHED_THREADS=8 cargo test -q --test event_identity churn
-cargo test -q --test golden_trace churn
-cargo test -q -p fedsched-bench churn
-
-echo "==> hierarchy suite (flat-vs-hier bit identity + arena + topology proptests)"
-cargo test -q -p fedsched-fl hier
-cargo test -q -p fedsched-device arena
-cargo test -q --test hier_identity
-FEDSCHED_THREADS=4 cargo test -q --test hier_identity
-FEDSCHED_THREADS=8 cargo test -q --test hier_identity
-cargo test -q --test golden_trace hier
-
-echo "==> bandit suite (quiet-knob inertness vs goldens + selection thread invariance)"
-cargo test -q -p fedsched-bandit
-cargo test -q -p fedsched-fl selection
-cargo test -q --test bandit_identity
-FEDSCHED_THREADS=4 cargo test -q --test bandit_identity
-FEDSCHED_THREADS=8 cargo test -q --test bandit_identity
-cargo test -q -p fedsched-bench bandit
-
-echo "==> serve suite (spec round-trip + kill-and-resume bit identity + HTTP parity)"
-cargo test -q -p fedsched-fl spec
-cargo test -q -p fedsched-serve
-cargo test -q --test serve_http_smoke
-
-echo "==> scale smoke (engine speedup sweep + makespan parity)"
-cargo test -q -p fedsched-bench scaleout
+echo "==> benchmark tests (exp_perf, including the all-workload smoke)"
+cargo test -q --manifest-path exp_perf/Cargo.toml
 
 if [[ "$QUICK" -eq 0 ]]; then
-  echo "==> event engine scale smoke (parity at 1k, wall-clock win at 10k)"
-  cargo run -q --release -p fedsched-bench --bin exp_scale -- --event-check
   echo "==> hierarchy scale smoke (parity at 1k; arena-vs-hier + budgets at 100k)"
   cargo run -q --release -p fedsched-bench --bin exp_scale -- --hier-check
 fi

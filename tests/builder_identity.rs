@@ -72,7 +72,8 @@ fn run_both_ways(spec: &JobSpec, schedule: &Schedule) -> ((String, String), (Str
 #[test]
 fn builder_sim_is_bit_identical_to_wire_spec_for_every_preset() {
     for preset in 1..=3usize {
-        let spec = base_spec(BuildTarget::Sim, preset);
+        // Quiet sequential sim: no fault, retry or deadline knob.
+        let spec = base_spec(BuildTarget::EventSim, preset);
         let schedule = uniform(preset_size(preset), 8);
         let (direct, rewired) = run_both_ways(&spec, &schedule);
         assert!(!direct.1.is_empty());
@@ -88,7 +89,8 @@ fn builder_resilient_is_bit_identical_to_wire_spec_for_every_preset() {
         .with_churn_prob(0.1);
 
     for preset in 1..=3usize {
-        let mut spec = base_spec(BuildTarget::Resilient, preset);
+        // The same sequential target with the fault-tolerance knobs on.
+        let mut spec = base_spec(BuildTarget::EventSim, preset);
         spec.faults = Some((faults.clone(), ROUNDS));
         spec.retry = Some(RetryPolicy::default_chaos());
         spec.deadline = Some(DeadlinePolicy::Fixed(60.0));
@@ -142,7 +144,7 @@ fn stepped_spec_sim_matches_builder_batch_run() {
 
 #[test]
 fn facade_level_config_errors_carry_stable_cause_codes() {
-    let spec = base_spec(BuildTarget::Sim, 1);
+    let spec = base_spec(BuildTarget::EventSim, 1);
     let builder = || SimBuilder::from_spec(&spec).expect("base spec is valid");
     let n = preset_size(1);
 
@@ -159,7 +161,7 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
             "invalid_deadline",
             builder()
                 .deadline(DeadlinePolicy::Fixed(-1.0))
-                .build_resilient()
+                .build_event_sim()
                 .err()
                 .unwrap(),
         ),
@@ -167,7 +169,7 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
             "invalid_soc_floor",
             builder()
                 .rescue_soc_floor(1.5)
-                .build_resilient()
+                .build_event_sim()
                 .err()
                 .unwrap(),
         ),
@@ -190,7 +192,7 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
         ),
         (
             "unsupported_option",
-            builder().threads(2).build_sim().err().unwrap(),
+            builder().threads(2).build_event_sim().err().unwrap(),
         ),
         (
             "unsupported_option",
@@ -204,7 +206,7 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
             "not_serializable",
             builder()
                 .injector(FaultInjector::quiet(n))
-                .to_spec(BuildTarget::Resilient)
+                .to_spec(BuildTarget::EventSim)
                 .err()
                 .unwrap(),
         ),
@@ -216,7 +218,7 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
                     .to_vec(),
                 round_config(SEED),
             )
-            .to_spec(BuildTarget::Sim)
+            .to_spec(BuildTarget::EventSim)
             .err()
             .unwrap(),
         ),

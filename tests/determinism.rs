@@ -59,7 +59,7 @@ fn roundsim_is_stable() {
             testbed.devices().to_vec(),
             RoundConfig::new(TrainingWorkload::lenet(), Link::lte_tmobile(), 2.5e6, 3),
         )
-        .build_sim()
+        .build_event_sim()
         .expect("quiet sim config is valid");
         sim.run(&fedsched::core::Schedule::new(vec![10, 8, 12], 100.0), 3)
     };

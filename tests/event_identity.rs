@@ -1,12 +1,16 @@
-//! Differential lockstep-vs-event bit-identity tests.
+//! Differential bit-identity tests for the event-driven round core across
+//! its hosts.
 //!
-//! The discrete-event engine's contract is that *how* a round advances is
-//! invisible: draining a `(time, seq)` event queue must produce reports
-//! and telemetry byte-identical to the lockstep device scan, for every
-//! Table I testbed preset, under chaos fault plans, under adversary
-//! attack, hosted by the coordinator, and at 1, 2, 4 and 8 worker
-//! threads. CI re-runs this suite with `FEDSCHED_THREADS` forced to 4 and
-//! 8 so the default pool is exercised at several widths too.
+//! `EventRoundSim` is the only round engine; its byte-for-byte agreement
+//! with a lockstep device sweep is pinned by the lockstep-oracle proptest
+//! inside `fedsched-fl`. This suite pins the hosting contract on top:
+//! the sequential sim and a single-cohort engine produce identical reports
+//! and telemetry, and every engine, coordinator and churned run is
+//! invariant to the worker-thread count — for every Table I testbed
+//! preset, under chaos fault plans, under adversary attack, and at 1, 2, 4
+//! and 8 worker threads. CI re-runs this suite with `FEDSCHED_THREADS`
+//! forced to 4 and 8 so the default pool is exercised at several widths
+//! too.
 
 use std::sync::Arc;
 
@@ -16,7 +20,7 @@ use fedsched::core::Schedule;
 use fedsched::device::{Device, DeviceModel, Testbed, TrainingWorkload};
 use fedsched::faults::{AdversaryConfig, AttackKind, FaultConfig};
 use fedsched::fl::{
-    AdmissionPolicy, AggregatorKind, ChurnConfig, DeadlinePolicy, EngineKind, RoundConfig,
+    AdmissionPolicy, AggregatorKind, ChaosReport, ChurnConfig, DeadlinePolicy, RoundConfig,
     SimBuilder,
 };
 use fedsched::net::{Link, RetryPolicy};
@@ -59,23 +63,60 @@ fn chaos_plan() -> FaultConfig {
         .with_churn_prob(0.05)
 }
 
-/// Run the engine with `customize`d knobs under `kind` and return
+/// Run the engine with `customize`d knobs and return
 /// `(debug-formatted report, trace bytes)`.
 fn engine_run(
     devices: Vec<Device>,
     schedule: &Schedule,
     rounds: usize,
-    kind: EngineKind,
     customize: impl FnOnce(SimBuilder) -> SimBuilder,
 ) -> (String, String) {
     let log = Arc::new(EventLog::new());
     let mut eng = customize(SimBuilder::new(devices, round_config(SEED)))
-        .engine_kind(kind)
         .probe(Probe::attached(log.clone()))
         .build_engine()
         .expect("engine config is valid");
     let report = eng.run(schedule, rounds);
     (format!("{report:?}"), log.to_jsonl())
+}
+
+/// Run the sequential sim with `customize`d knobs and return
+/// `(debug-formatted report, trace bytes)`.
+fn sequential_run(
+    devices: Vec<Device>,
+    schedule: &Schedule,
+    rounds: usize,
+    customize: impl FnOnce(SimBuilder) -> SimBuilder,
+) -> (String, String) {
+    let log = Arc::new(EventLog::new());
+    let mut sim = customize(SimBuilder::new(devices, round_config(SEED)))
+        .probe(Probe::attached(log.clone()))
+        .build_event_sim()
+        .expect("sequential config is valid");
+    (format!("{:?}", sim.run(schedule, rounds)), log.to_jsonl())
+}
+
+/// A single-cohort engine run `(report, trace)` recast as the sequential
+/// sim's `ChaosReport`, so the two can be compared byte for byte.
+fn single_cohort_run(
+    devices: Vec<Device>,
+    schedule: &Schedule,
+    rounds: usize,
+    customize: impl FnOnce(SimBuilder) -> SimBuilder,
+) -> (String, String) {
+    let n = devices.len();
+    let log = Arc::new(EventLog::new());
+    let mut eng = customize(SimBuilder::new(devices, round_config(SEED)))
+        .cohort_size(n)
+        .probe(Probe::attached(log.clone()))
+        .build_engine()
+        .expect("engine config is valid");
+    let report = eng.run(schedule, rounds);
+    let as_sequential = ChaosReport {
+        timing: report.timing,
+        rounds: report.rounds,
+    };
+    (format!("{as_sequential:?}"), log.to_jsonl())
 }
 
 #[test]
@@ -85,15 +126,15 @@ fn every_testbed_preset_event_engine_matches_sequential_roundsim() {
         let n = tb.devices().len();
         let schedule = uniform(n, 10);
 
-        // Sequential quiet reference: a plain `RoundSim`.
+        // Sequential quiet reference: a sim with no fault knob.
         let (want_timing, want_jsonl) = {
             let log = Arc::new(EventLog::new());
             let mut sim = SimBuilder::new(tb.devices().to_vec(), round_config(SEED))
                 .probe(Probe::attached(log.clone()))
-                .build_sim()
+                .build_event_sim()
                 .expect("quiet sim config is valid");
             let report = sim.run(&schedule, 3);
-            (format!("{report:?}"), log.to_jsonl())
+            (format!("{:?}", report.timing), log.to_jsonl())
         };
         assert!(!want_jsonl.is_empty());
 
@@ -102,10 +143,9 @@ fn every_testbed_preset_event_engine_matches_sequential_roundsim() {
             let mut eng = SimBuilder::new(tb.devices().to_vec(), round_config(SEED))
                 .cohort_size(n)
                 .threads(threads)
-                .engine_kind(EngineKind::EventDriven)
                 .probe(Probe::attached(log.clone()))
                 .build_engine()
-                .expect("quiet event engine config is valid");
+                .expect("quiet engine config is valid");
             let report = eng.run(&schedule, 3);
             assert_eq!(
                 format!("{:?}", report.timing),
@@ -121,25 +161,20 @@ fn every_testbed_preset_event_engine_matches_sequential_roundsim() {
     }
 }
 
+/// A chaos plan on one cohort: the engine at every thread count replays
+/// the sequential sim byte for byte.
 #[test]
 fn chaos_plan_event_engine_is_bit_identical_at_every_thread_count() {
     let n = 8;
     let rounds = 4;
     let schedule = uniform(n, 3);
     let knobs = |b: SimBuilder| {
-        b.cohort_size(n)
-            .faults(chaos_plan(), rounds)
+        b.faults(chaos_plan(), rounds)
             .retry(RetryPolicy::default_chaos())
             .deadline(DeadlinePolicy::MeanFactor(2.0))
     };
 
-    let want = engine_run(
-        population(n, SEED),
-        &schedule,
-        rounds,
-        EngineKind::Lockstep,
-        |b| knobs(b).threads(1),
-    );
+    let want = sequential_run(population(n, SEED), &schedule, rounds, knobs);
     // The plan must actually contain faults, or this test proves nothing.
     assert!(
         want.1.contains("fault_injected") || want.1.contains("transfer_retry"),
@@ -147,26 +182,23 @@ fn chaos_plan_event_engine_is_bit_identical_at_every_thread_count() {
     );
 
     for threads in THREAD_COUNTS {
-        let got = engine_run(
-            population(n, SEED),
-            &schedule,
-            rounds,
-            EngineKind::EventDriven,
-            |b| knobs(b).threads(threads),
-        );
+        let got = single_cohort_run(population(n, SEED), &schedule, rounds, |b| {
+            knobs(b).threads(threads)
+        });
         assert_eq!(got.0, want.0, "threads {threads}: chaos report diverged");
         assert_eq!(got.1, want.1, "threads {threads}: chaos trace diverged");
     }
 }
 
+/// Every knob the engine shares with the sequential sim, engaged at once:
+/// the single-cohort engine must replay the sequential run byte for byte.
 #[test]
 fn sequential_event_sim_matches_resilient_with_every_knob_engaged() {
     let n = 10;
     let rounds = 5;
     let schedule = uniform(n, 3);
-    let build = |devices: Vec<Device>| {
-        SimBuilder::new(devices, round_config(SEED))
-            .faults(chaos_plan(), rounds)
+    let knobs = |b: SimBuilder| {
+        b.faults(chaos_plan(), rounds)
             .retry(RetryPolicy::default_chaos())
             .deadline(DeadlinePolicy::MeanFactor(1.5))
             .rescue_soc_floor(0.1)
@@ -177,24 +209,18 @@ fn sequential_event_sim_matches_resilient_with_every_knob_engaged() {
             )
     };
 
-    let (want, want_jsonl) = {
-        let log = Arc::new(EventLog::new());
-        let mut sim = build(population(n, SEED))
-            .probe(Probe::attached(log.clone()))
-            .build_resilient()
-            .expect("resilient config is valid");
-        (format!("{:?}", sim.run(&schedule, rounds)), log.to_jsonl())
-    };
-    let (got, got_jsonl) = {
-        let log = Arc::new(EventLog::new());
-        let mut sim = build(population(n, SEED))
-            .probe(Probe::attached(log.clone()))
-            .build_event_sim()
-            .expect("event sim config is valid");
-        (format!("{:?}", sim.run(&schedule, rounds)), log.to_jsonl())
-    };
-    assert_eq!(got, want, "full-knob event report diverged");
-    assert_eq!(got_jsonl, want_jsonl, "full-knob event trace diverged");
+    let (want, want_jsonl) = sequential_run(population(n, SEED), &schedule, rounds, knobs);
+    assert!(want_jsonl.contains("robust_aggregate"));
+    for threads in [1, 4] {
+        let (got, got_jsonl) = single_cohort_run(population(n, SEED), &schedule, rounds, |b| {
+            knobs(b).threads(threads)
+        });
+        assert_eq!(got, want, "threads {threads}: full-knob report diverged");
+        assert_eq!(
+            got_jsonl, want_jsonl,
+            "threads {threads}: full-knob trace diverged"
+        );
+    }
 }
 
 #[test]
@@ -215,36 +241,27 @@ fn attacked_event_engine_is_bit_identical_at_every_thread_count() {
             )
     };
 
-    let want = engine_run(
-        population(n, SEED),
-        &schedule,
-        rounds,
-        EngineKind::Lockstep,
-        |b| knobs(b).threads(1),
-    );
+    let want = engine_run(population(n, SEED), &schedule, rounds, |b| {
+        knobs(b).threads(1)
+    });
     assert!(
         want.1.contains("robust_aggregate"),
         "attack preset must engage the robust layer"
     );
 
     for threads in THREAD_COUNTS {
-        let got = engine_run(
-            population(n, SEED),
-            &schedule,
-            rounds,
-            EngineKind::EventDriven,
-            |b| knobs(b).threads(threads),
-        );
+        let got = engine_run(population(n, SEED), &schedule, rounds, |b| {
+            knobs(b).threads(threads)
+        });
         assert_eq!(got.0, want.0, "threads {threads}: attacked report diverged");
         assert_eq!(got.1, want.1, "threads {threads}: attacked trace diverged");
     }
 }
 
 /// A configured-but-quiet churn process (both rates zero) must be
-/// strictly inert: the event engine with the churn and admission knobs
-/// engaged replays the churn-free *lockstep* engine byte-for-byte at
-/// every thread count — no extra RNG draws, no extra queue events, no
-/// trace bytes.
+/// strictly inert: the engine with the churn and admission knobs engaged
+/// replays the churn-free engine byte-for-byte at every thread count — no
+/// extra RNG draws, no extra queue events, no trace bytes.
 #[test]
 fn zero_rate_churn_event_engine_is_bit_identical_at_every_thread_count() {
     let n = 8;
@@ -257,27 +274,17 @@ fn zero_rate_churn_event_engine_is_bit_identical_at_every_thread_count() {
             .deadline(DeadlinePolicy::MeanFactor(2.0))
     };
 
-    let want = engine_run(
-        population(n, SEED),
-        &schedule,
-        rounds,
-        EngineKind::Lockstep,
-        |b| knobs(b).threads(1),
-    );
+    let want = engine_run(population(n, SEED), &schedule, rounds, |b| {
+        knobs(b).threads(1)
+    });
 
     for threads in THREAD_COUNTS {
-        let got = engine_run(
-            population(n, SEED),
-            &schedule,
-            rounds,
-            EngineKind::EventDriven,
-            |b| {
-                knobs(b)
-                    .threads(threads)
-                    .churn(ChurnConfig::symmetric(0.0, 60.0))
-                    .admission(AdmissionPolicy::MidRoundFill)
-            },
-        );
+        let got = engine_run(population(n, SEED), &schedule, rounds, |b| {
+            knobs(b)
+                .threads(threads)
+                .churn(ChurnConfig::symmetric(0.0, 60.0))
+                .admission(AdmissionPolicy::MidRoundFill)
+        });
         assert_eq!(
             got.0, want.0,
             "threads {threads}: quiet-churn report diverged"
@@ -291,14 +298,14 @@ fn zero_rate_churn_event_engine_is_bit_identical_at_every_thread_count() {
 
 /// The coordinator resolves one global deadline against pooled
 /// predictions and pushes it into every cohort before the round runs —
-/// the event cohorts must accept it through the same `set_deadline` seam
-/// and replay the round byte-identically.
+/// the cohorts must accept it through the `set_deadline` seam and replay
+/// the round byte-identically at every thread count.
 #[test]
 fn coordinator_hosts_event_cohorts_unchanged() {
     let n = 24;
     let rounds = 3;
     let schedule = uniform(n, 5);
-    let run = |kind: EngineKind, threads: usize| {
+    let run = |threads: usize| {
         let log = Arc::new(EventLog::new());
         let mut coord = SimBuilder::new(population(n, SEED), round_config(SEED))
             .cohort_size(6)
@@ -306,7 +313,6 @@ fn coordinator_hosts_event_cohorts_unchanged() {
             .faults(chaos_plan(), rounds)
             .retry(RetryPolicy::default_chaos())
             .deadline(DeadlinePolicy::MeanFactor(1.5))
-            .engine_kind(kind)
             .probe(Probe::attached(log.clone()))
             .build_coordinator()
             .expect("coordinator config is valid");
@@ -314,9 +320,10 @@ fn coordinator_hosts_event_cohorts_unchanged() {
         (format!("{report:?}"), log.to_jsonl())
     };
 
-    let want = run(EngineKind::Lockstep, 1);
+    let want = run(1);
+    assert!(want.1.contains("global_deadline_set"));
     for threads in THREAD_COUNTS {
-        let got = run(EngineKind::EventDriven, threads);
+        let got = run(threads);
         assert_eq!(
             got.0, want.0,
             "threads {threads}: coordinator report diverged"
@@ -330,37 +337,6 @@ fn coordinator_hosts_event_cohorts_unchanged() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random (population, cohort size, threads, seed, fault mix)
-    /// geometry: the event engine's report equals the lockstep engine's
-    /// exactly, including chaotic configurations with rescue and churn.
-    #[test]
-    fn event_engine_matches_lockstep_for_random_geometry(
-        n in 1usize..40,
-        cohort_size in 1usize..12,
-        threads in 1usize..8,
-        seed in 0u64..500,
-        shards in 1usize..4,
-        crash_pct in 0u32..35,
-    ) {
-        let rounds = 2;
-        let schedule = uniform(n, shards);
-        let config = FaultConfig::none()
-            .with_crash_prob(f64::from(crash_pct) / 100.0)
-            .with_loss_prob(0.1);
-        let run = |kind: EngineKind| {
-            SimBuilder::new(population(n, seed), round_config(seed))
-                .cohort_size(cohort_size)
-                .threads(threads)
-                .faults(config.clone(), rounds)
-                .retry(RetryPolicy::default_chaos())
-                .engine_kind(kind)
-                .build_engine()
-                .expect("random geometry config is valid")
-                .run(&schedule, rounds)
-        };
-        prop_assert_eq!(run(EngineKind::EventDriven), run(EngineKind::Lockstep));
-    }
 
     /// Random churn-process geometry: for every interleaving of mid-round
     /// arrivals and departures, (a) per-round double-entry accounting
@@ -394,7 +370,6 @@ proptest! {
                 .retry(RetryPolicy::default_chaos())
                 .churn(churn)
                 .admission(AdmissionPolicy::MidRoundFill)
-                .engine_kind(EngineKind::EventDriven)
                 .probe(Probe::attached(log.clone()))
                 .build_engine()
                 .expect("churned geometry config is valid");

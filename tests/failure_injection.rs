@@ -13,7 +13,7 @@ use fedsched::data::{Dataset, DatasetKind, Partition};
 use fedsched::device::{Device, DeviceModel, TrainingWorkload};
 use fedsched::faults::{FaultConfig, FaultInjector, FaultPlan};
 use fedsched::fl::{
-    fedavg_aggregate, DeadlinePolicy, FlSetup, ResilientRoundSim, RoundConfig, SimBuilder,
+    fedavg_aggregate, DeadlinePolicy, EventRoundSim, FlSetup, RoundConfig, SimBuilder,
 };
 use fedsched::net::{Link, RetryPolicy};
 use fedsched::nn::ModelKind;
@@ -35,10 +35,10 @@ fn single_device_cohort_works_end_to_end() {
             1,
         ),
     )
-    .build_sim()
+    .build_event_sim()
     .expect("quiet sim config is valid");
     let report = sim.run(&schedule, 2);
-    assert!(report.mean_makespan() > 0.0);
+    assert!(report.timing.mean_makespan() > 0.0);
 }
 
 #[test]
@@ -155,13 +155,20 @@ fn chaos_cohort(n: usize, seed: u64) -> Vec<Device> {
         .collect()
 }
 
-fn chaos_sim(n: usize, seed: u64, injector: FaultInjector) -> ResilientRoundSim {
-    SimBuilder::new(
-        chaos_cohort(n, seed),
-        RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, seed),
+fn chaos_sim(
+    n: usize,
+    seed: u64,
+    injector: FaultInjector,
+    knobs: impl FnOnce(SimBuilder) -> SimBuilder,
+) -> EventRoundSim {
+    knobs(
+        SimBuilder::new(
+            chaos_cohort(n, seed),
+            RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, seed),
+        )
+        .injector(injector),
     )
-    .injector(injector)
-    .build_resilient()
+    .build_event_sim()
     .expect("chaos sim config is valid")
 }
 
@@ -181,9 +188,8 @@ fn same_seed_reproduces_fault_trace_and_outcome() {
     let run = |seed: u64| {
         let injector = FaultInjector::from_config(stormy_config(), n, 4, seed);
         let fingerprint = injector.plan().fingerprint();
-        let report = chaos_sim(n, 11, injector)
-            .with_retry(RetryPolicy::default_chaos())
-            .run(&schedule, 4);
+        let report =
+            chaos_sim(n, 11, injector, |b| b.retry(RetryPolicy::default_chaos())).run(&schedule, 4);
         (fingerprint, report)
     };
     let (fp_a, rep_a) = run(1234);
@@ -202,10 +208,14 @@ fn rescue_conserves_shards_every_round() {
     let schedule = Schedule::new(vec![7, 7, 6, 5, 3, 2], 100.0);
     for rescue in [true, false] {
         let injector = FaultInjector::from_config(stormy_config(), n, 5, 99);
-        let mut sim = chaos_sim(n, 21, injector).with_retry(RetryPolicy::default_chaos());
-        if !rescue {
-            sim = sim.without_rescue();
-        }
+        let mut sim = chaos_sim(n, 21, injector, |b| {
+            let b = b.retry(RetryPolicy::default_chaos());
+            if rescue {
+                b
+            } else {
+                b.no_rescue()
+            }
+        });
         let report = sim.run(&schedule, 5);
         for r in &report.rounds {
             assert_eq!(
@@ -225,12 +235,12 @@ fn zero_fault_resilient_sim_is_bit_identical_to_round_sim() {
     let wl = TrainingWorkload::lenet();
     let link = Link::wifi_campus();
     let mut plain = SimBuilder::new(chaos_cohort(n, 3), RoundConfig::new(wl, link, 2.5e6, 3))
-        .build_sim()
+        .build_event_sim()
         .expect("quiet sim config is valid");
-    let mut resilient = chaos_sim(n, 3, FaultInjector::quiet(n));
+    let mut resilient = chaos_sim(n, 3, FaultInjector::quiet(n), |b| b);
     let a = plain.run(&schedule, 4);
     let b = resilient.run(&schedule, 4);
-    assert_eq!(a, b.timing, "quiet chaos run drifted from RoundSim");
+    assert_eq!(a, b, "an explicit quiet injector drifted from the default");
     assert_eq!(b.total_lost(), 0);
     assert_eq!(b.mean_coverage(), 1.0);
 }
@@ -267,14 +277,17 @@ proptest! {
         let plan = FaultPlan::generate(config, n, rounds, fault_seed);
         let schedule = Schedule::new(shards.clone(), 100.0);
         let scheduled_total: usize = shards.iter().sum();
-        let mut sim = chaos_sim(n, fault_seed ^ 0xABCD, FaultInjector::new(plan))
-            .with_retry(RetryPolicy::default_chaos());
-        if let Some(d) = deadline {
-            sim = sim.with_deadline_policy(DeadlinePolicy::Fixed(d));
-        }
-        if !rescue {
-            sim = sim.without_rescue();
-        }
+        let mut sim = chaos_sim(n, fault_seed ^ 0xABCD, FaultInjector::new(plan), |b| {
+            let mut b = b.retry(RetryPolicy::default_chaos());
+            if let Some(d) = deadline {
+                b = b.deadline(DeadlinePolicy::Fixed(d));
+            }
+            if rescue {
+                b
+            } else {
+                b.no_rescue()
+            }
+        });
         let report = sim.run(&schedule, rounds);
         prop_assert_eq!(report.rounds.len(), rounds);
         for r in &report.rounds {

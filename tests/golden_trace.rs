@@ -22,7 +22,7 @@ use std::sync::Arc;
 use fedsched::core::{CostMatrix, FedLbap, Scheduler};
 use fedsched::device::{Device, DeviceModel, Testbed, TrainingWorkload};
 use fedsched::faults::FaultConfig;
-use fedsched::fl::{DeadlinePolicy, EngineKind, RoundConfig, SimBuilder};
+use fedsched::fl::{DeadlinePolicy, RoundConfig, SimBuilder};
 use fedsched::net::{Link, RetryPolicy};
 use fedsched::telemetry::{EventLog, Probe};
 
@@ -52,18 +52,21 @@ fn hier_golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/hier_multicohort.jsonl")
 }
 
-/// Which runtime replays a golden scenario. Every path must produce the
-/// same bytes: `Event` swaps the lockstep scan for the discrete-event
-/// queue, `Hier` layers the default (trivial) two-tier topology on top.
+/// Which build target hosts the round core for a golden scenario. Every
+/// host must produce the same bytes: `Sequential` is one sim, `Engine` a
+/// single-cohort engine whose cohort continues the master stream,
+/// `Coordinator` an Off-policy coordinator over the engine, and `Hier` the
+/// default (trivial) two-tier topology on top of it.
 #[derive(Clone, Copy)]
-enum ReplayPath {
-    Lockstep,
-    Event,
+enum Host {
+    Sequential,
+    Engine,
+    Coordinator,
     Hier,
 }
 
 /// Run the fixed scenario and return its telemetry stream as JSONL.
-fn trace_with(path: ReplayPath) -> String {
+fn trace_with(host: Host) -> String {
     let log = Arc::new(EventLog::new());
     let probe = Probe::attached(log.clone());
 
@@ -88,34 +91,41 @@ fn trace_with(path: ReplayPath) -> String {
         RoundConfig::new(wl, Link::new(100.0, 100.0, 0.0, 0.0), 2.5e6, SEED),
     )
     .probe(probe);
-    match path {
-        ReplayPath::Lockstep => {
-            let mut sim = builder.build_sim().expect("golden sim config is valid");
-            let _ = sim.run(&schedule, 3);
-        }
-        ReplayPath::Event => {
-            let mut sim = builder
-                .build_event_sim()
-                .expect("golden sim config is valid");
-            let _ = sim.run(&schedule, 3);
-        }
-        ReplayPath::Hier => {
-            let mut sim = builder.build_hier().expect("golden sim config is valid");
-            let _ = sim.run(&schedule, 3);
-        }
-    }
+    run_on(host, builder, &schedule);
     log.to_jsonl()
 }
 
+/// Build `builder` for `host` and run three rounds of `schedule`.
+fn run_on(host: Host, builder: SimBuilder, schedule: &fedsched::core::Schedule) {
+    match host {
+        Host::Sequential => {
+            let mut sim = builder.build_event_sim().expect("golden config is valid");
+            let _ = sim.run(schedule, 3);
+        }
+        Host::Engine => {
+            let mut sim = builder.build_engine().expect("golden config is valid");
+            let _ = sim.run(schedule, 3);
+        }
+        Host::Coordinator => {
+            let mut sim = builder.build_coordinator().expect("golden config is valid");
+            let _ = sim.run(schedule, 3);
+        }
+        Host::Hier => {
+            let mut sim = builder.build_hier().expect("golden config is valid");
+            let _ = sim.run(schedule, 3);
+        }
+    }
+}
+
 fn trace() -> String {
-    trace_with(ReplayPath::Lockstep)
+    trace_with(Host::Sequential)
 }
 
 /// Chaos preset: a two-cohort parallel engine run under crashes, packet
 /// loss and retries. Pins the resilient path's event vocabulary *and* the
 /// engine's cohort splicing (user-index remapping, cohort-ordered merge) in
 /// golden form — the engine guarantees these bytes are thread-invariant.
-fn chaos_trace_with(kind: EngineKind, hier: bool) -> String {
+fn chaos_trace_with(host: Host) -> String {
     let log = Arc::new(EventLog::new());
     let models = DeviceModel::all();
     let devices: Vec<Device> = (0..8)
@@ -142,25 +152,17 @@ fn chaos_trace_with(kind: EngineKind, hier: bool) -> String {
     .threads(4)
     .faults(config, 3)
     .retry(RetryPolicy::default_chaos())
-    .engine_kind(kind)
     .probe(Probe::attached(log.clone()));
-    let schedule = fedsched::core::Schedule::new(vec![3; 8], 100.0);
-    if hier {
-        let mut engine = builder
-            .build_hier()
-            .expect("golden chaos hier config is valid");
-        let _ = engine.run(&schedule, 3);
-    } else {
-        let mut engine = builder
-            .build_engine()
-            .expect("golden chaos engine config is valid");
-        let _ = engine.run(&schedule, 3);
-    }
+    run_on(
+        host,
+        builder,
+        &fedsched::core::Schedule::new(vec![3; 8], 100.0),
+    );
     log.to_jsonl()
 }
 
 fn chaos_trace() -> String {
-    chaos_trace_with(EngineKind::Lockstep, false)
+    chaos_trace_with(Host::Engine)
 }
 
 /// Byzantine preset: the same two-cohort engine under a sign-flip adversary
@@ -168,7 +170,7 @@ fn chaos_trace() -> String {
 /// robustness event vocabulary (`update_rejected`, `robust_aggregate`,
 /// `group_outage`) and the per-cohort adversary-plan derivation in golden
 /// form.
-fn attack_trace_with(kind: EngineKind, hier: bool) -> String {
+fn attack_trace_with(host: Host) -> String {
     use fedsched::faults::{AdversaryConfig, AttackKind};
     use fedsched::fl::AggregatorKind;
     let log = Arc::new(EventLog::new());
@@ -202,28 +204,20 @@ fn attack_trace_with(kind: EngineKind, hier: bool) -> String {
     .adversary(adversary, 3)
     .aggregator(AggregatorKind::TrimmedMean { trim: 1 })
     .retry(RetryPolicy::default_chaos())
-    .engine_kind(kind)
     .probe(Probe::attached(log.clone()));
-    let schedule = fedsched::core::Schedule::new(vec![3; 8], 100.0);
-    if hier {
-        let mut engine = builder
-            .build_hier()
-            .expect("golden attack hier config is valid");
-        let _ = engine.run(&schedule, 3);
-    } else {
-        let mut engine = builder
-            .build_engine()
-            .expect("golden attack engine config is valid");
-        let _ = engine.run(&schedule, 3);
-    }
+    run_on(
+        host,
+        builder,
+        &fedsched::core::Schedule::new(vec![3; 8], 100.0),
+    );
     log.to_jsonl()
 }
 
 fn attack_trace() -> String {
-    attack_trace_with(EngineKind::Lockstep, false)
+    attack_trace_with(Host::Engine)
 }
 
-/// Event preset: a two-cohort *event-driven* engine under crashes, churn,
+/// Event preset: a two-cohort engine under crashes, churn,
 /// packet loss and a fixed deadline tight enough to cut stragglers, so
 /// the mid-round rescue ledger engages. Pins the full event vocabulary —
 /// deadline cuts, `shards_reassigned`, retries — as produced by the
@@ -257,7 +251,6 @@ fn event_trace() -> String {
     .faults(config, 3)
     .retry(RetryPolicy::default_chaos())
     .deadline(DeadlinePolicy::Fixed(55.0))
-    .engine_kind(EngineKind::EventDriven)
     .probe(Probe::attached(log.clone()))
     .build_engine()
     .expect("golden event engine config is valid");
@@ -265,7 +258,7 @@ fn event_trace() -> String {
     log.to_jsonl()
 }
 
-/// Churn preset: a two-cohort event-driven engine under a continuous
+/// Churn preset: a two-cohort engine under a continuous
 /// arrival/departure process with mid-round admission. Pins the churn
 /// event vocabulary — `device_depart`, `shards_orphaned`, `device_arrive`,
 /// `mid_round_admit` — and the per-cohort churn-timeline derivation in
@@ -299,7 +292,6 @@ fn churn_trace() -> String {
     .churn(ChurnConfig::symmetric(0.25, 60.0))
     .admission(AdmissionPolicy::MidRoundFill)
     .retry(RetryPolicy::default_chaos())
-    .engine_kind(EngineKind::EventDriven)
     .probe(Probe::attached(log.clone()))
     .build_engine()
     .expect("golden churn engine config is valid");
@@ -457,28 +449,28 @@ fn attack_trace_matches_golden_snapshot() {
     assert_matches_golden(&got, &attack_golden_path());
 }
 
-/// Every pre-existing golden scenario must replay byte-identically when
-/// the rounds advance through the discrete-event queue instead of the
-/// lockstep scan. The lockstep side of each pair is pinned to its
-/// checked-in snapshot by the tests above, so equality here extends the
-/// golden guarantee to the event path without a second writer racing
-/// `UPDATE_GOLDEN` regeneration.
+/// Every pre-existing golden scenario must replay byte-identically on
+/// every other host of the round core: the sequential scenario through a
+/// single-cohort engine, the multi-cohort ones through an Off-policy
+/// coordinator. One side of each pair is pinned to its checked-in snapshot
+/// by the tests above, so equality here extends the golden guarantee
+/// without a second writer racing `UPDATE_GOLDEN` regeneration.
 #[test]
 fn golden_scenarios_replay_byte_identical_through_event_path() {
     assert_eq!(
-        trace_with(ReplayPath::Event),
+        trace_with(Host::Engine),
         trace(),
-        "table1_presets golden diverged through the event sim"
+        "table1_presets golden diverged through the engine"
     );
     assert_eq!(
-        chaos_trace_with(EngineKind::EventDriven, false),
+        chaos_trace_with(Host::Coordinator),
         chaos_trace(),
-        "chaos_multicohort golden diverged through the event engine"
+        "chaos_multicohort golden diverged through the coordinator"
     );
     assert_eq!(
-        attack_trace_with(EngineKind::EventDriven, false),
+        attack_trace_with(Host::Coordinator),
         attack_trace(),
-        "attacked_multicohort golden diverged through the event engine"
+        "attacked_multicohort golden diverged through the coordinator"
     );
 }
 
@@ -490,24 +482,19 @@ fn golden_scenarios_replay_byte_identical_through_event_path() {
 #[test]
 fn golden_scenarios_replay_byte_identical_through_hier_engine() {
     assert_eq!(
-        trace_with(ReplayPath::Hier),
+        trace_with(Host::Hier),
         trace(),
         "table1_presets golden diverged through the hier engine"
     );
     assert_eq!(
-        chaos_trace_with(EngineKind::Lockstep, true),
+        chaos_trace_with(Host::Hier),
         chaos_trace(),
         "chaos_multicohort golden diverged through the hier engine"
     );
     assert_eq!(
-        attack_trace_with(EngineKind::Lockstep, true),
+        attack_trace_with(Host::Hier),
         attack_trace(),
         "attacked_multicohort golden diverged through the hier engine"
-    );
-    assert_eq!(
-        chaos_trace_with(EngineKind::EventDriven, true),
-        chaos_trace(),
-        "chaos_multicohort golden diverged through hier-over-event"
     );
 }
 

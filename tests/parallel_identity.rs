@@ -2,9 +2,9 @@
 //!
 //! The engine's contract is that parallelism is *invisible*: for any thread
 //! count, its reports and spliced telemetry stream are byte-identical to
-//! the sequential reference — a plain [`RoundSim`] (quiet path) or
-//! [`ResilientRoundSim`] (chaos path) when one cohort covers the
-//! population, and the engine's own single-threaded run otherwise. These
+//! the sequential reference — a sequential `EventRoundSim`, quiet or under
+//! a chaos plan, when one cohort covers the population, and the engine's
+//! own single-threaded run otherwise. These
 //! tests pin that differentially for every Table I testbed preset, a chaos
 //! fault plan, and a proptest sweep over random population geometries.
 
@@ -48,15 +48,16 @@ fn uniform(n: usize, shards: usize) -> Schedule {
     Schedule::new(vec![shards; n], 100.0)
 }
 
-/// Sequential quiet reference: report + JSONL from a plain `RoundSim`.
+/// Sequential quiet reference: timing + JSONL from a sequential sim with
+/// no fault knob.
 fn sequential_quiet(devices: Vec<Device>, schedule: &Schedule, rounds: usize) -> (String, String) {
     let log = Arc::new(EventLog::new());
     let mut sim = SimBuilder::new(devices, round_config(SEED))
         .probe(Probe::attached(log.clone()))
-        .build_sim()
+        .build_event_sim()
         .expect("quiet sim config is valid");
     let report = sim.run(schedule, rounds);
-    (format!("{report:?}"), log.to_jsonl())
+    (format!("{:?}", report.timing), log.to_jsonl())
 }
 
 /// Engine quiet run at `threads`: timing debug string + JSONL.
@@ -118,7 +119,7 @@ fn chaos_fault_plan_is_bit_identical_to_sequential_resilient() {
             .faults(config.clone(), rounds)
             .retry(retry)
             .probe(Probe::attached(log.clone()))
-            .build_resilient()
+            .build_event_sim()
             .expect("chaos sim config is valid");
         let report = sim.run(&schedule, rounds);
         (format!("{report:?}"), log.to_jsonl())

@@ -38,9 +38,9 @@ fn lbap_speeds_up_rounds_without_accuracy_loss() {
             testbed.devices().to_vec(),
             RoundConfig::new(wl, link, bytes, 11),
         )
-        .build_sim()
+        .build_event_sim()
         .expect("quiet sim config is valid");
-        sim.run(schedule, 3).mean_makespan()
+        sim.run(schedule, 3).timing.mean_makespan()
     };
     let t_lbap = time(&lbap_t);
     let t_equal = time(&equal_t);

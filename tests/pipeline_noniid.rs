@@ -153,9 +153,9 @@ fn end_to_end_noniid_training_learns() {
     let link = Link::wifi_campus();
     let bytes = model_transfer_bytes(&ModelArch::lenet());
     let mut sim = SimBuilder::new(devices, RoundConfig::new(wl, link, bytes, 31))
-        .build_sim()
+        .build_event_sim()
         .expect("quiet sim config is valid");
-    let timing = sim.run(&outcome.schedule, 2);
+    let timing = sim.run(&outcome.schedule, 2).timing;
     assert!(timing.mean_makespan() > 0.0);
 
     let assignment = materialize(
