@@ -102,7 +102,7 @@ fn bench_parallel_engine(c: &mut Criterion) {
                     RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, 1),
                 )
                 .threads(t)
-                .build_engine()
+                .build_hier()
                 .expect("valid engine config");
                 b.iter(|| black_box(eng.run(&schedule, 1).timing.per_round_makespan[0]))
             },

@@ -1,11 +1,11 @@
-//! Regenerates the scale-out sweep: the parallel multi-cohort engine from
-//! 10 to 10,000 devices across worker thread counts (1M devices with the
+//! Regenerates the scale-out sweep: the population engine from 10 to
+//! 10,000 devices across worker thread counts (1M devices with the
 //! arena-backed mega arm at `--scale paper`).
 //!
-//! `--hier-check` runs the hierarchical-aggregation gate: flat-vs-hier
-//! byte-identity at 1k devices across thread counts, then the arena
-//! sweep against the real `HierEngine` at 100k devices under wall-clock
-//! and peak-RSS budgets.
+//! `--hier-check` runs the hierarchical-aggregation gate: `HierEngine`
+//! thread invariance at 1k devices (threads 2 and 4 against threads 1),
+//! then the arena sweep against the real `HierEngine` at 100k devices
+//! under wall-clock and peak-RSS budgets.
 use std::time::Instant;
 
 use fedsched_bench::{scaleout, Scale};
@@ -20,7 +20,7 @@ fn main() {
         let small = scaleout::hier_point(1_000, 42, 2, &[1, 2, 4]);
         assert!(
             small.parity,
-            "hierarchical engine diverged from flat at 1k devices"
+            "hierarchical engine diverged across threads at 1k devices"
         );
         let start = Instant::now();
         assert!(
@@ -41,14 +41,14 @@ fn main() {
                     HIER_CHECK_RSS_BUDGET / (1024 * 1024),
                 );
                 println!(
-                    "[exp_scale] hier check ok: 1k byte-identity at threads \
-                     1/2/4; 100k arena-vs-hier parity in {wall_s:.1} s, peak \
-                     RSS {} MB",
+                    "[exp_scale] hier check ok: 1k thread invariance at \
+                     threads 1/2/4; 100k arena-vs-hier parity in {wall_s:.1} \
+                     s, peak RSS {} MB",
                     rss / (1024 * 1024),
                 );
             }
             None => println!(
-                "[exp_scale] hier check ok: 1k byte-identity at threads \
+                "[exp_scale] hier check ok: 1k thread invariance at threads \
                  1/2/4; 100k arena-vs-hier parity in {wall_s:.1} s (no \
                  procfs, RSS budget skipped)",
             ),

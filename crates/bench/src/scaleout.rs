@@ -1,15 +1,15 @@
-//! Scale-out sweep — the parallel multi-cohort engine from 10 to 10,000
-//! devices (companion to the engine; not a paper figure).
+//! Scale-out sweep — the population engine from 10 to 10,000 devices
+//! (companion to the engine; not a paper figure).
 //!
 //! The paper's testbeds stop at ten devices; production federated learning
 //! populations are 10³–10⁴ per round. This sweep measures two things about
-//! [`ParallelRoundEngine`] as the population grows:
+//! [`HierEngine`](fedsched_fl::HierEngine) as the population grows:
 //!
 //! * **Speedup** — wall-clock time of the identical simulation at 1, 2, 4
 //!   (and at paper scale 8) worker threads. Cohorts are embarrassingly
 //!   parallel, so large populations should approach linear scaling while
 //!   tiny ones expose the fixed overhead honestly.
-//! * **Parity** — every thread count must produce an [`EngineReport`] that
+//! * **Parity** — every thread count must produce a [`HierReport`] that
 //!   is `==` (bit-for-bit, floats included) to the single-threaded run.
 //!   The sweep records this instead of assuming it, so a scheduling
 //!   regression shows up as a failed run, not a quietly different number.
@@ -25,8 +25,8 @@ use std::time::Instant;
 use fedsched_core::Schedule;
 use fedsched_device::{Device, DeviceArena, DeviceModel, TrainingWorkload};
 use fedsched_fl::{
-    derive_cohort_seed, DeadlinePolicy, EngineReport, ParallelRoundEngine, RoundConfig,
-    RoundOutcome, SimBuilder, TimingReport, DEFAULT_COHORT_SIZE,
+    derive_cohort_seed, DeadlinePolicy, HierReport, RoundConfig, RoundOutcome, SimBuilder,
+    TimingReport, DEFAULT_COHORT_SIZE,
 };
 use fedsched_net::{model_transfer_bytes, Link};
 use fedsched_profiler::ModelArch;
@@ -129,24 +129,22 @@ pub struct EventEnginePoint {
     pub event_wall_s: f64,
 }
 
-/// Flat-vs-hierarchical parity at one population size: the two-tier
+/// Thread invariance at one population size: the two-tier
 /// [`HierEngine`](fedsched_fl::HierEngine) in its default one-edge-per-
-/// cohort topology must reproduce the flat engine's report byte for byte
-/// at every thread count.
+/// cohort topology must reproduce its own single-threaded report byte for
+/// byte at every thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierParityPoint {
     /// Devices simulated.
     pub population: usize,
     /// Cohorts (= edges in the parity topology).
     pub cohorts: usize,
-    /// Thread counts checked.
+    /// Thread counts checked against the single-threaded reference.
     pub thread_counts: Vec<usize>,
-    /// Whether every thread count's hierarchical report matched the flat
-    /// single-threaded baseline exactly (floats compared with `==`).
+    /// Whether every thread count's report matched the single-threaded
+    /// reference exactly (floats compared with `==`).
     pub parity: bool,
-    /// Wall-clock seconds of the flat single-threaded baseline.
-    pub flat_wall_s: f64,
-    /// Wall-clock seconds of the single-threaded hierarchical run.
+    /// Wall-clock seconds of the single-threaded reference run.
     pub hier_wall_s: f64,
 }
 
@@ -207,7 +205,7 @@ pub struct ScaleoutSweep {
     pub coordination: Vec<CoordinationPoint>,
     /// The round core under sparse participation.
     pub event: EventEnginePoint,
-    /// Flat-vs-hierarchical byte-identity check.
+    /// Hierarchical thread-invariance check.
     pub hier: HierParityPoint,
     /// The arena-backed mega-scale arm.
     pub mega: MegaScalePoint,
@@ -272,7 +270,7 @@ pub fn coordination_point(n: usize, seed: u64, rounds: usize) -> CoordinationPoi
     let mut per_cohort = builder()
         .deadline(DeadlinePolicy::MeanFactor(DEADLINE_FACTOR))
         .no_rescue()
-        .build_engine()
+        .build_hier()
         .expect("per-cohort deadline engine config is valid");
     let per_report = per_cohort.run(&schedule, rounds);
 
@@ -295,7 +293,7 @@ pub fn coordination_point(n: usize, seed: u64, rounds: usize) -> CoordinationPoi
         population: n,
         cohorts,
         per_cohort_makespan_s: per_report.timing.per_round_makespan.iter().sum(),
-        per_cohort_lost: per_report.total_lost(),
+        per_cohort_lost: per_report.rounds.iter().map(|r| r.lost_shards).sum(),
         global_makespan_s: global_report.span_s,
         global_lost: global_report.total_lost(),
         async_span_s: async_report.span_s,
@@ -348,45 +346,18 @@ pub fn event_point(n: usize, active: usize, rounds: usize, seed: u64) -> EventEn
     }
 }
 
-/// Measure flat-vs-hierarchical byte-identity at one population size:
-/// the default one-edge-per-cohort [`HierEngine`] against the flat
-/// engine's single-threaded baseline, at every requested thread count.
+/// Measure thread invariance at one population size: the default
+/// one-edge-per-cohort [`HierEngine`](fedsched_fl::HierEngine) at every
+/// requested thread count against its own single-threaded run.
 pub fn hier_point(n: usize, seed: u64, rounds: usize, thread_counts: &[usize]) -> HierParityPoint {
-    let schedule = Schedule::new(vec![SHARDS_PER_DEVICE; n], SHARD_SIZE);
-    let config = RoundConfig::new(
-        TrainingWorkload::lenet(),
-        Link::wifi_campus(),
-        model_transfer_bytes(&ModelArch::lenet()),
-        seed,
-    );
-
-    let mut flat = SimBuilder::new(population(n, seed), config)
-        .threads(1)
-        .build_engine()
-        .expect("valid flat engine config");
-    let start = Instant::now();
-    let baseline = flat.run(&schedule, rounds);
-    let flat_wall_s = start.elapsed().as_secs_f64();
-
+    let (reference, hier_wall_s) = timed_run(n, seed, 1, rounds);
     let mut parity = true;
-    let mut hier_wall_s = 0.0;
-    for &t in thread_counts {
-        let mut hier = SimBuilder::new(population(n, seed), config)
-            .threads(t)
-            .build_hier()
-            .expect("valid hier engine config");
-        let start = Instant::now();
-        let report = hier.run(&schedule, rounds);
-        let wall = start.elapsed().as_secs_f64();
-        if t == 1 {
-            hier_wall_s = wall;
-        }
-        let same = report.timing == baseline.timing
-            && report.rounds == baseline.rounds
-            && report.cohorts == baseline.cohorts;
+    for &t in thread_counts.iter().filter(|&&t| t > 1) {
+        let (report, _) = timed_run(n, seed, t, rounds);
+        let same = report == reference;
         assert!(
             same,
-            "threads={t}, n={n}: hierarchical report diverged from flat"
+            "threads={t}, n={n}: hierarchical report diverged from threads=1"
         );
         parity &= same;
     }
@@ -396,7 +367,6 @@ pub fn hier_point(n: usize, seed: u64, rounds: usize, thread_counts: &[usize]) -
         cohorts: n.div_ceil(DEFAULT_COHORT_SIZE),
         thread_counts: thread_counts.to_vec(),
         parity,
-        flat_wall_s,
         hier_wall_s,
     }
 }
@@ -474,8 +444,8 @@ fn sweep_cohort(
 /// The arena-backed quiet sweep: the engine's cohort geometry, seed
 /// derivation, per-cohort round loop and merge fold replicated over a
 /// [`DeviceArena`], touching only devices that hold shards. The output is
-/// engine-shaped and byte-identical to a real [`HierEngine`] /
-/// flat-engine run of the same scenario — `mega_matches_hier` and the
+/// engine-shaped and byte-identical to a real default-topology
+/// [`HierEngine`] run of the same scenario — `mega_matches_hier` and the
 /// differential suite pin that — while the resident population stays at
 /// tens of bytes per pristine device, which is what lets the sweep reach
 /// a million devices.
@@ -636,8 +606,11 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-fn engine(n: usize, seed: u64, threads: usize) -> ParallelRoundEngine {
-    SimBuilder::new(
+/// Time one full default-topology engine run, returning the report and
+/// wall seconds.
+fn timed_run(n: usize, seed: u64, threads: usize, rounds: usize) -> (HierReport, f64) {
+    let schedule = Schedule::new(vec![SHARDS_PER_DEVICE; n], SHARD_SIZE);
+    let mut eng = SimBuilder::new(
         population(n, seed),
         RoundConfig::new(
             TrainingWorkload::lenet(),
@@ -647,14 +620,8 @@ fn engine(n: usize, seed: u64, threads: usize) -> ParallelRoundEngine {
         ),
     )
     .threads(threads)
-    .build_engine()
-    .expect("valid engine config")
-}
-
-/// Time one full engine run, returning the report and wall seconds.
-fn timed_run(n: usize, seed: u64, threads: usize, rounds: usize) -> (EngineReport, f64) {
-    let schedule = Schedule::new(vec![SHARDS_PER_DEVICE; n], SHARD_SIZE);
-    let mut eng = engine(n, seed, threads);
+    .build_hier()
+    .expect("valid engine config");
     let start = Instant::now();
     let report = eng.run(&schedule, rounds);
     (report, start.elapsed().as_secs_f64())
@@ -744,7 +711,7 @@ pub fn run(scale: Scale, seed: u64) -> ScaleoutSweep {
 
 /// Render the sweep as one table per population plus the probe numbers.
 pub fn render(sweep: &ScaleoutSweep) -> String {
-    let mut out = String::from("## Scale-out — parallel multi-cohort engine\n\n");
+    let mut out = String::from("## Scale-out — population engine\n\n");
     out.push_str(&format!(
         "LeNet over WiFi, {} shards/device, {} rounds, cohorts of {}; every \
          thread count verified bit-identical to the single-threaded run. \
@@ -818,15 +785,13 @@ pub fn render(sweep: &ScaleoutSweep) -> String {
     ));
     let h = &sweep.hier;
     out.push_str(&format!(
-        "\n### Two-tier hierarchy — flat-vs-hierarchical byte-identity\n\n\
+        "\n### Two-tier hierarchy — thread invariance\n\n\
          {} devices, {} cohorts (= edges, one per cohort), threads {:?}: \
-         every hierarchical report {} the flat single-threaded baseline. \
-         Flat {:.2} ms vs hierarchical {:.2} ms at one thread.\n",
+         every hierarchical report {} the single-threaded run ({:.2} ms).\n",
         h.population,
         h.cohorts,
         h.thread_counts,
         if h.parity { "matched" } else { "DIVERGED from" },
-        h.flat_wall_s * 1e3,
         h.hier_wall_s * 1e3,
     ));
     let m = &sweep.mega;
@@ -947,10 +912,9 @@ mod tests {
     #[test]
     fn hier_arm_keeps_byte_identity_at_every_thread_count() {
         let h = &sweep().hier;
-        assert!(h.parity, "hierarchical engine diverged from flat");
+        assert!(h.parity, "hierarchical engine diverged across threads");
         assert_eq!(h.population, 1_000);
         assert_eq!(h.thread_counts, vec![1, 2, 4]);
-        assert!(h.flat_wall_s > 0.0);
         assert!(h.hier_wall_s > 0.0);
     }
 

@@ -6,7 +6,7 @@
 //! *invisible* in the results: round digests and telemetry bytes are a
 //! pure function of the job request, never of scheduling order or of
 //! what else the service is running. This sweep drives a mixed fleet —
-//! sequential with crashes, sequential with churn, parallel engine, and a
+//! sequential with crashes, sequential with churn, population engine, and a
 //! bandit-selection job under performance drift — through one supervisor
 //! with all workers racing, then replays the same requests one at a time
 //! through a fresh supervisor and compares every byte.
@@ -96,8 +96,8 @@ fn requests(scale: Scale, seed: u64) -> Vec<(&'static str, JobRequest)> {
         spec.churn = Some(ChurnConfig::symmetric(0.01, 60.0));
         spec
     };
-    let engine = {
-        let mut spec = spec_for(BuildTarget::Engine, 3, seed ^ 0x22);
+    let hier = {
+        let mut spec = spec_for(BuildTarget::Hier, 3, seed ^ 0x22);
         spec.cohort_size = Some(5);
         spec.threads = Some(2);
         spec
@@ -117,7 +117,7 @@ fn requests(scale: Scale, seed: u64) -> Vec<(&'static str, JobRequest)> {
     vec![
         ("resilient + crashes", resilient),
         ("event + churn", churny),
-        ("parallel engine", engine),
+        ("population engine", hier),
         ("bandit + drift", bandit),
     ]
     .into_iter()

@@ -21,7 +21,9 @@
 pub const ZERO_COHORT_SIZE: &str = "zero_cohort_size";
 /// Thread count of zero.
 pub const ZERO_THREADS: &str = "zero_threads";
-/// A knob was set after the simulation already ran rounds.
+/// A knob was set after the simulation already ran rounds. Retired: no
+/// `ConfigError` produces it since simulators lost their post-build
+/// setters, but the published table only grows.
 pub const CONFIGURED_AFTER_RUN: &str = "configured_after_run";
 /// An empty shard assignment.
 pub const EMPTY_ASSIGNMENT: &str = "empty_assignment";

@@ -91,7 +91,7 @@ impl Schedule {
 ///
 /// Schedulers are `Send + Sync` so controllers that own one (e.g. the
 /// resilient round simulator's between-round rescheduler) can be shipped to
-/// worker threads by the parallel multi-cohort engine. All schedulers here
+/// worker threads by the population engine. All schedulers here
 /// are immutable value types, so the bound costs nothing.
 pub trait Scheduler: Send + Sync {
     /// Human-readable name for reports ("Fed-LBAP", "Equal", ...).

@@ -37,13 +37,13 @@ use fedsched_profiler::LinearProfile;
 use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::Probe;
 
-use crate::cohorts::{ChaosOptions, ParallelRoundEngine};
+use crate::cohorts::{default_engine_threads, DEFAULT_COHORT_SIZE};
 use crate::coordinator::{CoordinationMode, Coordinator};
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
-use crate::hier::HierEngine;
+use crate::hier::{HierEngine, Tiers};
 use crate::resilient::ResilientRoundSim;
 
-/// Why a simulator could not be built or reconfigured.
+/// Why a simulator could not be built.
 ///
 /// Every variant has a stable machine-readable [`cause_code`] (snake_case,
 /// never reworded) so scripts can branch on failures without parsing the
@@ -56,9 +56,6 @@ pub enum ConfigError {
     ZeroCohortSize,
     /// Worker pool of zero threads.
     ZeroThreads,
-    /// A builder was applied after the first run already froze the
-    /// configuration; the payload names the offending knob.
-    ConfiguredAfterRun(&'static str),
     /// Every user in a federated training setup is idle.
     EmptyAssignment,
     /// Malformed deadline policy; the payload is the violated rule.
@@ -120,7 +117,6 @@ impl ConfigError {
         match self {
             ConfigError::ZeroCohortSize => causes::ZERO_COHORT_SIZE,
             ConfigError::ZeroThreads => causes::ZERO_THREADS,
-            ConfigError::ConfiguredAfterRun(_) => causes::CONFIGURED_AFTER_RUN,
             ConfigError::EmptyAssignment => causes::EMPTY_ASSIGNMENT,
             ConfigError::InvalidDeadline(_) => causes::INVALID_DEADLINE,
             ConfigError::InvalidSocFloor(_) => causes::INVALID_SOC_FLOOR,
@@ -145,9 +141,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::ZeroCohortSize => write!(f, "cohort size must be positive"),
             ConfigError::ZeroThreads => write!(f, "thread count must be positive"),
-            ConfigError::ConfiguredAfterRun(what) => {
-                write!(f, "cannot set {what} after the first run")
-            }
             ConfigError::EmptyAssignment => {
                 write!(f, "federated run needs at least one user with data")
             }
@@ -243,9 +236,9 @@ pub(crate) struct AsyncOptions {
     pub(crate) eta: f64,
 }
 
-/// One builder for every simulator: the sequential [`EventRoundSim`] and
-/// the population engines built on it — [`ParallelRoundEngine`],
-/// [`Coordinator`] and [`HierEngine`].
+/// One builder for every simulator: the sequential [`EventRoundSim`], the
+/// population engine [`HierEngine`] built on it, and the [`Coordinator`]
+/// that drives a default-topology engine.
 ///
 /// Setters are infallible and record raw values; each terminal `build_*`
 /// validates the full configuration against its target and rejects knobs
@@ -255,18 +248,18 @@ pub(crate) struct AsyncOptions {
 ///
 /// Which knobs each target honours (mirrors the README migration table):
 ///
-/// | Knob | `event_sim` | `engine` | `coordinator` | `hier` |
-/// |------|:-----------:|:--------:|:-------------:|:------:|
-/// | [`probe`](SimBuilder::probe) | ✓ | ✓ | ✓ | ✓ |
-/// | [`deadline`](SimBuilder::deadline) | ✓ | ✓ | ✓¹ | ✓ |
-/// | [`retry`](SimBuilder::retry), [`no_rescue`](SimBuilder::no_rescue), [`rescue_soc_floor`](SimBuilder::rescue_soc_floor), [`faults`](SimBuilder::faults) | ✓ | ✓ | ✓ | ✓ |
-/// | [`injector`](SimBuilder::injector), [`rescheduler`](SimBuilder::rescheduler), [`priors`](SimBuilder::priors) ² | ✓ | — | — | — |
-/// | [`aggregator`](SimBuilder::aggregator), [`adversary`](SimBuilder::adversary) | ✓ | ✓ | ✓ | ✓ |
-/// | [`cohort_size`](SimBuilder::cohort_size), [`threads`](SimBuilder::threads) | — | ✓ | ✓ | ✓ |
-/// | [`churn`](SimBuilder::churn), [`admission`](SimBuilder::admission) | ✓ | ✓ | ✓ | ✓ |
-/// | [`selection`](SimBuilder::selection) | ✓ | ✓ | ✓ | ✓ |
-/// | [`buffered_async`](SimBuilder::buffered_async) | — | — | ✓¹ | — |
-/// | [`edges`](SimBuilder::edges), [`edge_link`](SimBuilder::edge_link), [`edge_aggregator`](SimBuilder::edge_aggregator), [`server_aggregator`](SimBuilder::server_aggregator) | — | — | — | ✓ |
+/// | Knob | `event_sim` | `coordinator` | `hier` |
+/// |------|:-----------:|:-------------:|:------:|
+/// | [`probe`](SimBuilder::probe) | ✓ | ✓ | ✓ |
+/// | [`deadline`](SimBuilder::deadline) | ✓ | ✓¹ | ✓ |
+/// | [`retry`](SimBuilder::retry), [`no_rescue`](SimBuilder::no_rescue), [`rescue_soc_floor`](SimBuilder::rescue_soc_floor), [`faults`](SimBuilder::faults) | ✓ | ✓ | ✓ |
+/// | [`injector`](SimBuilder::injector), [`rescheduler`](SimBuilder::rescheduler), [`priors`](SimBuilder::priors) ² | ✓ | — | — |
+/// | [`aggregator`](SimBuilder::aggregator), [`adversary`](SimBuilder::adversary) | ✓ | ✓ | ✓ |
+/// | [`cohort_size`](SimBuilder::cohort_size), [`threads`](SimBuilder::threads) | — | ✓ | ✓ |
+/// | [`churn`](SimBuilder::churn), [`admission`](SimBuilder::admission) | ✓ | ✓ | ✓ |
+/// | [`selection`](SimBuilder::selection) | ✓ | ✓ | ✓ |
+/// | [`buffered_async`](SimBuilder::buffered_async) | — | ✓¹ | — |
+/// | [`edges`](SimBuilder::edges), [`edge_link`](SimBuilder::edge_link), [`edge_aggregator`](SimBuilder::edge_aggregator), [`server_aggregator`](SimBuilder::server_aggregator) | — | — | ✓ |
 ///
 /// ¹ a coordinator takes a deadline *or* `buffered_async`, not both.
 /// ² ad-hoc injected objects; accepted in-process but rejected by
@@ -343,11 +336,11 @@ impl SimBuilder {
 
     /// Set the per-round deadline policy. On [`build_event_sim`] adaptive
     /// policies resolve against the cohort's own predicted times each
-    /// round; on [`build_engine`] against each cohort separately; on
+    /// round; on [`build_hier`] against each cohort separately; on
     /// [`build_coordinator`] against the pooled population.
     ///
     /// [`build_event_sim`]: SimBuilder::build_event_sim
-    /// [`build_engine`]: SimBuilder::build_engine
+    /// [`build_hier`]: SimBuilder::build_hier
     /// [`build_coordinator`]: SimBuilder::build_coordinator
     pub fn deadline(mut self, policy: DeadlinePolicy) -> Self {
         self.deadline = policy;
@@ -373,7 +366,7 @@ impl SimBuilder {
     }
 
     /// Inject faults drawn from `config`, planned for `planned_rounds`.
-    /// On the engine/coordinator each cohort derives its own injector.
+    /// On the population engines each cohort derives its own injector.
     pub fn faults(mut self, config: FaultConfig, planned_rounds: usize) -> Self {
         self.faults = Some((config, planned_rounds));
         self
@@ -399,13 +392,13 @@ impl SimBuilder {
         self
     }
 
-    /// Devices per cohort (engine/coordinator only).
+    /// Devices per cohort (coordinator and hier only).
     pub fn cohort_size(mut self, size: usize) -> Self {
         self.cohort_size = Some(size);
         self
     }
 
-    /// Worker threads (engine/coordinator only). Never changes results.
+    /// Worker threads (coordinator and hier only). Never changes results.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -430,9 +423,8 @@ impl SimBuilder {
     }
 
     /// Attach an adversary model planned for `planned_rounds`. On the
-    /// engine-family targets each
-    /// cohort derives its own [`AdversaryPlan`] from the cohort seed,
-    /// mirroring per-cohort fault injectors.
+    /// population engines each cohort derives its own [`AdversaryPlan`]
+    /// from the cohort seed, mirroring per-cohort fault injectors.
     pub fn adversary(mut self, config: AdversaryConfig, planned_rounds: usize) -> Self {
         self.adversary = Some((config, planned_rounds));
         self
@@ -453,7 +445,7 @@ impl SimBuilder {
     /// let engine = SimBuilder::new(Testbed::testbed_1(7).devices().to_vec(), config)
     ///     .faults(FaultConfig::none(), 4)
     ///     .churn(ChurnConfig::symmetric(0.05, 60.0)) // events/s per device, horizon
-    ///     .build_engine()?;
+    ///     .build_hier()?;
     /// # let _ = engine;
     /// # Ok::<(), fedsched_fl::ConfigError>(())
     /// ```
@@ -527,8 +519,8 @@ impl SimBuilder {
     /// Number of edge aggregators in a two-tier topology
     /// ([`build_hier`](SimBuilder::build_hier) only). Cohorts are split
     /// across edges in balanced contiguous spans; defaults to one edge
-    /// per cohort, the parity topology that is byte-identical to the
-    /// flat engine.
+    /// per cohort, the parity topology whose server fold is the flat
+    /// cohort merge.
     pub fn edges(mut self, edges: usize) -> Self {
         self.edges = Some(edges);
         self
@@ -586,8 +578,8 @@ impl SimBuilder {
 
     /// Reject the knobs only the sequential sim takes: a pre-built
     /// injector is sized for one fleet, and the rescheduler and priors act
-    /// on one set of online profiles — the engine family derives a fault
-    /// plan and profiles per cohort.
+    /// on one set of online profiles — the population engines derive a
+    /// fault plan and profiles per cohort.
     fn reject_sequential_only(&self) -> Result<(), ConfigError> {
         if self.injector.is_some() {
             return Err(ConfigError::UnsupportedOption("injector"));
@@ -702,6 +694,33 @@ impl SimBuilder {
         }
     }
 
+    /// Validate every knob the round core shares across targets and
+    /// freeze them into the setter-free [`CoreConfig`].
+    fn core_config(&mut self) -> Result<CoreConfig, ConfigError> {
+        let admission = self.take_churn()?;
+        self.check_deadline()?;
+        self.check_retry()?;
+        self.check_soc_floor()?;
+        let aggregator = self.check_aggregator()?;
+        let adversary = self.check_adversary()?;
+        let selection = self.check_selection()?;
+        let c = self.config;
+        Ok(CoreConfig {
+            workload: c.workload,
+            link: c.link,
+            model_bytes: c.model_bytes,
+            faults: self.faults.take(),
+            retry: self.retry,
+            deadline: self.deadline,
+            rescue: self.rescue,
+            rescue_soc_floor: self.rescue_soc_floor,
+            aggregator,
+            adversary,
+            admission,
+            selection,
+        })
+    }
+
     /// Build the sequential round engine, [`EventRoundSim`]: every fault,
     /// deadline, rescue, rescheduler, priors, adversary, selection and
     /// churn knob is honoured. With no fault source configured the
@@ -717,102 +736,43 @@ impl SimBuilder {
         if self.async_opts.is_some() {
             return Err(ConfigError::UnsupportedOption("buffered_async"));
         }
-        let admission = self.take_churn()?;
-        self.check_deadline()?;
-        self.check_retry()?;
-        self.check_soc_floor()?;
-        let aggregator = self.check_aggregator()?;
-        let adversary = self.check_adversary()?;
-        let selection = self.check_selection()?;
+        let core = self.core_config()?;
         let n = self.devices.len();
-        if let Some((_, every)) = &self.rescheduler {
-            if *every == 0 {
-                return Err(ConfigError::ZeroRescheduleInterval);
-            }
+        if let Some((_, 0)) = &self.rescheduler {
+            return Err(ConfigError::ZeroRescheduleInterval);
         }
-        if let Some(priors) = &self.priors {
-            if priors.len() != n {
-                return Err(ConfigError::ArityMismatch {
-                    what: "priors",
+        let sized = |what, got| {
+            if got == n {
+                Ok(())
+            } else {
+                Err(ConfigError::ArityMismatch {
+                    what,
                     expected: n,
-                    got: priors.len(),
-                });
+                    got,
+                })
             }
-        }
-        let c = self.config;
-        let injector = match (self.injector, &self.faults) {
-            (Some(injector), _) => injector,
-            (None, Some((config, planned))) => {
-                FaultInjector::from_config(config.clone(), n, *planned, c.seed)
-            }
-            (None, None) => FaultInjector::quiet(n),
         };
-        if injector.plan().n_devices() != n {
-            return Err(ConfigError::ArityMismatch {
-                what: "fault plan",
-                expected: n,
-                got: injector.plan().n_devices(),
-            });
+        if let Some(priors) = &self.priors {
+            sized("priors", priors.len())?;
         }
-        let mut core = ResilientRoundSim::from_parts(
-            self.devices,
-            c.workload,
-            c.link,
-            c.model_bytes,
-            c.seed,
-            injector,
-        )
-        .with_probe(self.probe)
-        .with_deadline_policy(self.deadline)
-        .with_rescue_soc_floor(self.rescue_soc_floor)
-        .with_aggregator(aggregator);
-        if let Some((config, planned)) = adversary {
-            core = core.with_adversary(AdversaryPlan::generate(config, n, planned, c.seed));
+        if let Some(injector) = &self.injector {
+            sized("fault plan", injector.plan().n_devices())?;
         }
-        if let Some(retry) = self.retry {
-            core = core.with_retry(retry);
-        }
-        if !self.rescue {
-            core = core.without_rescue();
-        }
-        if let Some((scheduler, every)) = self.rescheduler {
-            core = core.with_rescheduler(scheduler, every);
-        }
-        if let Some(priors) = self.priors {
-            core = core.with_priors(&priors);
-        }
-        if let Some(config) = selection {
-            core = core.with_selection(config);
-        }
-        let mut sim = EventRoundSim::new(core);
-        if let Some(policy) = admission {
-            sim.set_admission(policy);
-        }
-        Ok(sim)
+        let extras = SequentialExtras {
+            injector: self.injector,
+            rescheduler: self.rescheduler,
+            priors: self.priors,
+        };
+        Ok(core.event_sim(self.devices, self.config.seed, self.probe, extras))
     }
 
-    /// Build a [`ParallelRoundEngine`]: one [`EventRoundSim`] per cohort,
-    /// each with its own fault plan derived from the cohort seed. Adaptive
-    /// deadlines resolve *per cohort* (use
-    /// [`build_coordinator`](SimBuilder::build_coordinator) for one
-    /// population-pooled deadline).
-    pub fn build_engine(self) -> Result<ParallelRoundEngine, ConfigError> {
+    /// Build a [`Coordinator`]: a default-topology [`HierEngine`] driven
+    /// by a cross-cohort control loop. The deadline policy resolves
+    /// against the *pooled population* predictions (one global straggler
+    /// cutoff per round) in barrier mode, or is rejected in buffered-async
+    /// mode where no global barrier exists.
+    pub fn build_coordinator(mut self) -> Result<Coordinator, ConfigError> {
         self.reject_hier()?;
-        self.reject_sequential_only()?;
-        if self.async_opts.is_some() {
-            return Err(ConfigError::UnsupportedOption("buffered_async"));
-        }
-        self.build_engine_with()
-    }
-
-    /// Build a [`Coordinator`]: a [`ParallelRoundEngine`] driven by a
-    /// cross-cohort control loop. The deadline policy resolves against the
-    /// *pooled population* predictions (one global straggler cutoff per
-    /// round) in barrier mode, or is rejected in buffered-async mode where
-    /// no global barrier exists.
-    pub fn build_coordinator(self) -> Result<Coordinator, ConfigError> {
-        self.reject_hier()?;
-        self.reject_sequential_only()?;
         let mode = self.check_async()?.unwrap_or(CoordinationMode::Barrier);
         let policy = self.deadline;
         if !policy.is_off() && matches!(mode, CoordinationMode::BufferedAsync { .. }) {
@@ -820,109 +780,163 @@ impl SimBuilder {
                 "global deadline policies require barrier mode",
             ));
         }
+        policy.check().map_err(ConfigError::InvalidDeadline)?;
         // The coordinator owns deadline resolution: cohorts must not also
         // resolve per-cohort, so the engine is always built with its own
         // policy Off and receives the global cutoff round by round.
-        let mut builder = self;
-        builder.deadline = DeadlinePolicy::Off;
-        builder.async_opts = None;
-        policy.check().map_err(ConfigError::InvalidDeadline)?;
-        let engine = builder.build_engine_with()?;
-        Ok(Coordinator::from_parts(engine, policy, mode))
+        self.deadline = DeadlinePolicy::Off;
+        self.async_opts = None;
+        Ok(Coordinator::from_parts(self.build_hier()?, policy, mode))
     }
 
-    /// Build a two-tier [`HierEngine`]: edge aggregators reduce balanced
+    /// Build the population engine, [`HierEngine`]: one [`EventRoundSim`]
+    /// per cohort, each with its own fault plan derived from the cohort
+    /// seed, under a two-tier reduction — edge aggregators reduce balanced
     /// contiguous cohort spans, the server reduces the edge aggregates.
-    /// The underlying cohorts honour every engine knob (faults,
-    /// deadlines, churn, selection); topology knobs add on top. With the defaults — one edge per cohort, no
-    /// backhaul link, FedAvg at both tiers — reports *and traces* are
-    /// byte-identical to [`build_engine`](SimBuilder::build_engine) at
-    /// every thread count.
+    /// The cohorts honour every round-core knob (faults, deadlines, churn,
+    /// selection; adaptive deadlines resolve *per cohort* — use
+    /// [`build_coordinator`](SimBuilder::build_coordinator) for one
+    /// population-pooled deadline); topology knobs add on top. With the
+    /// defaults — one edge per cohort, no backhaul link, FedAvg at both
+    /// tiers — the tiers emit nothing, and a single cohort replays the
+    /// sequential [`EventRoundSim`] byte for byte.
     pub fn build_hier(mut self) -> Result<HierEngine, ConfigError> {
         self.reject_sequential_only()?;
         if self.async_opts.is_some() {
             return Err(ConfigError::UnsupportedOption("buffered_async"));
         }
-        let edges = self.edges.take();
-        let edge_link = self.edge_link.take();
-        let edge_aggregator = self.edge_aggregator.take().unwrap_or_default();
-        let server_aggregator = self.server_aggregator.take().unwrap_or_default();
+        let edge_aggregator = self.edge_aggregator.unwrap_or_default();
+        let server_aggregator = self.server_aggregator.unwrap_or_default();
         edge_aggregator
             .validate()
             .map_err(ConfigError::InvalidAggregator)?;
         server_aggregator
             .validate()
             .map_err(ConfigError::InvalidAggregator)?;
-        if edges == Some(0) {
+        if self.edges == Some(0) {
             return Err(ConfigError::InvalidTopology(
                 "hierarchy needs at least one edge aggregator",
             ));
         }
-        let model_bytes = self.config.model_bytes;
-        let seed = self.config.seed;
-        let engine = self.build_engine_with()?;
-        let n_cohorts = engine.n_cohorts();
-        let edges = edges.unwrap_or(n_cohorts);
+        let mut core = self.core_config()?;
+        // Cohort fault plans always carry their cohort seed, so even a
+        // fault-free cohort's draw streams follow the cohort geometry.
+        core.faults.get_or_insert_with(|| (FaultConfig::none(), 0));
+        let cohort_size = self.cohort_size.unwrap_or(DEFAULT_COHORT_SIZE);
+        if cohort_size == 0 {
+            return Err(ConfigError::ZeroCohortSize);
+        }
+        let threads = self.threads.unwrap_or_else(default_engine_threads);
+        if threads == 0 {
+            return Err(ConfigError::ZeroThreads);
+        }
+        let n_cohorts = self.devices.len().div_ceil(cohort_size);
+        let edges = self.edges.unwrap_or(n_cohorts);
         if edges > n_cohorts {
             return Err(ConfigError::InvalidTopology(
                 "more edge aggregators than cohorts",
             ));
         }
-        Ok(HierEngine::from_parts(
-            engine,
+        let tiers = Tiers {
             edges,
-            edge_link,
+            edge_link: self.edge_link,
             edge_aggregator,
             server_aggregator,
-            model_bytes,
-            seed,
+        };
+        Ok(HierEngine::from_parts(
+            self.devices,
+            self.config.seed,
+            core,
+            self.probe,
+            cohort_size,
+            threads,
+            tiers,
         ))
     }
+}
 
-    fn build_engine_with(mut self) -> Result<ParallelRoundEngine, ConfigError> {
-        let admission = self.take_churn()?;
-        self.check_deadline()?;
-        self.check_retry()?;
-        self.check_soc_floor()?;
-        let aggregator = self.check_aggregator()?;
-        let adversary = self.check_adversary()?;
-        let selection = self.check_selection()?;
-        let c = self.config;
-        let mut engine = ParallelRoundEngine::from_parts(
-            self.devices,
-            c.workload,
-            c.link,
-            c.model_bytes,
-            c.seed,
+/// Every round-core knob, validated and setter-free: what [`SimBuilder`]
+/// freezes once per build and [`CoreConfig::event_sim`] turns into a
+/// round core — once for the sequential sim, once per cohort in
+/// [`HierEngine`].
+pub(crate) struct CoreConfig {
+    pub(crate) workload: TrainingWorkload,
+    pub(crate) link: Link,
+    pub(crate) model_bytes: f64,
+    pub(crate) faults: Option<(FaultConfig, usize)>,
+    pub(crate) retry: Option<RetryPolicy>,
+    pub(crate) deadline: DeadlinePolicy,
+    pub(crate) rescue: bool,
+    pub(crate) rescue_soc_floor: f64,
+    pub(crate) aggregator: AggregatorKind,
+    pub(crate) adversary: Option<(AdversaryConfig, usize)>,
+    pub(crate) admission: Option<AdmissionPolicy>,
+    pub(crate) selection: Option<SelectionConfig>,
+}
+
+/// Host-side objects only the sequential target takes: each is sized for
+/// one fleet and none has a wire form.
+#[derive(Default)]
+pub(crate) struct SequentialExtras {
+    pub(crate) injector: Option<FaultInjector>,
+    pub(crate) rescheduler: Option<(Box<dyn Scheduler>, usize)>,
+    pub(crate) priors: Option<Vec<LinearProfile>>,
+}
+
+impl CoreConfig {
+    /// The one place a round core is assembled: `devices` simulated from
+    /// `seed`, recording into `probe`. The fault injector is the extras'
+    /// pre-built one, else planned from `faults` for this fleet and seed,
+    /// else quiet.
+    pub(crate) fn event_sim(
+        &self,
+        devices: Vec<Device>,
+        seed: u64,
+        probe: Probe,
+        extras: SequentialExtras,
+    ) -> EventRoundSim {
+        let n = devices.len();
+        let injector = extras.injector.unwrap_or_else(|| match &self.faults {
+            Some((config, planned)) => {
+                FaultInjector::from_config(config.clone(), n, *planned, seed)
+            }
+            None => FaultInjector::quiet(n),
+        });
+        let mut core = ResilientRoundSim::from_parts(
+            devices,
+            self.workload,
+            self.link,
+            self.model_bytes,
+            seed,
+            injector,
         )
-        .try_with_probe(self.probe)?;
-        if let Some(size) = self.cohort_size {
-            engine = engine.try_with_cohort_size(size)?;
-        }
-        if let Some(threads) = self.threads {
-            engine = engine.try_with_threads(threads)?;
-        }
-        let (config, planned) = self.faults.unwrap_or_else(|| (FaultConfig::none(), 0));
-        let mut opts = ChaosOptions::new(config, planned)
-            .with_deadline_policy(self.deadline)
-            .with_rescue_soc_floor(self.rescue_soc_floor)
-            .with_aggregator(aggregator);
-        if let Some((adv, adv_rounds)) = adversary {
-            opts = opts.with_adversary(adv, adv_rounds);
-        }
-        if let Some(policy) = admission {
-            opts = opts.with_admission(policy);
-        }
-        if let Some(config) = selection {
-            opts = opts.with_selection(config);
+        .with_probe(probe)
+        .with_deadline_policy(self.deadline)
+        .with_rescue_soc_floor(self.rescue_soc_floor)
+        .with_aggregator(self.aggregator);
+        if let Some((config, planned)) = self.adversary {
+            core = core.with_adversary(AdversaryPlan::generate(config, n, planned, seed));
         }
         if let Some(retry) = self.retry {
-            opts = opts.with_retry(retry);
+            core = core.with_retry(retry);
         }
         if !self.rescue {
-            opts = opts.without_rescue();
+            core = core.without_rescue();
         }
-        engine.try_with_chaos(opts)
+        if let Some((scheduler, every)) = extras.rescheduler {
+            core = core.with_rescheduler(scheduler, every);
+        }
+        if let Some(priors) = extras.priors {
+            core = core.with_priors(&priors);
+        }
+        if let Some(config) = self.selection {
+            core = core.with_selection(config);
+        }
+        let mut sim = EventRoundSim::new(core);
+        if let Some(policy) = self.admission {
+            sim.set_admission(policy);
+        }
+        sim
     }
 }
 
@@ -992,7 +1006,7 @@ mod tests {
 
         let err = SimBuilder::new(devices(1), config(1))
             .buffered_async(2, 0.5)
-            .build_engine()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::UnsupportedOption("buffered_async"));
@@ -1009,7 +1023,7 @@ mod tests {
     fn invalid_values_map_to_typed_errors() {
         let err = SimBuilder::new(devices(1), config(1))
             .cohort_size(0)
-            .build_engine()
+            .build_hier()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::ZeroCohortSize);
@@ -1017,7 +1031,7 @@ mod tests {
 
         let err = SimBuilder::new(devices(1), config(1))
             .threads(0)
-            .build_engine()
+            .build_hier()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::ZeroThreads);
@@ -1069,7 +1083,7 @@ mod tests {
                 AdversaryConfig::none().with_attackers(1.5, fedsched_faults::AttackKind::SignFlip),
                 4,
             )
-            .build_engine()
+            .build_hier()
             .err()
             .unwrap();
         assert_eq!(err.cause_code(), "invalid_adversary");
@@ -1108,7 +1122,6 @@ mod tests {
                 .admission(crate::AdmissionPolicy::MidRoundFill)
         };
         assert!(churned().build_event_sim().is_ok());
-        assert!(churned().build_engine().is_ok());
         assert!(churned().build_coordinator().is_ok());
         assert!(churned().build_hier().is_ok());
 
@@ -1187,7 +1200,7 @@ mod tests {
         let bad_eps = SelectionConfig::new(PolicyKind::EpsilonGreedy { epsilon: 1.5 }, 2);
         let err = SimBuilder::new(devices(1), config(1))
             .selection(Selection::Bandit(bad_eps))
-            .build_engine()
+            .build_hier()
             .err()
             .unwrap();
         assert_eq!(err.cause_code(), "invalid_selection");
@@ -1206,10 +1219,6 @@ mod tests {
         assert!(SimBuilder::new(devices(1), config(1))
             .selection(Selection::Bandit(ucb))
             .build_event_sim()
-            .is_ok());
-        assert!(SimBuilder::new(devices(1), config(1))
-            .selection(Selection::Bandit(ucb))
-            .build_engine()
             .is_ok());
         assert!(SimBuilder::new(devices(1), config(1))
             .selection(Selection::Bandit(ucb))
@@ -1239,7 +1248,7 @@ mod tests {
 
         let err = SimBuilder::new(devices(1), config(1))
             .edge_aggregator(AggregatorKind::Median)
-            .build_engine()
+            .build_event_sim()
             .err()
             .unwrap();
         assert_eq!(err, ConfigError::UnsupportedOption("edge_aggregator"));
@@ -1279,7 +1288,7 @@ mod tests {
             ConfigError::InvalidTopology("more edge aggregators than cohorts")
         );
 
-        // Hier still rejects knobs the engine core cannot honour.
+        // Hier rejects the coordinator's async mode.
         let err = SimBuilder::new(devices(1), config(1))
             .buffered_async(2, 0.5)
             .build_hier()
@@ -1298,29 +1307,21 @@ mod tests {
 
     #[test]
     fn hier_defaults_build_and_report_parity_shape() {
+        // testbed_1's 3 devices fit one default cohort, whose stream is the
+        // master stream: the default topology replays the sequential sim.
         let mut hier = SimBuilder::new(devices(3), config(3)).build_hier().unwrap();
         assert_eq!(hier.n_edges(), hier.n_cohorts());
         let report = hier.run(&schedule(), 2);
-        let mut flat = SimBuilder::new(devices(3), config(3))
-            .build_engine()
+        let mut sequential = SimBuilder::new(devices(3), config(3))
+            .build_event_sim()
             .unwrap();
-        let flat_report = flat.run(&schedule(), 2);
-        assert_eq!(report.timing, flat_report.timing);
-        assert_eq!(report.rounds, flat_report.rounds);
-        assert_eq!(report.cohorts, flat_report.cohorts);
+        let expected = sequential.run(&schedule(), 2);
+        assert_eq!(report.timing, expected.timing);
+        assert_eq!(report.rounds, expected.rounds);
+        assert_eq!(report.cohorts.len(), 1);
+        assert_eq!(report.cohorts[0].timing, expected.timing);
         assert_eq!(report.edge_rejections, 0);
         assert_eq!(report.server_rejections, 0);
-    }
-
-    #[test]
-    fn configure_after_run_is_typed() {
-        let mut engine = SimBuilder::new(devices(3), config(3))
-            .build_engine()
-            .unwrap();
-        let _ = engine.run(&schedule(), 1);
-        let err = engine.try_with_cohort_size(2).err().unwrap();
-        assert_eq!(err, ConfigError::ConfiguredAfterRun("cohort size"));
-        assert_eq!(err.cause_code(), "configured_after_run");
     }
 
     #[test]
@@ -1328,10 +1329,6 @@ mod tests {
         let cases: Vec<(ConfigError, &str)> = vec![
             (ConfigError::ZeroCohortSize, "zero_cohort_size"),
             (ConfigError::ZeroThreads, "zero_threads"),
-            (
-                ConfigError::ConfiguredAfterRun("probe"),
-                "configured_after_run",
-            ),
             (ConfigError::EmptyAssignment, "empty_assignment"),
             (ConfigError::InvalidDeadline("x"), "invalid_deadline"),
             (ConfigError::InvalidSocFloor(2.0), "invalid_soc_floor"),

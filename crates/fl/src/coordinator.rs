@@ -1,5 +1,5 @@
-//! Cross-cohort coordination: one control loop above the
-//! [`ParallelRoundEngine`].
+//! Cross-cohort coordination: one control loop above a default-topology
+//! [`HierEngine`].
 //!
 //! The engine scales the simulation out, but each cohort still makes its
 //! decisions from cohort-local information — an adaptive deadline resolved
@@ -7,10 +7,9 @@
 //! [`Coordinator`] closes that loop at the population level:
 //!
 //! * **Global straggler deadline** — before each round it pools
-//!   side-effect-free predicted per-user times across *every* cohort
-//!   ([`ParallelRoundEngine::predicted_user_times`]), resolves the
-//!   [`DeadlinePolicy`] once against the pooled distribution, and pushes
-//!   the single resulting cutoff into every cohort
+//!   side-effect-free predicted per-user times across *every* cohort,
+//!   resolves the [`DeadlinePolicy`] once against the pooled distribution,
+//!   and pushes the single resulting cutoff into every cohort
 //!   ([`Event::GlobalDeadlineSet`]). Deadline-cut shards keep their partial
 //!   credit and rescue accounting, now rolled up population-wide.
 //! * **Barrier aggregation** — after the cohorts run, per-round outcomes
@@ -21,6 +20,10 @@
 //!   `buffer` updates are queued, discounting each by the shared FedAsync
 //!   staleness weight ([`staleness_weight`]), with all bookkeeping in
 //!   simulated time ([`Event::AsyncMerge`]).
+//!
+//! Neither mode has a hierarchical equivalent, so the coordinator keeps
+//! its own build target; its engine always has one edge per cohort, whose
+//! server fold is the flat cohort merge ([`EngineReport`]).
 //!
 //! # Determinism contract
 //!
@@ -36,8 +39,49 @@ use fedsched_telemetry::{Event, Probe};
 use serde::Serialize;
 
 use crate::asyncfl::staleness_weight;
-use crate::cohorts::{EngineReport, ParallelRoundEngine};
+use crate::clock::TimingReport;
+use crate::cohorts::CohortReport;
+use crate::hier::{HierEngine, HierReport};
 use crate::resilient::RoundOutcome;
+
+/// Population-level result of a coordinated run: the default-topology
+/// [`HierReport`] without its (trivial) tier breakdowns.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct EngineReport {
+    /// Population-wide timing: per-round makespan is the max across
+    /// cohorts, per-user means are in population order.
+    pub timing: TimingReport,
+    /// Population-wide per-round outcomes (shard counts summed across
+    /// cohorts, coverage recomputed).
+    pub rounds: Vec<RoundOutcome>,
+    /// Per-cohort breakdowns, in cohort order.
+    pub cohorts: Vec<CohortReport>,
+}
+
+impl EngineReport {
+    /// Mean per-round coverage across the population.
+    pub fn mean_coverage(&self) -> f64 {
+        if self.rounds.is_empty() {
+            return 1.0;
+        }
+        self.rounds.iter().map(|r| r.coverage).sum::<f64>() / self.rounds.len() as f64
+    }
+
+    /// Total shards lost across all rounds.
+    pub fn total_lost(&self) -> usize {
+        self.rounds.iter().map(|r| r.lost_shards).sum()
+    }
+}
+
+impl From<HierReport> for EngineReport {
+    fn from(report: HierReport) -> Self {
+        EngineReport {
+            timing: report.timing,
+            rounds: report.rounds,
+            cohorts: report.cohorts,
+        }
+    }
+}
 
 /// How cohort results meet the global model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -88,7 +132,7 @@ pub struct MergeRecord {
 /// Aggregate result of one [`Coordinator::run`] call.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoordinatorReport {
-    /// The underlying engine report (population timing, per-cohort
+    /// The underlying population report (timing, per-cohort
     /// breakdowns). With the policy off in barrier mode this is
     /// byte-identical to driving the engine directly.
     pub engine: EngineReport,
@@ -125,7 +169,7 @@ struct PendingUpdate {
 /// Cross-cohort coordination engine. Build with
 /// [`SimBuilder::build_coordinator`](crate::SimBuilder::build_coordinator).
 pub struct Coordinator {
-    engine: ParallelRoundEngine,
+    engine: HierEngine,
     policy: DeadlinePolicy,
     mode: CoordinationMode,
     probe: Probe,
@@ -142,11 +186,11 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Assemble a coordinator over a configured engine. The engine must
-    /// have been built with its own deadline policy off — the coordinator
-    /// owns deadline resolution.
+    /// Assemble a coordinator over a default-topology engine. The engine
+    /// must have been built with its own deadline policy off — the
+    /// coordinator owns deadline resolution.
     pub(crate) fn from_parts(
-        engine: ParallelRoundEngine,
+        engine: HierEngine,
         policy: DeadlinePolicy,
         mode: CoordinationMode,
     ) -> Self {
@@ -174,7 +218,7 @@ impl Coordinator {
     }
 
     /// The underlying engine (e.g. for device snapshots).
-    pub fn engine(&self) -> &ParallelRoundEngine {
+    pub fn engine(&self) -> &HierEngine {
         &self.engine
     }
 
@@ -186,11 +230,6 @@ impl Coordinator {
     /// Server model version (async mode; barrier mode leaves it at zero).
     pub fn server_version(&self) -> usize {
         self.server_version
-    }
-
-    /// Reset every device's thermal state (between experiment arms).
-    pub fn cool_down(&mut self) {
-        self.engine.cool_down();
     }
 
     /// Simulate `rounds` coordinated rounds of `schedule`. Cohort state
@@ -215,7 +254,7 @@ impl Coordinator {
     /// and the spliced event stream stay byte-identical to the bare
     /// engine. (Looping per round here would re-order the spliced JSONL.)
     fn run_passthrough(&mut self, schedule: &Schedule, rounds: usize) -> CoordinatorReport {
-        let report = self.engine.run(schedule, rounds);
+        let report = EngineReport::from(self.engine.run(schedule, rounds));
         let global_rounds = global_rounds_of(&report, &vec![None; rounds]);
         let span_s = report.timing.per_round_makespan.iter().sum();
         CoordinatorReport {
@@ -252,7 +291,7 @@ impl Coordinator {
                 cohorts: n_cohorts,
             });
 
-            let report = self.engine.run(schedule, 1);
+            let report = EngineReport::from(self.engine.run(schedule, 1));
             for (cohort, straggle) in straggling_cohorts(&report, 0) {
                 let makespan_s = report.cohorts[cohort].timing.per_round_makespan[0];
                 self.probe.emit(|| Event::CohortStraggling {
@@ -297,7 +336,7 @@ impl Coordinator {
         buffer: usize,
         eta: f64,
     ) -> CoordinatorReport {
-        let report = self.engine.run(schedule, rounds);
+        let report = EngineReport::from(self.engine.run(schedule, rounds));
         let n_cohorts = report.cohorts.len();
         if self.cohort_clock.len() != n_cohorts {
             self.cohort_clock = vec![0.0; n_cohorts];
@@ -501,9 +540,9 @@ mod tests {
         let schedule = uniform_schedule(n, 2);
         let mut engine = SimBuilder::new(population(n, 5), config(5))
             .cohort_size(6)
-            .build_engine()
+            .build_hier()
             .unwrap();
-        let expected = engine.run(&schedule, 3);
+        let expected = EngineReport::from(engine.run(&schedule, 3));
 
         let mut coord = SimBuilder::new(population(n, 5), config(5))
             .cohort_size(6)

@@ -96,9 +96,8 @@ pub enum AdmissionPolicy {
 ///
 /// Construct through
 /// [`SimBuilder::build_event_sim`](crate::SimBuilder::build_event_sim);
-/// every population engine
-/// ([`ParallelRoundEngine`](crate::ParallelRoundEngine) and the targets
-/// built on it) hosts one per cohort.
+/// the population engine ([`HierEngine`](crate::HierEngine), and the
+/// coordinator built on it) hosts one per cohort.
 pub struct EventRoundSim {
     inner: ResilientRoundSim,
     queue: EventQueue<RoundEvent>,

@@ -1,28 +1,29 @@
-//! Two-tier hierarchical aggregation: edge aggregators reduce their
-//! cohorts locally, the server reduces edge aggregates.
+//! The population engine: cohorts of round cores under a two-tier
+//! reduction — edge aggregators reduce their cohorts locally, the server
+//! reduces edge aggregates.
 //!
-//! [`HierEngine`] wraps a [`ParallelRoundEngine`] without touching its
-//! cohort geometry, seed derivation, or per-cohort sims — every cohort
-//! still runs the exact [`EventRoundSim`](crate::EventRoundSim) code path.
-//! The hierarchy is a
-//! *reduction topology* layered on top: cohorts are grouped into
-//! contiguous edge spans, each edge folds its cohorts' round results with
-//! the same merge arithmetic the flat engine uses, and the server folds
-//! the edge aggregates.
+//! [`HierEngine`] is the only type that owns cohort sims. It partitions
+//! the population into fixed, contiguous cohorts, gives each one a
+//! long-lived [`EventRoundSim`] seeded by
+//! [`derive_cohort_seed`], runs the cohorts on a worker pool, splices
+//! their buffered telemetry into the engine probe in cohort order, and
+//! then folds the cohort results through its edge and server tiers. The
+//! cohort tier's determinism contract lives in [`cohorts`](crate::cohorts);
+//! [`Coordinator`](crate::Coordinator) wraps a default-topology engine.
 //!
 //! # Determinism and parity contract
 //!
-//! The fold at both tiers reproduces the flat engine's merge semantics
-//! *exactly*, including the single-item verbatim passthrough. Two
-//! consequences, pinned by `tests/hier_identity.rs`:
+//! The fold at both tiers is one merge arithmetic (`fold_tier`),
+//! including the single-item verbatim passthrough. Two consequences,
+//! pinned by `tests/hier_identity.rs`:
 //!
 //! * **One edge per cohort** (the default topology): the edge tier is all
-//!   passthroughs, so the server fold sees the same inputs in the same
-//!   order as the flat merge — the report is **byte-identical** to the
-//!   flat [`Coordinator`](crate::Coordinator) / engine at every thread
-//!   count, and no hierarchy events are emitted, so traces match too.
-//! * **One edge total**: the edge fold IS the flat merge and the server
-//!   tier is a passthrough — byte-identical again.
+//!   passthroughs, so the server fold sees every cohort in cohort order —
+//!   the flat cohort merge — and no hierarchy events are emitted. With one
+//!   cohort covering the fleet, reports *and traces* are byte-identical
+//!   to the sequential [`EventRoundSim`].
+//! * **One edge total**: the edge fold IS that flat merge and the server
+//!   tier is a passthrough — the same report again.
 //!
 //! Intermediate geometries regroup floating-point reductions, so the
 //! float fields (`comm_fraction`, merged `per_round_makespan` /
@@ -48,24 +49,28 @@
 //! the differential suite checks survive any tier aggregator.
 
 use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 use fedsched_core::Schedule;
 use fedsched_device::Device;
 use fedsched_net::Link;
+use fedsched_parallel::{fixed_chunks, parallel_map_stealing};
 use fedsched_robust::AggregatorKind;
-use fedsched_telemetry::Event;
+use fedsched_telemetry::{Event, EventLog, Probe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::clock::TimingReport;
-use crate::cohorts::{CohortReport, EngineReport, ParallelRoundEngine};
+use crate::builder::{CoreConfig, SequentialExtras};
+use crate::clock::{predict_round_times, TimingReport};
+use crate::cohorts::{derive_cohort_seed, CohortReport};
+use crate::eventsim::EventRoundSim;
 use crate::resilient::RoundOutcome;
 
 /// Derive the backhaul RNG seed for `edge` from the master seed.
 ///
 /// Same splitmix64 finalizer as
-/// [`derive_cohort_seed`](crate::derive_cohort_seed) but salted so edge
+/// [`derive_cohort_seed`] but salted so edge
 /// streams are disjoint from every cohort stream, and — unlike cohort 0 —
 /// edge 0 does *not* pass the master through: backhaul sampling is a new
 /// stream, never a continuation of a device-tier one.
@@ -109,8 +114,8 @@ pub struct EdgeReport {
     pub end: usize,
     /// The edge's backhaul RNG seed (from [`derive_edge_seed`]).
     pub seed: u64,
-    /// The edge's reduced timing (same merge arithmetic as the flat
-    /// engine; backhaul seconds folded into each round's makespan).
+    /// The edge's reduced timing (`fold_tier` over its cohorts;
+    /// backhaul seconds folded into each round's makespan).
     pub timing: TimingReport,
     /// The edge's reduced per-round outcomes.
     pub rounds: Vec<RoundOutcome>,
@@ -119,15 +124,14 @@ pub struct EdgeReport {
 /// Aggregate result of one [`HierEngine::run`] call.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HierReport {
-    /// Server-tier timing: the edge aggregates folded with the flat
-    /// engine's merge arithmetic. Byte-identical to the flat
-    /// [`EngineReport`](crate::EngineReport) timing in parity topologies.
+    /// Server-tier timing: the edge aggregates folded with the same merge
+    /// arithmetic. In parity topologies this is the flat cohort merge.
     pub timing: TimingReport,
     /// Server-tier per-round outcomes.
     pub rounds: Vec<RoundOutcome>,
     /// Per-edge breakdowns, in edge order.
     pub edges: Vec<EdgeReport>,
-    /// Per-cohort breakdowns, exactly as the flat engine reports them.
+    /// Per-cohort breakdowns, in cohort order.
     pub cohorts: Vec<CohortReport>,
     /// Proxy updates the edge-tier aggregator excluded, summed over
     /// edges and rounds. Bookkeeping only — never folded back into the
@@ -139,8 +143,7 @@ pub struct HierReport {
 }
 
 /// The merge arithmetic over `(timing, rounds, participants)` items — one
-/// per cohort in the flat engine and at the edge tier, one per edge at the
-/// server tier. Per-round makespan is the max, per-user means concatenate,
+/// per cohort at the edge tier, one per edge at the server tier. Per-round makespan is the max, per-user means concatenate,
 /// the comm fraction is participant-weighted and shard counts sum with
 /// coverage recomputed; a single item passes through verbatim, so one
 /// cohort is bit-identical to the sequential sim.
@@ -248,16 +251,44 @@ fn proxy_update(outcome: &RoundOutcome, participants: usize) -> (Vec<f32>, usize
     )
 }
 
-/// Two-tier hierarchical round engine. Construct through
+/// The reduction tiers above the cohorts, as the builder validated them.
+pub(crate) struct Tiers {
+    /// Edge aggregators; `1..=n_cohorts`, or zero for an empty fleet.
+    pub(crate) edges: usize,
+    /// Edge→server backhaul, if any.
+    pub(crate) edge_link: Option<Link>,
+    /// Rule scoring per-cohort proxy updates at each edge.
+    pub(crate) edge_aggregator: AggregatorKind,
+    /// Rule scoring per-edge proxy updates at the server.
+    pub(crate) server_aggregator: AggregatorKind,
+}
+
+/// A cohort and its long-lived round core. The `Mutex` is never contended
+/// — each work item touches exactly one slot — it exists to hand `&mut`
+/// access to whichever worker claims the cohort.
+struct CohortSlot {
+    range: Range<usize>,
+    seed: u64,
+    sim: Mutex<EventRoundSim>,
+    /// Per-cohort event buffer; `Some` iff the engine probe is enabled.
+    log: Option<Arc<EventLog>>,
+}
+
+/// The population engine. Construct through
 /// [`SimBuilder::build_hier`](crate::SimBuilder::build_hier).
 pub struct HierEngine {
-    engine: ParallelRoundEngine,
-    edges: usize,
-    edge_link: Option<Link>,
-    edge_aggregator: AggregatorKind,
-    server_aggregator: AggregatorKind,
-    model_bytes: f64,
+    /// Population, held until the first run builds the cohort sims.
+    pending: Vec<Device>,
+    n: usize,
     seed: u64,
+    cohort_size: usize,
+    threads: usize,
+    probe: Probe,
+    /// What every cohort's round core is built from.
+    core: CoreConfig,
+    slots: Vec<CohortSlot>,
+    rounds_done: usize,
+    tiers: Tiers,
     /// One persistent backhaul RNG per edge, seeded by
     /// [`derive_edge_seed`]; streams continue across `run` calls exactly
     /// like the device-tier sim RNGs.
@@ -266,101 +297,201 @@ pub struct HierEngine {
 
 impl HierEngine {
     pub(crate) fn from_parts(
-        engine: ParallelRoundEngine,
-        edges: usize,
-        edge_link: Option<Link>,
-        edge_aggregator: AggregatorKind,
-        server_aggregator: AggregatorKind,
-        model_bytes: f64,
+        devices: Vec<Device>,
         seed: u64,
+        core: CoreConfig,
+        probe: Probe,
+        cohort_size: usize,
+        threads: usize,
+        tiers: Tiers,
     ) -> Self {
-        let edge_rngs = (0..edges)
+        let edge_rngs = (0..tiers.edges)
             .map(|e| StdRng::seed_from_u64(derive_edge_seed(seed, e)))
             .collect();
         HierEngine {
-            engine,
-            edges,
-            edge_link,
-            edge_aggregator,
-            server_aggregator,
-            model_bytes,
+            n: devices.len(),
+            pending: devices,
             seed,
+            cohort_size,
+            threads,
+            probe,
+            core,
+            slots: Vec::new(),
+            rounds_done: 0,
+            tiers,
             edge_rngs,
         }
     }
 
-    /// Devices in the population.
-    pub fn n_devices(&self) -> usize {
-        self.engine.n_devices()
-    }
-
     /// Cohorts the population partitions into.
     pub fn n_cohorts(&self) -> usize {
-        self.engine.n_cohorts()
+        self.n.div_ceil(self.cohort_size)
     }
 
     /// Edge aggregators in the topology.
     pub fn n_edges(&self) -> usize {
-        self.edges
+        self.tiers.edges
     }
 
-    /// Worker threads used for the parallel phase.
+    /// Worker threads used for the cohort phase. Affects wall-clock only.
     pub fn threads(&self) -> usize {
-        self.engine.threads()
+        self.threads
     }
 
     /// Rounds simulated so far across all `run` calls.
     pub fn rounds_done(&self) -> usize {
-        self.engine.rounds_done()
+        self.rounds_done
     }
 
-    /// The edge→server backhaul link, if one is configured.
-    pub fn edge_link(&self) -> Option<Link> {
-        self.edge_link
-    }
-
-    /// The edge-tier aggregation rule.
-    pub fn edge_aggregator(&self) -> AggregatorKind {
-        self.edge_aggregator
-    }
-
-    /// The server-tier aggregation rule.
-    pub fn server_aggregator(&self) -> AggregatorKind {
-        self.server_aggregator
-    }
-
-    /// Cohort index span of every edge, in edge order.
-    pub fn edge_layout(&self) -> Vec<Range<usize>> {
-        edge_cohort_ranges(self.engine.n_cohorts(), self.edges)
-    }
-
-    /// Snapshot the population (cohort sims are flushed back first).
+    /// Snapshot of the population's devices in population order (e.g. to
+    /// inspect battery drain afterwards). Clones — cohort sims keep the
+    /// originals alive across runs.
     pub fn devices(&self) -> Vec<Device> {
-        self.engine.devices()
+        if self.slots.is_empty() {
+            return self.pending.clone();
+        }
+        let mut out = Vec::with_capacity(self.n);
+        for slot in &self.slots {
+            out.extend_from_slice(slot.sim.lock().unwrap().devices());
+        }
+        out
     }
 
-    /// Idle the population between training sessions.
-    pub fn cool_down(&mut self) {
-        self.engine.cool_down();
+    /// A clone of the engine's probe (shares the attached sink), for the
+    /// coordinator to emit population-level events into the same stream.
+    pub(crate) fn probe_handle(&self) -> Probe {
+        self.probe.clone()
     }
 
-    /// True iff the topology adds nothing over the flat engine: one edge
+    /// Push one straggler deadline into every cohort (or clear them with
+    /// `None`). This is the [`Coordinator`](crate::Coordinator) hook for
+    /// applying a globally-resolved deadline before a round runs; it builds
+    /// the cohort sims if needed but never advances any RNG stream.
+    pub(crate) fn set_cohort_deadlines(&mut self, deadline_s: Option<f64>) {
+        self.ensure_slots();
+        for slot in &self.slots {
+            slot.sim.lock().unwrap().set_deadline(deadline_s);
+        }
+    }
+
+    /// Side-effect-free per-user predicted round times for `schedule`,
+    /// pooled over the *whole population* in population order. Built from a
+    /// snapshot of current device state (thermal throttling included) and
+    /// never draws from any RNG — calling it does not perturb the simulated
+    /// timeline. The [`Coordinator`](crate::Coordinator) resolves adaptive
+    /// deadline policies against this pool.
+    pub(crate) fn predicted_user_times(&self, schedule: &Schedule) -> Vec<f64> {
+        assert_eq!(
+            schedule.shards.len(),
+            self.n,
+            "schedule/population size mismatch"
+        );
+        predict_round_times(
+            &self.devices(),
+            &self.core.workload,
+            &self.core.link,
+            self.core.model_bytes,
+            schedule,
+        )
+    }
+
+    /// Build the per-cohort sims on first use. Lazy on purpose: a large
+    /// fleet's cohort construction is round cost, not set-up cost.
+    fn ensure_slots(&mut self) {
+        if !self.slots.is_empty() || self.n == 0 {
+            return;
+        }
+        let mut devices = std::mem::take(&mut self.pending).into_iter();
+        self.slots = fixed_chunks(self.n, self.cohort_size)
+            .enumerate()
+            .map(|(cohort, range)| {
+                let cohort_devices = devices.by_ref().take(range.len()).collect();
+                let seed = derive_cohort_seed(self.seed, cohort);
+                let log = self.probe.is_enabled().then(|| Arc::new(EventLog::new()));
+                let probe = match &log {
+                    Some(log) => Probe::attached(log.clone() as Arc<_>),
+                    None => Probe::disabled(),
+                };
+                let sim =
+                    self.core
+                        .event_sim(cohort_devices, seed, probe, SequentialExtras::default());
+                CohortSlot {
+                    range,
+                    seed,
+                    sim: Mutex::new(sim),
+                    log,
+                }
+            })
+            .collect();
+    }
+
+    /// Run every cohort `rounds` rounds on the worker pool, then splice
+    /// the per-cohort event buffers into the engine probe in cohort order
+    /// with user indices remapped to population indices — so the delivered
+    /// stream is ordered and deterministic even though cohorts ran
+    /// concurrently.
+    fn run_cohorts(&mut self, schedule: &Schedule, rounds: usize) -> Vec<CohortReport> {
+        assert_eq!(
+            schedule.shards.len(),
+            self.n,
+            "schedule/population size mismatch"
+        );
+        self.ensure_slots();
+        let slots = &self.slots;
+        let runs: Vec<(CohortReport, Vec<Event>)> =
+            parallel_map_stealing(slots.len(), self.threads, |c| {
+                let slot = &slots[c];
+                let sub = Schedule::new(
+                    schedule.shards[slot.range.clone()].to_vec(),
+                    schedule.shard_size,
+                );
+                let report = slot.sim.lock().unwrap().run(&sub, rounds);
+                let events = match &slot.log {
+                    Some(log) => log
+                        .take()
+                        .into_iter()
+                        .map(|ev| ev.with_user_offset(slot.range.start))
+                        .collect(),
+                    None => Vec::new(),
+                };
+                let cohort = CohortReport {
+                    start: slot.range.start,
+                    end: slot.range.end,
+                    seed: slot.seed,
+                    timing: report.timing,
+                    rounds: report.rounds,
+                };
+                (cohort, events)
+            });
+        self.rounds_done += rounds;
+        runs.into_iter()
+            .map(|(cohort, events)| {
+                for ev in events {
+                    self.probe.emit(|| ev);
+                }
+                cohort
+            })
+            .collect()
+    }
+
+    /// True iff the topology adds nothing over the cohort merge: one edge
     /// per cohort, no backhaul link, FedAvg at both tiers. In that case
     /// no hierarchy events are emitted, so traces — not just reports —
-    /// stay byte-identical to the flat path.
+    /// match the flat cohort path.
     fn trivial_topology(&self) -> bool {
-        self.edges == self.engine.n_cohorts()
-            && self.edge_link.is_none()
-            && self.edge_aggregator.is_fedavg()
-            && self.server_aggregator.is_fedavg()
+        self.tiers.edges == self.n_cohorts()
+            && self.tiers.edge_link.is_none()
+            && self.tiers.edge_aggregator.is_fedavg()
+            && self.tiers.server_aggregator.is_fedavg()
     }
 
-    /// Simulate `rounds` rounds of `schedule`: run the flat engine
-    /// unchanged, then reduce cohorts per edge and edges at the server.
+    /// Simulate `rounds` synchronous rounds of `schedule` across the whole
+    /// population — cohorts in parallel, device state persisting across
+    /// calls — then reduce cohorts per edge and edges at the server.
     ///
     /// Emission order (non-trivial topologies only), per round in
     /// ascending edge order on the control thread — the single trace
-    /// writer once the engine's parallel phase has been spliced:
+    /// writer once the cohort phase has been spliced:
     /// [`Event::EdgeReduce`] per edge, then an edge-tier
     /// [`Event::RobustAggregate`] per edge (non-FedAvg edge tier), then
     /// one server-tier [`Event::RobustAggregate`] (non-FedAvg server
@@ -368,18 +499,17 @@ impl HierEngine {
     ///
     /// # Panics
     ///
-    /// Panics when `schedule` arity does not match the population (the
-    /// flat engine's contract).
+    /// Panics when `schedule` arity does not match the population.
     pub fn run(&mut self, schedule: &Schedule, rounds: usize) -> HierReport {
-        let first_round = self.engine.rounds_done();
-        let flat = self.engine.run(schedule, rounds);
-        let probe = self.engine.probe_handle();
+        let first_round = self.rounds_done;
+        let cohorts = self.run_cohorts(schedule, rounds);
+        let probe = &self.probe;
         let trivial = self.trivial_topology();
+        let tiers = &self.tiers;
 
         // Participants per cohort: active users in the cohort's schedule
-        // slice — the same weights the flat merge uses.
-        let participants: Vec<usize> = flat
-            .cohorts
+        // slice — the fold's comm-fraction weights.
+        let participants: Vec<usize> = cohorts
             .iter()
             .map(|c| {
                 schedule.shards[c.start..c.end]
@@ -389,14 +519,14 @@ impl HierEngine {
             })
             .collect();
 
-        let layout = edge_cohort_ranges(flat.cohorts.len(), self.edges);
-        let mut edge_reports = Vec::with_capacity(self.edges);
-        let mut edge_links: Vec<Vec<f64>> = Vec::with_capacity(self.edges);
+        let layout = edge_cohort_ranges(cohorts.len(), tiers.edges);
+        let mut edge_reports = Vec::with_capacity(tiers.edges);
+        let mut edge_links: Vec<Vec<f64>> = Vec::with_capacity(tiers.edges);
         for (e, span) in layout.iter().enumerate() {
             let items: Vec<(&TimingReport, &[RoundOutcome], usize)> = span
                 .clone()
                 .map(|c| {
-                    let cohort = &flat.cohorts[c];
+                    let cohort = &cohorts[c];
                     (&cohort.timing, cohort.rounds.as_slice(), participants[c])
                 })
                 .collect();
@@ -406,11 +536,11 @@ impl HierEngine {
             // to the edge's makespan. Sampling only happens when a link is
             // configured, so parity topologies draw nothing (and dodge the
             // −0.0 + 0.0 bit hazard entirely).
-            let links = if let Some(link) = self.edge_link {
+            let links = if let Some(link) = tiers.edge_link {
                 let rng = &mut self.edge_rngs[e];
                 (0..rounds)
                     .map(|r| {
-                        let s = link.sample_round_seconds(self.model_bytes, rng);
+                        let s = link.sample_round_seconds(self.core.model_bytes, rng);
                         timing.per_round_makespan[r] += s;
                         edge_rounds[r].makespan_s += s;
                         s
@@ -424,17 +554,14 @@ impl HierEngine {
             let (start, end) = if span.is_empty() {
                 (0, 0)
             } else {
-                (
-                    flat.cohorts[span.start].start,
-                    flat.cohorts[span.end - 1].end,
-                )
+                (cohorts[span.start].start, cohorts[span.end - 1].end)
             };
             edge_reports.push(EdgeReport {
                 cohort_start: span.start,
                 cohort_end: span.end,
                 start,
                 end,
-                seed: derive_edge_seed(self.engine_seed(), e),
+                seed: derive_edge_seed(self.seed, e),
                 timing,
                 rounds: edge_rounds,
             });
@@ -455,9 +582,9 @@ impl HierEngine {
         // Tier-level robust scoring + event emission, all on this thread.
         let mut edge_rejections = 0usize;
         let mut server_rejections = 0usize;
-        let edge_rule = (!self.edge_aggregator.is_fedavg()).then(|| self.edge_aggregator.build());
+        let edge_rule = (!tiers.edge_aggregator.is_fedavg()).then(|| tiers.edge_aggregator.build());
         let server_rule =
-            (!self.server_aggregator.is_fedavg()).then(|| self.server_aggregator.build());
+            (!tiers.server_aggregator.is_fedavg()).then(|| tiers.server_aggregator.build());
         // `r` indexes several parallel per-round structures (edge timings,
         // backhaul draws, cohort outcomes), so a plain range is clearest.
         #[allow(clippy::needless_range_loop)]
@@ -475,7 +602,7 @@ impl HierEngine {
                 }
                 if let Some(rule) = &edge_rule {
                     let updates: Vec<(Vec<f32>, usize)> = (er.cohort_start..er.cohort_end)
-                        .map(|c| proxy_update(&flat.cohorts[c].rounds[r], participants[c]))
+                        .map(|c| proxy_update(&cohorts[c].rounds[r], participants[c]))
                         .collect();
                     if !updates.is_empty() {
                         let outcome = rule.aggregate(&updates);
@@ -514,25 +641,10 @@ impl HierEngine {
             timing,
             rounds: server_rounds,
             edges: edge_reports,
-            cohorts: flat.cohorts,
+            cohorts,
             edge_rejections,
             server_rejections,
         }
-    }
-
-    /// The flat engine's view of the same run, for parity checks: the
-    /// server-tier fold of a [`HierReport`] reshaped as an
-    /// [`EngineReport`].
-    pub fn as_engine_report(report: &HierReport) -> EngineReport {
-        EngineReport {
-            timing: report.timing.clone(),
-            rounds: report.rounds.clone(),
-            cohorts: report.cohorts.clone(),
-        }
-    }
-
-    fn engine_seed(&self) -> u64 {
-        self.seed
     }
 }
 

@@ -9,9 +9,10 @@
 //!   thermal state persists across rounds, exactly like the paper's
 //!   continuously-training phones. The same round core hosts the fault
 //!   model — crashes, churn, lossy links, retries, deadlines and mid-round
-//!   straggler rescue — and is inert when no faults are configured. Every
-//!   population engine ([`ParallelRoundEngine`], [`Coordinator`],
-//!   [`HierEngine`]) runs one `EventRoundSim` per cohort.
+//!   straggler rescue — and is inert when no faults are configured. The
+//!   population engine, [`HierEngine`], runs one `EventRoundSim` per
+//!   cohort under a two-tier reduction; [`Coordinator`] drives a
+//!   default-topology engine with a population-level control loop.
 //! * [`engine`] actually trains: synchronous FedAvg over `fedsched-nn`
 //!   networks on partitioned synthetic data (Figs. 2, 3 and 6, Tables III
 //!   and V). Clients train in parallel on scoped threads; aggregation is
@@ -45,11 +46,10 @@ pub use asyncfl::{staleness_weight, AsyncFlOutcome, AsyncFlSetup};
 pub use builder::{ConfigError, RoundConfig, Selection, SimBuilder};
 pub use clock::TimingReport;
 pub use cohorts::{
-    default_engine_threads, derive_cohort_seed, ChaosOptions, CohortReport, EngineReport,
-    ParallelRoundEngine, DEFAULT_COHORT_SIZE, THREADS_ENV,
+    default_engine_threads, derive_cohort_seed, CohortReport, DEFAULT_COHORT_SIZE, THREADS_ENV,
 };
 pub use coordinator::{
-    CoordinationMode, Coordinator, CoordinatorReport, GlobalRoundOutcome, MergeRecord,
+    CoordinationMode, Coordinator, CoordinatorReport, EngineReport, GlobalRoundOutcome, MergeRecord,
 };
 pub use engine::{FlOutcome, FlSetup};
 pub use eventsim::{AdmissionPolicy, EventRoundSim};

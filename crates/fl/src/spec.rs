@@ -36,7 +36,6 @@ use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::Probe;
 
 use crate::builder::{AsyncOptions, ConfigError, RoundConfig, Selection, SimBuilder};
-use crate::cohorts::ParallelRoundEngine;
 use crate::coordinator::Coordinator;
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
 use crate::hier::HierEngine;
@@ -60,11 +59,10 @@ fn shape(err: JsonError) -> ConfigError {
 pub enum BuildTarget {
     /// [`SimBuilder::build_event_sim`] — the sequential round engine.
     EventSim,
-    /// [`SimBuilder::build_engine`] — the parallel cohort engine.
-    Engine,
-    /// [`SimBuilder::build_coordinator`] — engine plus control loop.
+    /// [`SimBuilder::build_coordinator`] — population engine plus control
+    /// loop.
     Coordinator,
-    /// [`SimBuilder::build_hier`] — the two-tier hierarchical engine.
+    /// [`SimBuilder::build_hier`] — the population engine.
     Hier,
 }
 
@@ -73,7 +71,6 @@ impl BuildTarget {
     pub fn name(&self) -> &'static str {
         match self {
             BuildTarget::EventSim => "event_sim",
-            BuildTarget::Engine => "engine",
             BuildTarget::Coordinator => "coordinator",
             BuildTarget::Hier => "hier",
         }
@@ -83,7 +80,6 @@ impl BuildTarget {
     pub fn from_name(name: &str) -> Result<Self, ConfigError> {
         Ok(match name {
             "event_sim" => BuildTarget::EventSim,
-            "engine" => BuildTarget::Engine,
             "coordinator" => BuildTarget::Coordinator,
             "hier" => BuildTarget::Hier,
             other => return Err(bad(format!("unknown build target `{other}`"))),
@@ -91,10 +87,9 @@ impl BuildTarget {
     }
 
     /// All targets, in wire-tag order (used by the round-trip suite).
-    pub fn all() -> [BuildTarget; 4] {
+    pub fn all() -> [BuildTarget; 3] {
         [
             BuildTarget::EventSim,
-            BuildTarget::Engine,
             BuildTarget::Coordinator,
             BuildTarget::Hier,
         ]
@@ -258,9 +253,9 @@ pub struct JobSpec {
     pub rescue_soc_floor: f64,
     /// Fault model and its planned-round horizon.
     pub faults: Option<(FaultConfig, usize)>,
-    /// Devices per cohort (engine-family targets).
+    /// Devices per cohort (population-engine targets).
     pub cohort_size: Option<usize>,
-    /// Worker threads (engine-family targets).
+    /// Worker threads (population-engine targets).
     pub threads: Option<usize>,
     /// Buffered-async coordination `(buffer, eta)` (coordinator target).
     pub buffered_async: Option<(usize, f64)>,
@@ -571,7 +566,6 @@ impl JobSpec {
         let builder = SimBuilder::from_spec(self)?.probe(probe);
         let sim = match self.target {
             BuildTarget::EventSim => SimKind::EventSim(Box::new(builder.build_event_sim()?)),
-            BuildTarget::Engine => SimKind::Engine(builder.build_engine()?),
             BuildTarget::Coordinator => SimKind::Coordinator(builder.build_coordinator()?),
             BuildTarget::Hier => SimKind::Hier(builder.build_hier()?),
         };
@@ -716,7 +710,6 @@ pub struct RoundDigest {
 
 enum SimKind {
     EventSim(Box<EventRoundSim>),
-    Engine(ParallelRoundEngine),
     Coordinator(Coordinator),
     Hier(HierEngine),
 }
@@ -724,8 +717,14 @@ enum SimKind {
 /// A live simulator built from a [`JobSpec`], stepped one global round at
 /// a time.
 ///
+/// Behind it sits one of three hosts of the round core: the sequential
+/// [`EventRoundSim`], the population engine [`HierEngine`], or a
+/// [`Coordinator`] over a default-topology engine. `step` renders the
+/// host's own report type (`ChaosReport`, `HierReport` or
+/// `CoordinatorReport`) into [`RoundDigest::detail`].
+///
 /// One-round stepping is a load-bearing choice, not a convenience: the
-/// parallel engine splices per-cohort telemetry buffers after each `run`
+/// population engine splices per-cohort telemetry buffers after each `run`
 /// call, so `run(s, 2)` and `run(s, 1); run(s, 1)` produce *differently
 /// ordered* (equally valid) traces. Stepping always one round makes the
 /// trace byte stream invariant to how callers batch their advance
@@ -743,10 +742,6 @@ impl BuiltSim {
         let (makespan_s, detail) = match &mut self.sim {
             SimKind::EventSim(sim) => {
                 let report = sim.run(schedule, 1);
-                (report.timing.per_round_makespan[0], format!("{report:?}"))
-            }
-            SimKind::Engine(engine) => {
-                let report = engine.run(schedule, 1);
                 (report.timing.per_round_makespan[0], format!("{report:?}"))
             }
             SimKind::Coordinator(coordinator) => {
@@ -1326,12 +1321,12 @@ mod tests {
 
     #[test]
     fn builder_round_trips_through_spec() {
-        let mut spec = base_spec(BuildTarget::Engine);
+        let mut spec = base_spec(BuildTarget::Hier);
         spec.faults = Some((FaultConfig::none().with_crash_prob(0.3), 4));
         spec.deadline = Some(DeadlinePolicy::Fixed(55.0));
         spec.threads = Some(2);
         let builder = SimBuilder::from_spec(&spec).unwrap();
-        assert_eq!(builder.to_spec(BuildTarget::Engine).unwrap(), spec);
+        assert_eq!(builder.to_spec(BuildTarget::Hier).unwrap(), spec);
     }
 
     #[test]
@@ -1392,7 +1387,7 @@ mod tests {
         let err = spec.build(Probe::disabled()).err().unwrap();
         assert_eq!(err, ConfigError::UnsupportedOption("cohort_size"));
 
-        let mut spec = base_spec(BuildTarget::Engine);
+        let mut spec = base_spec(BuildTarget::Hier);
         spec.cohort_size = Some(0);
         let err = spec.build(Probe::disabled()).err().unwrap();
         assert_eq!(err, ConfigError::ZeroCohortSize);
@@ -1405,7 +1400,7 @@ mod tests {
 
     #[test]
     fn built_sim_steps_match_batch_runs() {
-        let spec = base_spec(BuildTarget::Engine);
+        let spec = base_spec(BuildTarget::Hier);
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
         let mut stepped = spec.build(Probe::disabled()).unwrap();
         let digests: Vec<RoundDigest> = (0..3).map(|_| stepped.step(&schedule)).collect();
@@ -1418,10 +1413,7 @@ mod tests {
         assert_eq!(digests, replay_digests);
 
         // And the per-round makespans agree with one batched engine run.
-        let mut batch = SimBuilder::from_spec(&spec)
-            .unwrap()
-            .build_engine()
-            .unwrap();
+        let mut batch = SimBuilder::from_spec(&spec).unwrap().build_hier().unwrap();
         let report = batch.run(&schedule, 3);
         let stepped_makespans: Vec<f64> = digests.iter().map(|d| d.makespan_s).collect();
         assert_eq!(report.timing.per_round_makespan, stepped_makespans);

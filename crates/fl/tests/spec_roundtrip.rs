@@ -28,7 +28,8 @@ use proptest::test_runner::TestRng;
 /// Draw one JobSpec from `(mask, rng)`: each mask bit enables a knob
 /// family, parameter values come from the rng.
 fn draw_spec(mask: u32, rng: &mut TestRng) -> JobSpec {
-    let target = BuildTarget::all()[(rng.below(4)) as usize];
+    let targets = BuildTarget::all();
+    let target = targets[rng.below(targets.len() as u64) as usize];
     let devices = if mask & 1 != 0 {
         DeviceSetSpec::Replicated {
             preset: 1 + rng.below(3) as usize,
@@ -175,7 +176,7 @@ fn repair(mut spec: JobSpec) -> JobSpec {
             spec.threads = None;
             spec.buffered_async = None;
         }
-        BuildTarget::Engine | BuildTarget::Hier => {
+        BuildTarget::Hier => {
             spec.buffered_async = None;
         }
         BuildTarget::Coordinator => {
@@ -247,20 +248,6 @@ fn pinned_specs() -> Vec<JobSpec> {
     selection.seed = MaybeSeeded::pinned(u64::MAX - 9);
     loaded.selection = Some(selection);
 
-    let mut engine = base(
-        BuildTarget::Engine,
-        DeviceSetSpec::Replicated {
-            preset: 2,
-            copies: 4,
-            seed: 5,
-        },
-        42,
-    );
-    engine.cohort_size = Some(4);
-    engine.threads = Some(2);
-    engine.deadline = Some(DeadlinePolicy::Fixed(55.0));
-    engine.faults = Some((FaultConfig::none().with_crash_prob(0.3), 4));
-
     let mut coordinator = base(
         BuildTarget::Coordinator,
         DeviceSetSpec::Testbed { preset: 3, seed: 3 },
@@ -284,13 +271,13 @@ fn pinned_specs() -> Vec<JobSpec> {
     hier.edge_aggregator = Some(AggregatorKind::Median);
     hier.server_aggregator = Some(AggregatorKind::TrimmedMean { trim: 1 });
 
-    vec![minimal, loaded, engine, coordinator, hier]
+    vec![minimal, loaded, coordinator, hier]
 }
 
 /// Canonical JSON and fingerprint of [`pinned_specs`], byte for byte:
 /// fingerprints are job IDs and cache keys, and persisted snapshots hold
 /// this text, so neither may move while the schema version stays 1.
-const PINNED: [(&str, u64); 5] = [
+const PINNED: [(&str, u64); 4] = [
     (
         r#"{"version":1,"target":"event_sim","devices":{"kind":"testbed","preset":1,"seed":7},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":7}"#,
         0xfd5c451e344bab51,
@@ -298,10 +285,6 @@ const PINNED: [(&str, u64); 5] = [
     (
         r#"{"version":1,"target":"event_sim","devices":{"kind":"testbed","preset":2,"seed":11},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":"18446744073709551612","deadline":{"policy":"mean_factor","value":1.5},"retry":{"max_attempts":4,"timeout_s":30,"base_backoff_s":1,"backoff_multiplier":2,"max_backoff_s":8,"jitter_frac":0.2},"no_rescue":true,"rescue_soc_floor":0.15,"faults":{"config":{"crash_prob":0.2,"reboot_rounds":1,"churn_prob":0,"contention_prob":0,"contention_factor":1,"loss_prob":0.1,"outage_prob":0,"outage_horizon_s":0,"outage_duration_s":0,"group_outage_prob":0,"group_count":1,"group_outage_rounds":1,"drift":{"sigma":0.2,"max_slowdown":6}},"planned_rounds":8},"aggregator":{"kind":"trimmed_mean","trim":1},"adversary":{"config":{"attacker_frac":0.2,"attack":{"kind":"boost","factor":8},"collusion_groups":0,"active_prob":1},"planned_rounds":8},"churn":{"depart_rate":0.05,"arrive_rate":0.05,"horizon_s":60},"admission":"mid_round_fill","selection":{"policy":{"kind":"ucb1","c":1},"k":2,"seed":"18446744073709551606"}}"#,
         0x0db03b1224a08a34,
-    ),
-    (
-        r#"{"version":1,"target":"engine","devices":{"kind":"replicated","preset":2,"copies":4,"seed":5},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":42,"deadline":{"policy":"fixed","value":55},"faults":{"config":{"crash_prob":0.3,"reboot_rounds":1,"churn_prob":0,"contention_prob":0,"contention_factor":1,"loss_prob":0,"outage_prob":0,"outage_horizon_s":0,"outage_duration_s":0,"group_outage_prob":0,"group_count":1,"group_outage_rounds":1},"planned_rounds":4},"cohort_size":4,"threads":2}"#,
-        0x5d27366493a75717,
     ),
     (
         r#"{"version":1,"target":"coordinator","devices":{"kind":"testbed","preset":3,"seed":3},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":"1152921504606846977","retry":{"max_attempts":1,"timeout_s":"inf","base_backoff_s":0,"backoff_multiplier":1,"max_backoff_s":0,"jitter_frac":0},"buffered_async":{"buffer":2,"eta":0.5}}"#,
@@ -321,6 +304,10 @@ fn canonical_bytes_of_remaining_targets_are_unchanged() {
         assert_eq!(&JobSpec::parse(text).unwrap(), spec);
     }
 }
+
+/// A document pinned while the flat `engine` target existed; its target
+/// tag is retired, so it must now fail to decode.
+const RETIRED_ENGINE_DOC: &str = r#"{"version":1,"target":"engine","devices":{"kind":"replicated","preset":2,"copies":4,"seed":5},"workload":{"conv_flops_per_sample":5100000,"dense_flops_per_sample":1100000,"batch_size":20},"link":{"uplink_mbps":85,"downlink_mbps":85,"rtt_s":0.015,"jitter_sigma":0.05},"model_bytes":2500000,"seed":42,"deadline":{"policy":"fixed","value":55},"faults":{"config":{"crash_prob":0.3,"reboot_rounds":1,"churn_prob":0,"contention_prob":0,"contention_factor":1,"loss_prob":0,"outage_prob":0,"outage_horizon_s":0,"outage_duration_s":0,"group_outage_prob":0,"group_count":1,"group_outage_rounds":1},"planned_rounds":4},"cohort_size":4,"threads":2}"#;
 
 /// The per-cohort engine selector field that specs no longer carry
 /// (spelled in two parts so a search for the removed API finds no use).
@@ -347,6 +334,11 @@ fn removed_tags_decode_to_invalid_spec_naming_the_tag() {
         ),
         (with_field("lockstep"), field_tag.as_str()),
         (with_field("event_driven"), field_tag.as_str()),
+        (
+            minimal.replace(r#""target":"event_sim""#, r#""target":"engine""#),
+            "`engine`",
+        ),
+        (RETIRED_ENGINE_DOC.to_string(), "`engine`"),
     ];
     for (doc, tag) in cases {
         assert_ne!(doc, minimal, "the substitution must apply");

@@ -236,7 +236,7 @@ mod tests {
 
     fn request() -> JobRequest {
         let spec = JobSpec::new(
-            BuildTarget::Engine,
+            BuildTarget::Hier,
             DeviceSetSpec::Testbed { preset: 1, seed: 7 },
             fedsched_device::TrainingWorkload::lenet(),
             fedsched_net::Link::wifi_campus(),

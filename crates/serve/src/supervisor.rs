@@ -541,7 +541,7 @@ mod tests {
 
     fn request(seed: u64, rounds_total: usize) -> JobRequest {
         let mut spec = JobSpec::new(
-            BuildTarget::Engine,
+            BuildTarget::Hier,
             DeviceSetSpec::Testbed { preset: 2, seed },
             TrainingWorkload::lenet(),
             Link::wifi_campus(),

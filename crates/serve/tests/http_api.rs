@@ -57,7 +57,7 @@ fn error_cause(body: &str) -> String {
 
 fn request(seed: u64, rounds_total: usize) -> JobRequest {
     let mut spec = JobSpec::new(
-        BuildTarget::Engine,
+        BuildTarget::Hier,
         DeviceSetSpec::Testbed { preset: 2, seed },
         TrainingWorkload::lenet(),
         Link::wifi_campus(),
@@ -260,8 +260,9 @@ fn http_error_causes_match_in_process_cause_codes() {
     let removed_field = concat!("engine", "_kind");
     let text = good.canonical_json();
     for (doc, tag) in [
-        (text.replace("\"engine\"", "\"sim\""), "sim"),
-        (text.replace("\"engine\"", "\"resilient\""), "resilient"),
+        (text.replace("\"hier\"", "\"sim\""), "`sim`"),
+        (text.replace("\"hier\"", "\"resilient\""), "`resilient`"),
+        (text.replace("\"hier\"", "\"engine\""), "`engine`"),
         (
             text.replace(
                 "\"threads\":2",

@@ -5,7 +5,7 @@
 //! by replay finishes **bit-identical** to a job that was never
 //! interrupted — same round digests (full `Debug` reports) and same
 //! telemetry byte stream. Thread count is the classic way to break such
-//! claims (the parallel engine splices per-cohort buffers), so every
+//! claims (the population engine splices per-cohort buffers), so every
 //! scenario here runs at pool widths 1, 4, and 8.
 
 use std::sync::Arc;
@@ -23,11 +23,11 @@ use fedsched_serve::{
 const THREAD_WIDTHS: [usize; 3] = [1, 4, 8];
 const ROUNDS_TOTAL: usize = 5;
 
-/// An engine job over the 10-device preset 3 fleet: wide enough that 4
+/// A population-engine job over the 10-device preset 3 fleet: wide enough that 4
 /// cohorts exist and thread-count actually changes the execution shape.
 fn request(threads: usize) -> JobRequest {
     let mut spec = JobSpec::new(
-        BuildTarget::Engine,
+        BuildTarget::Hier,
         DeviceSetSpec::Testbed {
             preset: 3,
             seed: 4047,
@@ -182,11 +182,15 @@ fn snapshots_with_removed_tags_are_skipped_and_the_server_still_boots() {
     let legacy = [
         (
             "jlegacysim",
-            doc.replace("\"target\":\"engine\"", "\"target\":\"sim\""),
+            doc.replace("\"target\":\"hier\"", "\"target\":\"sim\""),
         ),
         (
             "jlegacyresilient",
-            doc.replace("\"target\":\"engine\"", "\"target\":\"resilient\""),
+            doc.replace("\"target\":\"hier\"", "\"target\":\"resilient\""),
+        ),
+        (
+            "jlegacyengine",
+            doc.replace("\"target\":\"hier\"", "\"target\":\"engine\""),
         ),
         (
             "jlegacykind",
@@ -209,7 +213,12 @@ fn snapshots_with_removed_tags_are_skipped_and_the_server_still_boots() {
     assert_eq!(adopted, vec![job_id.clone()]);
     assert_eq!(
         skipped,
-        vec!["jlegacykind", "jlegacyresilient", "jlegacysim"]
+        vec![
+            "jlegacyengine",
+            "jlegacykind",
+            "jlegacyresilient",
+            "jlegacysim"
+        ]
     );
     assert_eq!(sup.info(&job_id).unwrap().completed_rounds, 1);
 

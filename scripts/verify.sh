@@ -58,7 +58,7 @@ for threads in 4 8; do
                robust_identity event_identity hier_identity bandit_identity; do
     FEDSCHED_THREADS=$threads cargo test -q -p fedsched --test "$suite"
   done
-  FEDSCHED_THREADS=$threads cargo test -q -p fedsched-serve resume
+  FEDSCHED_THREADS=$threads cargo test -q -p fedsched-serve --test resume_identity
 done
 
 echo "==> experiment smoke tests (fedsched-bench)"
@@ -68,7 +68,7 @@ echo "==> benchmark tests (exp_perf, including the all-workload smoke)"
 cargo test -q --manifest-path exp_perf/Cargo.toml
 
 if [[ "$QUICK" -eq 0 ]]; then
-  echo "==> hierarchy scale smoke (parity at 1k; arena-vs-hier + budgets at 100k)"
+  echo "==> hierarchy scale smoke (thread invariance at 1k; arena-vs-hier + budgets at 100k)"
   cargo run -q --release -p fedsched-bench --bin exp_scale -- --hier-check
 fi
 

@@ -66,7 +66,7 @@ fn quiet_knob_chaos_trace(threads: usize) -> String {
         .retry(RetryPolicy::default_chaos())
         .selection(Selection::Off)
         .probe(Probe::attached(log.clone()))
-        .build_engine()
+        .build_hier()
         .expect("quiet-knob chaos engine config is valid");
     let _ = engine.run(&Schedule::new(vec![3; 8], 100.0), 3);
     log.to_jsonl()
@@ -110,7 +110,7 @@ fn bandit_engine_trace(threads: usize, policy: PolicyKind) -> (String, String) {
         .retry(RetryPolicy::default_chaos())
         .selection(Selection::Bandit(selection))
         .probe(Probe::attached(log.clone()))
-        .build_engine()
+        .build_hier()
         .expect("bandit engine config is valid");
     let report = engine.run(&Schedule::new(vec![3; 8], 100.0), 4);
     (format!("{:?}", report.timing), log.to_jsonl())

@@ -104,7 +104,7 @@ fn builder_resilient_is_bit_identical_to_wire_spec_for_every_preset() {
 #[test]
 fn builder_engine_is_bit_identical_to_wire_spec_for_every_preset() {
     for preset in 1..=3usize {
-        let mut spec = base_spec(BuildTarget::Engine, preset);
+        let mut spec = base_spec(BuildTarget::Hier, preset);
         spec.cohort_size = Some(3);
         spec.threads = Some(4);
         let schedule = uniform(preset_size(preset), 6);
@@ -120,7 +120,7 @@ fn stepped_spec_sim_matches_builder_batch_run() {
     // of a batched in-process run — the invariant the serve crate's
     // restore-by-replay leans on.
     for preset in 1..=3usize {
-        let mut spec = base_spec(BuildTarget::Engine, preset);
+        let mut spec = base_spec(BuildTarget::Hier, preset);
         spec.cohort_size = Some(3);
         spec.threads = Some(2);
         let schedule = uniform(preset_size(preset), 6);
@@ -132,7 +132,7 @@ fn stepped_spec_sim_matches_builder_batch_run() {
 
         let mut batch = SimBuilder::from_spec(&spec)
             .expect("spec is valid")
-            .build_engine()
+            .build_hier()
             .expect("engine config is valid");
         let report = batch.run(&schedule, ROUNDS);
         assert_eq!(
@@ -151,11 +151,11 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
     let cases: Vec<(&str, fedsched::fl::ConfigError)> = vec![
         (
             "zero_cohort_size",
-            builder().cohort_size(0).build_engine().err().unwrap(),
+            builder().cohort_size(0).build_hier().err().unwrap(),
         ),
         (
             "zero_threads",
-            builder().threads(0).build_engine().err().unwrap(),
+            builder().threads(0).build_hier().err().unwrap(),
         ),
         (
             "invalid_deadline",
@@ -198,7 +198,7 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
             "unsupported_option",
             builder()
                 .injector(FaultInjector::quiet(n))
-                .build_engine()
+                .build_hier()
                 .err()
                 .unwrap(),
         ),

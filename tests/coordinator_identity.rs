@@ -2,9 +2,9 @@
 //!
 //! Two contracts are pinned here. First, coordination is *opt-in*: with
 //! the deadline policy off in barrier mode, the coordinator is a verbatim
-//! pass-through — its engine report and spliced telemetry stream are
-//! byte-identical to driving [`ParallelRoundEngine`] directly, at every
-//! thread count. Second, coordination is *deterministic*: global-deadline
+//! pass-through — at every thread count its engine report and spliced
+//! telemetry stream are byte-identical to driving the default-topology
+//! `HierEngine` directly on one thread. Second, coordination is *deterministic*: global-deadline
 //! and buffered-async runs produce identical reports and traces whether
 //! the cohorts execute on 1, 2, 4 or 8 threads, and the async merge
 //! ledger obeys the staleness-discount arithmetic exactly.
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use fedsched::core::Schedule;
 use fedsched::device::{Device, DeviceModel, TrainingWorkload};
 use fedsched::faults::FaultConfig;
-use fedsched::fl::{staleness_weight, DeadlinePolicy, RoundConfig, SimBuilder};
+use fedsched::fl::{staleness_weight, DeadlinePolicy, EngineReport, RoundConfig, SimBuilder};
 use fedsched::net::{Link, RetryPolicy};
 use fedsched::telemetry::{EventLog, Probe};
 
@@ -60,22 +60,22 @@ fn off_coordinator_is_byte_identical_to_engine_at_every_thread_count() {
     let n = 24;
     let rounds = 3;
     let schedule = uniform(n, 5);
+    let (want_report, want_jsonl) = {
+        let log = Arc::new(EventLog::new());
+        let mut eng = SimBuilder::new(population(n, SEED), round_config(SEED))
+            .cohort_size(6)
+            .threads(1)
+            .faults(chaos_plan(), rounds)
+            .retry(RetryPolicy::default_chaos())
+            .probe(Probe::attached(log.clone()))
+            .build_hier()
+            .expect("engine config is valid");
+        let report = EngineReport::from(eng.run(&schedule, rounds));
+        (format!("{report:?}"), log.to_jsonl())
+    };
+    assert!(!want_jsonl.is_empty());
 
     for threads in THREAD_COUNTS {
-        let (want_report, want_jsonl) = {
-            let log = Arc::new(EventLog::new());
-            let mut eng = SimBuilder::new(population(n, SEED), round_config(SEED))
-                .cohort_size(6)
-                .threads(threads)
-                .faults(chaos_plan(), rounds)
-                .retry(RetryPolicy::default_chaos())
-                .probe(Probe::attached(log.clone()))
-                .build_engine()
-                .expect("engine config is valid");
-            let report = eng.run(&schedule, rounds);
-            (format!("{report:?}"), log.to_jsonl())
-        };
-
         let (got_report, got_jsonl) = {
             let log = Arc::new(EventLog::new());
             let mut coord = SimBuilder::new(population(n, SEED), round_config(SEED))
@@ -90,7 +90,6 @@ fn off_coordinator_is_byte_identical_to_engine_at_every_thread_count() {
             (format!("{:?}", report.engine), log.to_jsonl())
         };
 
-        assert!(!want_jsonl.is_empty());
         assert_eq!(
             got_report, want_report,
             "threads {threads}: report diverged"

@@ -4,8 +4,9 @@
 //! `EventRoundSim` is the only round engine; its byte-for-byte agreement
 //! with a lockstep device sweep is pinned by the lockstep-oracle proptest
 //! inside `fedsched-fl`. This suite pins the hosting contract on top:
-//! the sequential sim and a single-cohort engine produce identical reports
-//! and telemetry, and every engine, coordinator and churned run is
+//! the sequential sim and a single-cohort population engine produce
+//! identical reports and telemetry, and every engine, coordinator and
+//! churned run is
 //! invariant to the worker-thread count — for every Table I testbed
 //! preset, under chaos fault plans, under adversary attack, and at 1, 2, 4
 //! and 8 worker threads. CI re-runs this suite with `FEDSCHED_THREADS`
@@ -74,7 +75,7 @@ fn engine_run(
     let log = Arc::new(EventLog::new());
     let mut eng = customize(SimBuilder::new(devices, round_config(SEED)))
         .probe(Probe::attached(log.clone()))
-        .build_engine()
+        .build_hier()
         .expect("engine config is valid");
     let report = eng.run(schedule, rounds);
     (format!("{report:?}"), log.to_jsonl())
@@ -109,7 +110,7 @@ fn single_cohort_run(
     let mut eng = customize(SimBuilder::new(devices, round_config(SEED)))
         .cohort_size(n)
         .probe(Probe::attached(log.clone()))
-        .build_engine()
+        .build_hier()
         .expect("engine config is valid");
     let report = eng.run(schedule, rounds);
     let as_sequential = ChaosReport {
@@ -144,7 +145,7 @@ fn every_testbed_preset_event_engine_matches_sequential_roundsim() {
                 .cohort_size(n)
                 .threads(threads)
                 .probe(Probe::attached(log.clone()))
-                .build_engine()
+                .build_hier()
                 .expect("quiet engine config is valid");
             let report = eng.run(&schedule, 3);
             assert_eq!(
@@ -371,7 +372,7 @@ proptest! {
                 .churn(churn)
                 .admission(AdmissionPolicy::MidRoundFill)
                 .probe(Probe::attached(log.clone()))
-                .build_engine()
+                .build_hier()
                 .expect("churned geometry config is valid");
             let report = eng.run(&schedule, rounds);
             (report, log.to_jsonl())

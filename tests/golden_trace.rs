@@ -19,7 +19,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use fedsched::core::{CostMatrix, FedLbap, Scheduler};
+use fedsched::core::json::fnv1a64;
+use fedsched::core::{CostMatrix, FedLbap, Schedule, Scheduler};
 use fedsched::device::{Device, DeviceModel, Testbed, TrainingWorkload};
 use fedsched::faults::FaultConfig;
 use fedsched::fl::{DeadlinePolicy, RoundConfig, SimBuilder};
@@ -53,14 +54,13 @@ fn hier_golden_path() -> PathBuf {
 }
 
 /// Which build target hosts the round core for a golden scenario. Every
-/// host must produce the same bytes: `Sequential` is one sim, `Engine` a
-/// single-cohort engine whose cohort continues the master stream,
-/// `Coordinator` an Off-policy coordinator over the engine, and `Hier` the
-/// default (trivial) two-tier topology on top of it.
+/// host must produce the same bytes: `Sequential` is one sim, `Hier` the
+/// population engine in its default (trivial) topology — one edge per
+/// cohort, cohort 0 continuing the master stream — and `Coordinator` an
+/// Off-policy coordinator over that engine.
 #[derive(Clone, Copy)]
 enum Host {
     Sequential,
-    Engine,
     Coordinator,
     Hier,
 }
@@ -96,14 +96,10 @@ fn trace_with(host: Host) -> String {
 }
 
 /// Build `builder` for `host` and run three rounds of `schedule`.
-fn run_on(host: Host, builder: SimBuilder, schedule: &fedsched::core::Schedule) {
+fn run_on(host: Host, builder: SimBuilder, schedule: &Schedule) {
     match host {
         Host::Sequential => {
             let mut sim = builder.build_event_sim().expect("golden config is valid");
-            let _ = sim.run(schedule, 3);
-        }
-        Host::Engine => {
-            let mut sim = builder.build_engine().expect("golden config is valid");
             let _ = sim.run(schedule, 3);
         }
         Host::Coordinator => {
@@ -121,26 +117,28 @@ fn trace() -> String {
     trace_with(Host::Sequential)
 }
 
-/// Chaos preset: a two-cohort parallel engine run under crashes, packet
-/// loss and retries. Pins the resilient path's event vocabulary *and* the
-/// engine's cohort splicing (user-index remapping, cohort-ordered merge) in
-/// golden form — the engine guarantees these bytes are thread-invariant.
-fn chaos_trace_with(host: Host) -> String {
-    let log = Arc::new(EventLog::new());
+/// The eight-device fleet every multi-cohort scenario runs on.
+fn fleet() -> Vec<Device> {
     let models = DeviceModel::all();
-    let devices: Vec<Device> = (0..8)
+    (0..8)
         .map(|i| {
             Device::from_model(
                 models[i % models.len()],
                 SEED.wrapping_add(i as u64 * 0x9E37_79B9),
             )
         })
-        .collect();
-    let config = FaultConfig::none()
-        .with_crash_prob(0.25)
-        .with_loss_prob(0.15);
-    let builder = SimBuilder::new(
-        devices,
+        .collect()
+}
+
+/// Three shards on each of the eight devices.
+fn fleet_schedule() -> Schedule {
+    Schedule::new(vec![3; 8], 100.0)
+}
+
+/// LeNet over an ideal link, on [`fleet`].
+fn fleet_builder() -> SimBuilder {
+    SimBuilder::new(
+        fleet(),
         RoundConfig::new(
             TrainingWorkload::lenet(),
             Link::new(100.0, 100.0, 0.0, 0.0),
@@ -148,197 +146,197 @@ fn chaos_trace_with(host: Host) -> String {
             SEED,
         ),
     )
-    .cohort_size(4)
-    .threads(4)
-    .faults(config, 3)
-    .retry(RetryPolicy::default_chaos())
-    .probe(Probe::attached(log.clone()));
+}
+
+/// A multi-cohort scenario: its builder, without a probe.
+type Scenario = fn() -> SimBuilder;
+
+/// Run a multi-cohort scenario on `host` and return its JSONL trace.
+fn scenario_trace(scenario: Scenario, host: Host) -> String {
+    let log = Arc::new(EventLog::new());
     run_on(
         host,
-        builder,
-        &fedsched::core::Schedule::new(vec![3; 8], 100.0),
+        scenario().probe(Probe::attached(log.clone())),
+        &fleet_schedule(),
     );
     log.to_jsonl()
+}
+
+/// Chaos preset: two cohorts under crashes, packet loss and retries. Pins
+/// the resilient path's event vocabulary *and* the engine's cohort
+/// splicing (user-index remapping, cohort-ordered merge) in golden form —
+/// the engine guarantees these bytes are thread-invariant.
+fn chaos_scenario() -> SimBuilder {
+    fleet_builder()
+        .cohort_size(4)
+        .threads(4)
+        .faults(
+            FaultConfig::none()
+                .with_crash_prob(0.25)
+                .with_loss_prob(0.15),
+            3,
+        )
+        .retry(RetryPolicy::default_chaos())
 }
 
 fn chaos_trace() -> String {
-    chaos_trace_with(Host::Engine)
+    scenario_trace(chaos_scenario, Host::Hier)
 }
 
-/// Byzantine preset: the same two-cohort engine under a sign-flip adversary
-/// with trimmed-mean aggregation and correlated group outages. Pins the
+/// Byzantine preset: the same two cohorts under a sign-flip adversary with
+/// trimmed-mean aggregation and correlated group outages. Pins the
 /// robustness event vocabulary (`update_rejected`, `robust_aggregate`,
 /// `group_outage`) and the per-cohort adversary-plan derivation in golden
 /// form.
-fn attack_trace_with(host: Host) -> String {
+fn attack_scenario() -> SimBuilder {
     use fedsched::faults::{AdversaryConfig, AttackKind};
     use fedsched::fl::AggregatorKind;
-    let log = Arc::new(EventLog::new());
-    let models = DeviceModel::all();
-    let devices: Vec<Device> = (0..8)
-        .map(|i| {
-            Device::from_model(
-                models[i % models.len()],
-                SEED.wrapping_add(i as u64 * 0x9E37_79B9),
-            )
-        })
-        .collect();
-    let config = FaultConfig::none()
-        .with_loss_prob(0.1)
-        .with_group_outages(0.5, 2, 1);
-    let adversary = AdversaryConfig::none()
-        .with_attackers(0.5, AttackKind::SignFlip)
-        .with_collusion(1);
-    let builder = SimBuilder::new(
-        devices,
-        RoundConfig::new(
-            TrainingWorkload::lenet(),
-            Link::new(100.0, 100.0, 0.0, 0.0),
-            2.5e6,
-            SEED,
-        ),
-    )
-    .cohort_size(4)
-    .threads(4)
-    .faults(config, 3)
-    .adversary(adversary, 3)
-    .aggregator(AggregatorKind::TrimmedMean { trim: 1 })
-    .retry(RetryPolicy::default_chaos())
-    .probe(Probe::attached(log.clone()));
-    run_on(
-        host,
-        builder,
-        &fedsched::core::Schedule::new(vec![3; 8], 100.0),
-    );
-    log.to_jsonl()
+    fleet_builder()
+        .cohort_size(4)
+        .threads(4)
+        .faults(
+            FaultConfig::none()
+                .with_loss_prob(0.1)
+                .with_group_outages(0.5, 2, 1),
+            3,
+        )
+        .adversary(
+            AdversaryConfig::none()
+                .with_attackers(0.5, AttackKind::SignFlip)
+                .with_collusion(1),
+            3,
+        )
+        .aggregator(AggregatorKind::TrimmedMean { trim: 1 })
+        .retry(RetryPolicy::default_chaos())
 }
 
 fn attack_trace() -> String {
-    attack_trace_with(Host::Engine)
+    scenario_trace(attack_scenario, Host::Hier)
 }
 
-/// Event preset: a two-cohort engine under crashes, churn,
-/// packet loss and a fixed deadline tight enough to cut stragglers, so
-/// the mid-round rescue ledger engages. Pins the full event vocabulary —
-/// deadline cuts, `shards_reassigned`, retries — as produced by the
-/// discrete-event drain, in golden form.
+/// Event preset: two cohorts under crashes, churn, packet loss and a fixed
+/// deadline tight enough to cut stragglers, so the mid-round rescue ledger
+/// engages. Pins the full event vocabulary — deadline cuts,
+/// `shards_reassigned`, retries — as produced by the discrete-event drain,
+/// in golden form.
+fn event_scenario() -> SimBuilder {
+    fleet_builder()
+        .cohort_size(4)
+        .threads(4)
+        .faults(
+            FaultConfig::none()
+                .with_crash_prob(0.3)
+                .with_loss_prob(0.15)
+                .with_churn_prob(0.1),
+            3,
+        )
+        .retry(RetryPolicy::default_chaos())
+        .deadline(DeadlinePolicy::Fixed(55.0))
+}
+
 fn event_trace() -> String {
-    let log = Arc::new(EventLog::new());
-    let models = DeviceModel::all();
-    let devices: Vec<Device> = (0..8)
-        .map(|i| {
-            Device::from_model(
-                models[i % models.len()],
-                SEED.wrapping_add(i as u64 * 0x9E37_79B9),
-            )
-        })
-        .collect();
-    let config = FaultConfig::none()
-        .with_crash_prob(0.3)
-        .with_loss_prob(0.15)
-        .with_churn_prob(0.1);
-    let mut engine = SimBuilder::new(
-        devices,
-        RoundConfig::new(
-            TrainingWorkload::lenet(),
-            Link::new(100.0, 100.0, 0.0, 0.0),
-            2.5e6,
-            SEED,
-        ),
-    )
-    .cohort_size(4)
-    .threads(4)
-    .faults(config, 3)
-    .retry(RetryPolicy::default_chaos())
-    .deadline(DeadlinePolicy::Fixed(55.0))
-    .probe(Probe::attached(log.clone()))
-    .build_engine()
-    .expect("golden event engine config is valid");
-    let _ = engine.run(&fedsched::core::Schedule::new(vec![3; 8], 100.0), 3);
-    log.to_jsonl()
+    scenario_trace(event_scenario, Host::Hier)
 }
 
-/// Churn preset: a two-cohort engine under a continuous
-/// arrival/departure process with mid-round admission. Pins the churn
-/// event vocabulary — `device_depart`, `shards_orphaned`, `device_arrive`,
-/// `mid_round_admit` — and the per-cohort churn-timeline derivation in
-/// golden form; the engine guarantees these bytes are thread-invariant.
-fn churn_trace() -> String {
+/// Churn preset: two cohorts under a continuous arrival/departure process
+/// with mid-round admission. Pins the churn event vocabulary —
+/// `device_depart`, `shards_orphaned`, `device_arrive`, `mid_round_admit`
+/// — and the per-cohort churn-timeline derivation in golden form; the
+/// engine guarantees these bytes are thread-invariant.
+fn churn_scenario() -> SimBuilder {
     use fedsched::faults::ChurnConfig;
     use fedsched::fl::AdmissionPolicy;
-    let log = Arc::new(EventLog::new());
-    let models = DeviceModel::all();
-    let devices: Vec<Device> = (0..8)
-        .map(|i| {
-            Device::from_model(
-                models[i % models.len()],
-                SEED.wrapping_add(i as u64 * 0x9E37_79B9),
-            )
-        })
-        .collect();
-    let config = FaultConfig::none().with_loss_prob(0.1);
-    let mut engine = SimBuilder::new(
-        devices,
-        RoundConfig::new(
-            TrainingWorkload::lenet(),
-            Link::new(100.0, 100.0, 0.0, 0.0),
-            2.5e6,
-            SEED,
-        ),
-    )
-    .cohort_size(4)
-    .threads(4)
-    .faults(config, 3)
-    .churn(ChurnConfig::symmetric(0.25, 60.0))
-    .admission(AdmissionPolicy::MidRoundFill)
-    .retry(RetryPolicy::default_chaos())
-    .probe(Probe::attached(log.clone()))
-    .build_engine()
-    .expect("golden churn engine config is valid");
-    let _ = engine.run(&fedsched::core::Schedule::new(vec![3; 8], 100.0), 3);
-    log.to_jsonl()
+    fleet_builder()
+        .cohort_size(4)
+        .threads(4)
+        .faults(FaultConfig::none().with_loss_prob(0.1), 3)
+        .churn(ChurnConfig::symmetric(0.25, 60.0))
+        .admission(AdmissionPolicy::MidRoundFill)
+        .retry(RetryPolicy::default_chaos())
 }
 
-/// Hierarchy preset: a four-cohort quiet engine under a *non-trivial*
-/// two-tier topology — two edge aggregators, a jittered backhaul link,
-/// trimmed-mean at the edge tier and median at the server tier. Pins the
-/// hierarchy event vocabulary (`edge_reduce`, tier-level
-/// `robust_aggregate`) and the edge-seed derivation in golden form; the
-/// engine guarantees these bytes are thread-invariant.
-fn hier_trace() -> String {
+fn churn_trace() -> String {
+    scenario_trace(churn_scenario, Host::Hier)
+}
+
+/// Hierarchy preset: four quiet cohorts under a *non-trivial* two-tier
+/// topology — two edge aggregators, a jittered backhaul link, trimmed-mean
+/// at the edge tier and median at the server tier. Pins the hierarchy
+/// event vocabulary (`edge_reduce`, tier-level `robust_aggregate`) and the
+/// edge-seed derivation in golden form; the engine guarantees these bytes
+/// are thread-invariant.
+fn hier_scenario() -> SimBuilder {
     use fedsched::fl::AggregatorKind;
-    let log = Arc::new(EventLog::new());
-    let models = DeviceModel::all();
-    let devices: Vec<Device> = (0..8)
-        .map(|i| {
-            Device::from_model(
-                models[i % models.len()],
-                SEED.wrapping_add(i as u64 * 0x9E37_79B9),
+    fleet_builder()
+        .cohort_size(2)
+        .threads(4)
+        .edges(2)
+        .edge_link(Link::edge_backhaul())
+        .edge_aggregator(AggregatorKind::TrimmedMean { trim: 1 })
+        .server_aggregator(AggregatorKind::Median)
+}
+
+fn hier_trace() -> String {
+    scenario_trace(hier_scenario, Host::Hier)
+}
+
+/// FNV-1a 64 of the `Debug` text of each multi-cohort scenario's
+/// three-round report, built with `build_hier()` and with
+/// `build_coordinator()`. The traces above pin the JSONL; these pin the
+/// report bytes `BuiltSim::step` serves in `RoundDigest::detail`.
+const REPORT_FINGERPRINTS: [(&str, Scenario, u64, u64); 4] = [
+    (
+        "chaos",
+        chaos_scenario,
+        0xc4fa_7c53_bc92_0821,
+        0xe0e2_e26a_ece1_6865,
+    ),
+    (
+        "attacked",
+        attack_scenario,
+        0x8afd_4f85_8a2e_1065,
+        0x3ac1_2d37_b099_a558,
+    ),
+    (
+        "event",
+        event_scenario,
+        0xe37a_131c_1843_753f,
+        0x605c_38d9_4409_1107,
+    ),
+    (
+        "churn",
+        churn_scenario,
+        0x19db_e9cf_80f3_c7bd,
+        0xc539_6c44_eb50_35a3,
+    ),
+];
+
+#[test]
+fn multicohort_reports_match_pinned_fingerprints() {
+    let fingerprint = |report: &dyn std::fmt::Debug| fnv1a64(format!("{report:?}").as_bytes());
+    let got: Vec<(&str, u64, u64)> = REPORT_FINGERPRINTS
+        .iter()
+        .map(|&(name, scenario, _, _)| {
+            let mut hier = scenario().build_hier().expect("golden config is valid");
+            let mut coordinator = scenario()
+                .build_coordinator()
+                .expect("golden config is valid");
+            (
+                name,
+                fingerprint(&hier.run(&fleet_schedule(), 3)),
+                fingerprint(&coordinator.run(&fleet_schedule(), 3)),
             )
         })
         .collect();
-    let mut engine = SimBuilder::new(
-        devices,
-        RoundConfig::new(
-            TrainingWorkload::lenet(),
-            Link::new(100.0, 100.0, 0.0, 0.0),
-            2.5e6,
-            SEED,
-        ),
-    )
-    .cohort_size(2)
-    .threads(4)
-    .edges(2)
-    .edge_link(Link::edge_backhaul())
-    .edge_aggregator(AggregatorKind::TrimmedMean { trim: 1 })
-    .server_aggregator(AggregatorKind::Median)
-    .probe(Probe::attached(log.clone()))
-    .build_hier()
-    .expect("golden hier engine config is valid");
-    let _ = engine.run(&fedsched::core::Schedule::new(vec![3; 8], 100.0), 3);
-    log.to_jsonl()
+    let want: Vec<(&str, u64, u64)> = REPORT_FINGERPRINTS
+        .iter()
+        .map(|&(name, _, hier, coordinator)| (name, hier, coordinator))
+        .collect();
+    assert_eq!(
+        got, want,
+        "(scenario, build_hier, build_coordinator) report fingerprints moved"
+    );
 }
-
 /// Compare `got` against the snapshot at `path`, regenerating when
 /// `UPDATE_GOLDEN` is set; on mismatch, report the first differing line.
 fn assert_matches_golden(got: &str, path: &PathBuf) {
@@ -449,52 +447,47 @@ fn attack_trace_matches_golden_snapshot() {
     assert_matches_golden(&got, &attack_golden_path());
 }
 
-/// Every pre-existing golden scenario must replay byte-identically on
-/// every other host of the round core: the sequential scenario through a
-/// single-cohort engine, the multi-cohort ones through an Off-policy
-/// coordinator. One side of each pair is pinned to its checked-in snapshot
-/// by the tests above, so equality here extends the golden guarantee
-/// without a second writer racing `UPDATE_GOLDEN` regeneration.
+/// Every golden scenario must replay byte-identically on every other host
+/// of the round core: the sequential scenario through a single-cohort
+/// coordinator, the multi-cohort ones through an Off-policy coordinator.
+/// One side of each pair is pinned to its checked-in snapshot by the tests
+/// above, so equality here extends the golden guarantee without a second
+/// writer racing `UPDATE_GOLDEN` regeneration.
 #[test]
 fn golden_scenarios_replay_byte_identical_through_event_path() {
     assert_eq!(
-        trace_with(Host::Engine),
+        trace_with(Host::Coordinator),
         trace(),
-        "table1_presets golden diverged through the engine"
+        "table1_presets golden diverged through the coordinator"
     );
     assert_eq!(
-        chaos_trace_with(Host::Coordinator),
+        scenario_trace(chaos_scenario, Host::Coordinator),
         chaos_trace(),
         "chaos_multicohort golden diverged through the coordinator"
     );
     assert_eq!(
-        attack_trace_with(Host::Coordinator),
+        scenario_trace(attack_scenario, Host::Coordinator),
         attack_trace(),
         "attacked_multicohort golden diverged through the coordinator"
+    );
+    assert_eq!(
+        scenario_trace(churn_scenario, Host::Coordinator),
+        churn_trace(),
+        "churn_multicohort golden diverged through the coordinator"
     );
 }
 
 /// The default hierarchical topology (one edge per cohort, no backhaul,
-/// FedAvg tiers) is *trivial*: it emits no hierarchy events and its
-/// underlying cohorts are the flat engine verbatim, so every pre-existing
-/// golden scenario must replay byte-identically through [`HierEngine`] —
-/// extending the golden guarantee to the hierarchy without new snapshots.
+/// FedAvg tiers) is *trivial*: it emits no hierarchy events, so a
+/// single-cohort run through `HierEngine` must replay the sequential
+/// golden byte-identically. The multi-cohort goldens are recorded through
+/// the hier engine itself, so their snapshots pin that path directly.
 #[test]
 fn golden_scenarios_replay_byte_identical_through_hier_engine() {
     assert_eq!(
         trace_with(Host::Hier),
         trace(),
         "table1_presets golden diverged through the hier engine"
-    );
-    assert_eq!(
-        chaos_trace_with(Host::Hier),
-        chaos_trace(),
-        "chaos_multicohort golden diverged through the hier engine"
-    );
-    assert_eq!(
-        attack_trace_with(Host::Hier),
-        attack_trace(),
-        "attacked_multicohort golden diverged through the hier engine"
     );
 }
 

@@ -2,10 +2,13 @@
 //! device arena.
 //!
 //! The hierarchy's contract is that it is a *reduction topology*, not a
-//! simulator: cohorts run the exact flat code paths, and with one edge
-//! per cohort (the default) or one edge total, the folded report and the
-//! telemetry stream are **byte-identical** to the flat engine at every
-//! thread count — quiet, chaos and attacked arms alike. Intermediate
+//! simulator: the tiers only fold cohort results, so reports and the
+//! telemetry stream are **byte-identical** at every thread count — quiet,
+//! chaos and attacked arms alike, each checked against its own
+//! single-threaded run (the checked-in goldens pin the multi-cohort
+//! scenarios, and `parallel_identity` pins a fleet-covering cohort against
+//! the sequential sim). With one edge per cohort (the default) or one
+//! edge total, the folded report is the flat cohort merge. Intermediate
 //! geometries regroup float reductions, so only `comm_fraction` may move
 //! in the last bits; every integer field, every max-folded makespan, the
 //! recomputed coverage and the concatenated per-user means stay exact,
@@ -22,7 +25,7 @@ use proptest::prelude::*;
 use fedsched::core::Schedule;
 use fedsched::device::{Device, DeviceArena, DeviceModel, Testbed, TrainingWorkload};
 use fedsched::faults::{AdversaryConfig, AttackKind, FaultConfig};
-use fedsched::fl::{derive_edge_seed, AggregatorKind, HierEngine, RoundConfig, SimBuilder};
+use fedsched::fl::{derive_edge_seed, AggregatorKind, EngineReport, RoundConfig, SimBuilder};
 use fedsched::net::{Link, RetryPolicy};
 use fedsched::telemetry::{EventLog, Probe};
 
@@ -56,27 +59,8 @@ fn uniform(n: usize, shards: usize) -> Schedule {
     Schedule::new(vec![shards; n], 100.0)
 }
 
-/// Flat engine run: report debug string + trace bytes.
-fn flat_run(
-    devices: Vec<Device>,
-    schedule: &Schedule,
-    rounds: usize,
-    cohort_size: usize,
-    threads: usize,
-) -> (String, String) {
-    let log = Arc::new(EventLog::new());
-    let mut eng = SimBuilder::new(devices, round_config(SEED))
-        .cohort_size(cohort_size)
-        .threads(threads)
-        .probe(Probe::attached(log.clone()))
-        .build_engine()
-        .expect("flat engine config is valid");
-    let report = eng.run(schedule, rounds);
-    (format!("{report:?}"), log.to_jsonl())
-}
-
-/// Default-topology hier run (one edge per cohort, no link, FedAvg at
-/// both tiers), reshaped to the flat report for comparison.
+/// Default-topology run (one edge per cohort, no link, FedAvg at both
+/// tiers): report debug string + trace bytes.
 fn hier_run(
     devices: Vec<Device>,
     schedule: &Schedule,
@@ -94,10 +78,24 @@ fn hier_run(
     let report = eng.run(schedule, rounds);
     assert_eq!(report.edge_rejections, 0, "FedAvg tiers reject nothing");
     assert_eq!(report.server_rejections, 0);
-    (
-        format!("{:?}", HierEngine::as_engine_report(&report)),
-        log.to_jsonl(),
-    )
+    (format!("{report:?}"), log.to_jsonl())
+}
+
+/// Run `builder` at `threads` with a probe: report debug string + trace.
+fn traced_run(
+    builder: SimBuilder,
+    schedule: &Schedule,
+    rounds: usize,
+    threads: usize,
+) -> (String, String) {
+    let log = Arc::new(EventLog::new());
+    let mut eng = builder
+        .threads(threads)
+        .probe(Probe::attached(log.clone()))
+        .build_hier()
+        .expect("hier engine config is valid");
+    let report = eng.run(schedule, rounds);
+    (format!("{report:?}"), log.to_jsonl())
 }
 
 #[test]
@@ -106,10 +104,9 @@ fn every_testbed_preset_is_bit_identical_flat_vs_hier() {
         let tb = Testbed::by_index(preset, SEED);
         let n = tb.devices().len();
         let schedule = uniform(n, 10);
+        let (want_report, want_jsonl) = hier_run(tb.devices().to_vec(), &schedule, 3, 2, 1);
+        assert!(!want_jsonl.is_empty());
         for threads in THREAD_COUNTS {
-            let (want_report, want_jsonl) =
-                flat_run(tb.devices().to_vec(), &schedule, 3, 2, threads);
-            assert!(!want_jsonl.is_empty());
             let (report, jsonl) = hier_run(tb.devices().to_vec(), &schedule, 3, 2, threads);
             assert_eq!(
                 report, want_report,
@@ -133,8 +130,8 @@ fn every_testbed_preset_is_bit_identical_flat_vs_hier() {
         SEED,
     );
     let schedule = uniform(4, 10);
+    let want = hier_run(tb.devices().to_vec(), &schedule, 3, 2, 1);
     for threads in THREAD_COUNTS {
-        let want = flat_run(tb.devices().to_vec(), &schedule, 3, 2, threads);
         let got = hier_run(tb.devices().to_vec(), &schedule, 3, 2, threads);
         assert_eq!(got, want, "table1 cohort, threads {threads}");
     }
@@ -158,32 +155,17 @@ fn chaos_plan_is_bit_identical_flat_vs_hier() {
             .retry(retry)
     };
 
+    let want = traced_run(chaos_builder(population(n, SEED)), &schedule, rounds, 1);
+    assert!(
+        want.1.contains("fault_injected") || want.1.contains("transfer_retry"),
+        "chaos config produced a quiet trace"
+    );
     for threads in THREAD_COUNTS {
-        let flat_log = Arc::new(EventLog::new());
-        let mut flat = chaos_builder(population(n, SEED))
-            .threads(threads)
-            .probe(Probe::attached(flat_log.clone()))
-            .build_engine()
-            .expect("chaos engine config is valid");
-        let want = (
-            format!("{:?}", flat.run(&schedule, rounds)),
-            flat_log.to_jsonl(),
-        );
-        assert!(
-            want.1.contains("fault_injected") || want.1.contains("transfer_retry"),
-            "chaos config produced a quiet trace"
-        );
-
-        let hier_log = Arc::new(EventLog::new());
-        let mut hier = chaos_builder(population(n, SEED))
-            .threads(threads)
-            .probe(Probe::attached(hier_log.clone()))
-            .build_hier()
-            .expect("chaos hier config is valid");
-        let report = hier.run(&schedule, rounds);
-        let got = (
-            format!("{:?}", HierEngine::as_engine_report(&report)),
-            hier_log.to_jsonl(),
+        let got = traced_run(
+            chaos_builder(population(n, SEED)),
+            &schedule,
+            rounds,
+            threads,
         );
         assert_eq!(got.0, want.0, "threads {threads}: chaos report diverged");
         assert_eq!(got.1, want.1, "threads {threads}: chaos trace diverged");
@@ -211,32 +193,17 @@ fn attacked_arm_is_bit_identical_flat_vs_hier() {
             .retry(RetryPolicy::default_chaos())
     };
 
+    let want = traced_run(attack_builder(population(n, SEED)), &schedule, rounds, 1);
+    assert!(
+        want.1.contains("update_rejected"),
+        "attack arm rejected nothing"
+    );
     for threads in THREAD_COUNTS {
-        let flat_log = Arc::new(EventLog::new());
-        let mut flat = attack_builder(population(n, SEED))
-            .threads(threads)
-            .probe(Probe::attached(flat_log.clone()))
-            .build_engine()
-            .expect("attack engine config is valid");
-        let want = (
-            format!("{:?}", flat.run(&schedule, rounds)),
-            flat_log.to_jsonl(),
-        );
-        assert!(
-            want.1.contains("update_rejected"),
-            "attack arm rejected nothing"
-        );
-
-        let hier_log = Arc::new(EventLog::new());
-        let mut hier = attack_builder(population(n, SEED))
-            .threads(threads)
-            .probe(Probe::attached(hier_log.clone()))
-            .build_hier()
-            .expect("attack hier config is valid");
-        let report = hier.run(&schedule, rounds);
-        let got = (
-            format!("{:?}", HierEngine::as_engine_report(&report)),
-            hier_log.to_jsonl(),
+        let got = traced_run(
+            attack_builder(population(n, SEED)),
+            &schedule,
+            rounds,
+            threads,
         );
         assert_eq!(got.0, want.0, "threads {threads}: attack report diverged");
         assert_eq!(got.1, want.1, "threads {threads}: attack trace diverged");
@@ -244,24 +211,29 @@ fn attacked_arm_is_bit_identical_flat_vs_hier() {
 }
 
 /// One edge total is the other parity topology: the edge fold *is* the
-/// flat merge and the server tier is a passthrough.
+/// flat cohort merge and the server tier is a passthrough, so its
+/// population view matches the default one-edge-per-cohort topology's.
 #[test]
 fn single_edge_topology_report_matches_flat() {
     let n = 12;
     let schedule = uniform(n, 2);
-    let (want_report, _) = flat_run(population(n, SEED), &schedule, 3, 4, 2);
-    let mut eng = SimBuilder::new(population(n, SEED), round_config(SEED))
-        .cohort_size(4)
-        .threads(2)
-        .edges(1)
-        .build_hier()
-        .expect("single-edge config is valid");
-    let report = eng.run(&schedule, 3);
-    assert_eq!(report.edges.len(), 1);
+    let run = |edges: usize| {
+        SimBuilder::new(population(n, SEED), round_config(SEED))
+            .cohort_size(4)
+            .threads(2)
+            .edges(edges)
+            .build_hier()
+            .expect("parity topology config is valid")
+            .run(&schedule, 3)
+    };
+    let per_cohort = run(3);
+    let single = run(1);
+    assert_eq!(single.edges.len(), 1);
+    assert_eq!(per_cohort.edges.len(), 3);
     assert_eq!(
-        format!("{:?}", HierEngine::as_engine_report(&report)),
-        want_report,
-        "single-edge topology diverged from flat"
+        format!("{:?}", EngineReport::from(single)),
+        format!("{:?}", EngineReport::from(per_cohort)),
+        "single-edge topology diverged from the flat cohort merge"
     );
 }
 
@@ -379,7 +351,7 @@ fn arena_population_replays_golden_scenarios_bit_identically() {
         .faults(config, 3)
         .retry(RetryPolicy::default_chaos())
         .probe(Probe::attached(log.clone()))
-        .build_engine()
+        .build_hier()
         .expect("golden chaos engine config is valid");
         let _ = engine.run(&uniform(8, 3), 3);
         log.to_jsonl()
@@ -433,14 +405,15 @@ proptest! {
                 .run(&schedule, rounds)
         };
         let report = run(threads);
+        // The default topology's server fold is the flat cohort merge.
         let flat = SimBuilder::new(population(n, seed), round_config(seed))
             .cohort_size(cohort_size)
             .threads(1)
-            .build_engine()
+            .build_hier()
             .expect("flat reference config is valid")
             .run(&schedule, rounds);
 
-        // Device tier is the flat engine verbatim.
+        // Device tier is the same cohorts verbatim.
         prop_assert_eq!(
             format!("{:?}", &report.cohorts),
             format!("{:?}", &flat.cohorts)
@@ -505,8 +478,8 @@ proptest! {
         // Parity topologies collapse to full byte-identity.
         if edges == n_cohorts || edges == 1 {
             prop_assert_eq!(
-                format!("{:?}", HierEngine::as_engine_report(&report)),
-                format!("{report:?}", report = flat)
+                format!("{:?}", EngineReport::from(report.clone())),
+                format!("{:?}", EngineReport::from(flat))
             );
         }
 

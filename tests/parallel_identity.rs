@@ -1,4 +1,5 @@
-//! Differential bit-identity tests for the parallel multi-cohort engine.
+//! Differential bit-identity tests for the population engine's cohort
+//! tier (`build_hier()` in its default topology).
 //!
 //! The engine's contract is that parallelism is *invisible*: for any thread
 //! count, its reports and spliced telemetry stream are byte-identical to
@@ -73,7 +74,7 @@ fn engine_quiet(
         .cohort_size(cohort_size)
         .threads(threads)
         .probe(Probe::attached(log.clone()))
-        .build_engine()
+        .build_hier()
         .expect("quiet engine config is valid");
     let report = eng.run(schedule, rounds);
     (format!("{:?}", report.timing), log.to_jsonl())
@@ -138,7 +139,7 @@ fn chaos_fault_plan_is_bit_identical_to_sequential_resilient() {
             .faults(config.clone(), rounds)
             .retry(retry)
             .probe(Probe::attached(log.clone()))
-            .build_engine()
+            .build_hier()
             .expect("chaos engine config is valid");
         let report = eng.run(&schedule, rounds);
         let got = (
@@ -156,7 +157,7 @@ fn chaos_fault_plan_is_bit_identical_to_sequential_resilient() {
     }
 }
 
-/// An engine built without `with_threads` uses the pool that
+/// An engine built without `.threads(..)` uses the pool that
 /// `FEDSCHED_THREADS` (or the host's recommendation) dictates — CI runs
 /// this suite once with the variable unset and once forced to 4 and 8, so
 /// the *default* pool is exercised at several widths, and must still match
@@ -169,7 +170,7 @@ fn default_worker_pool_matches_explicit_single_thread() {
     let mut eng = SimBuilder::new(population(n, SEED), round_config(SEED))
         .cohort_size(6)
         .probe(Probe::attached(log.clone()))
-        .build_engine()
+        .build_hier()
         .expect("default-pool engine config is valid");
     assert_eq!(eng.threads(), default_engine_threads());
     let report = eng.run(&schedule, 2);
@@ -211,7 +212,7 @@ proptest! {
             SimBuilder::new(population(n, seed), round_config(seed))
                 .cohort_size(cohort_size)
                 .threads(threads)
-                .build_engine()
+                .build_hier()
                 .expect("random geometry config is valid")
                 .run(&schedule, rounds)
         };

@@ -83,7 +83,7 @@ fn run(
     if let Some(adv) = adversary {
         builder = builder.adversary(adv, ROUNDS);
     }
-    let mut engine = builder.build_engine().expect("valid engine config");
+    let mut engine = builder.build_hier().expect("valid engine config");
     let report = engine.run(&Schedule::new(vec![3; 8], 100.0), ROUNDS);
     (log.to_jsonl(), format!("{report:?}"))
 }

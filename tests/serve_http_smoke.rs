@@ -79,7 +79,7 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
 
 fn request() -> JobRequest {
     let mut spec = JobSpec::new(
-        BuildTarget::Engine,
+        BuildTarget::Hier,
         DeviceSetSpec::Testbed {
             preset: 3,
             seed: 4047,
