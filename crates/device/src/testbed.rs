@@ -84,6 +84,11 @@ impl Testbed {
         &self.devices
     }
 
+    /// Take the devices out of the testbed, without cloning them.
+    pub fn into_devices(self) -> Vec<Device> {
+        self.devices
+    }
+
     /// Mutably borrow the devices (the FL runtime advances their state).
     pub fn devices_mut(&mut self) -> &mut [Device] {
         &mut self.devices

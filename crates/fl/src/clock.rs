@@ -10,6 +10,8 @@
 //!
 //! All times are simulated seconds, relative to the round's start.
 
+use std::fmt::{self, Write as _};
+
 use fedsched_core::Schedule;
 use fedsched_device::{Device, TrainingWorkload};
 use fedsched_net::Link;
@@ -17,7 +19,13 @@ use fedsched_telemetry::Probe;
 use serde::Serialize;
 
 /// Timing statistics over simulated rounds.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// `Debug` renders exactly the bytes `#[derive(Debug)]` would, under every
+/// formatter flag: round digests, golden fingerprints and resume checks
+/// compare those bytes. It is written by hand because a population-wide
+/// `per_user_mean` (repeated at the cohort, edge and server tiers) makes
+/// this the largest part of every round report, mostly exact zeros.
+#[derive(Clone, PartialEq, Serialize)]
 pub struct TimingReport {
     /// Synchronous round time (straggler) for every round.
     pub per_round_makespan: Vec<f64>,
@@ -40,6 +48,46 @@ impl TimingReport {
     /// Total synchronous time over all rounds.
     pub fn total_time(&self) -> f64 {
         self.per_round_makespan.iter().sum()
+    }
+}
+
+impl fmt::Debug for TimingReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TimingReport")
+            .field("per_round_makespan", &FloatList(&self.per_round_makespan))
+            .field("per_user_mean", &FloatList(&self.per_user_mean))
+            .field("comm_fraction", &self.comm_fraction)
+            .finish()
+    }
+}
+
+/// A float slice whose `Debug` is `Vec<f64>`'s, byte for byte.
+struct FloatList<'a>(&'a [f64]);
+
+impl fmt::Debug for FloatList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Width, precision, `+` and `#` reach every element (or, for `#`,
+        // the layout), so only the element-wise list reproduces them.
+        if f.width().is_some() || f.precision().is_some() || f.sign_plus() || f.alternate() {
+            return f.debug_list().entries(self.0).finish();
+        }
+        // No other flag changes a float's `Debug` bytes: render the list
+        // into one buffer, spelling `+0.0` directly, and hand the
+        // formatter a single string.
+        let mut buf = String::with_capacity(2 + 5 * self.0.len());
+        buf.push('[');
+        for (i, v) in self.0.iter().enumerate() {
+            if i > 0 {
+                buf.push_str(", ");
+            }
+            if v.to_bits() == 0 {
+                buf.push_str("0.0");
+            } else {
+                write!(buf, "{v:?}")?;
+            }
+        }
+        buf.push(']');
+        f.write_str(&buf)
     }
 }
 
@@ -165,6 +213,67 @@ pub fn admission_start(arrive_s: f64, detection: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The derive the hand-written `Debug` replaces, under the same type
+    /// name so the rendered bytes can be compared whole.
+    mod derived {
+        // The fields are read only through the derived `Debug`.
+        #[allow(dead_code)]
+        #[derive(Debug)]
+        pub struct TimingReport {
+            pub per_round_makespan: Vec<f64>,
+            pub per_user_mean: Vec<f64>,
+            pub comm_fraction: f64,
+        }
+    }
+
+    #[test]
+    fn debug_matches_the_derive_under_every_flag() {
+        let mixed = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            1e-7,
+            1e16,
+            0.1 + 0.2,
+            12.5,
+        ];
+        let vectors = [Vec::new(), vec![0.0; 10_000], mixed];
+        for makespans in &vectors {
+            for means in &vectors {
+                for comm_fraction in [0.0, -0.0, 0.1 + 0.2] {
+                    let ours = TimingReport {
+                        per_round_makespan: makespans.clone(),
+                        per_user_mean: means.clone(),
+                        comm_fraction,
+                    };
+                    let derived = derived::TimingReport {
+                        per_round_makespan: makespans.clone(),
+                        per_user_mean: means.clone(),
+                        comm_fraction,
+                    };
+                    let pairs = [
+                        (format!("{ours:?}"), format!("{derived:?}")),
+                        (format!("{ours:#?}"), format!("{derived:#?}")),
+                        (format!("{ours:.3?}"), format!("{derived:.3?}")),
+                        (format!("{ours:+?}"), format!("{derived:+?}")),
+                        (format!("{ours:12?}"), format!("{derived:12?}")),
+                    ];
+                    for (flag, (got, want)) in ["", "#", ".3", "+", "12"].iter().zip(pairs) {
+                        assert!(
+                            got == want,
+                            "`{{:{flag}?}}` differs from the derive for {} + {} means",
+                            makespans.len(),
+                            means.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn cut_is_proportional_to_compute_progress() {

@@ -231,6 +231,23 @@ pub(crate) fn fold_tier(
     }
 }
 
+/// Every integer count of an outcome, in declaration order.
+#[cfg(debug_assertions)]
+fn integer_fields(o: &RoundOutcome) -> [usize; 10] {
+    [
+        o.scheduled,
+        o.completed,
+        o.rescued,
+        o.lost_shards,
+        o.admitted,
+        o.admit_done,
+        o.carried,
+        o.failed_users,
+        o.timed_out,
+        o.rejected_updates,
+    ]
+}
+
 /// Deterministic proxy update for tier-level robust scoring: an 8-dim
 /// feature vector of the round outcome, weighted by participants (floored
 /// at 1 so idle cohorts still count as an update). No RNG anywhere —
@@ -375,24 +392,39 @@ impl HierEngine {
     }
 
     /// Side-effect-free per-user predicted round times for `schedule`,
-    /// pooled over the *whole population* in population order. Built from a
-    /// snapshot of current device state (thermal throttling included) and
-    /// never draws from any RNG — calling it does not perturb the simulated
-    /// timeline. The [`Coordinator`](crate::Coordinator) resolves adaptive
-    /// deadline policies against this pool.
+    /// pooled over the *whole population* in population order. Built from
+    /// current device state (thermal throttling included), predicted in
+    /// place cohort by cohort, and never draws from any RNG — calling it
+    /// does not perturb the simulated timeline. The
+    /// [`Coordinator`](crate::Coordinator) resolves adaptive deadline
+    /// policies against this pool.
     pub(crate) fn predicted_user_times(&self, schedule: &Schedule) -> Vec<f64> {
         assert_eq!(
             schedule.shards.len(),
             self.n,
             "schedule/population size mismatch"
         );
-        predict_round_times(
-            &self.devices(),
-            &self.core.workload,
-            &self.core.link,
-            self.core.model_bytes,
-            schedule,
-        )
+        let predict = |devices: &[Device], schedule: &Schedule| {
+            predict_round_times(
+                devices,
+                &self.core.workload,
+                &self.core.link,
+                self.core.model_bytes,
+                schedule,
+            )
+        };
+        if self.slots.is_empty() {
+            return predict(&self.pending, schedule);
+        }
+        let mut out = Vec::with_capacity(self.n);
+        for slot in &self.slots {
+            let sub = Schedule::new(
+                schedule.shards[slot.range.clone()].to_vec(),
+                schedule.shard_size,
+            );
+            out.extend(predict(slot.sim.lock().unwrap().devices(), &sub));
+        }
+        out
     }
 
     /// Build the per-cohort sims on first use. Lazy on purpose: a large
@@ -578,6 +610,29 @@ impl HierEngine {
             .map(|(e, er)| (&er.timing, er.rounds.as_slice(), edge_participants[e]))
             .collect();
         let (timing, server_rounds) = fold_tier(&server_items, rounds, first_round);
+        // The tiers regroup the cohort results without losing any: every
+        // integer field is the cohort total, no tier shortens a cohort's
+        // round, and coverage stays at most 1.
+        #[cfg(debug_assertions)]
+        for (r, server) in server_rounds.iter().enumerate() {
+            let mut sums = [0usize; 10];
+            for cohort in &cohorts {
+                for (sum, v) in sums.iter_mut().zip(integer_fields(&cohort.rounds[r])) {
+                    *sum += v;
+                }
+                debug_assert!(
+                    server.makespan_s >= cohort.rounds[r].makespan_s,
+                    "server makespan below cohort {}'s: {server:?}",
+                    cohort.start
+                );
+            }
+            debug_assert_eq!(
+                integer_fields(server),
+                sums,
+                "server counts are not the cohort sums: {server:?}"
+            );
+            debug_assert!(server.coverage <= 1.0, "coverage above 1: {server:?}");
+        }
 
         // Tier-level robust scoring + event emission, all on this thread.
         let mut edge_rejections = 0usize;
@@ -744,6 +799,41 @@ mod tests {
         let (t, r) = fold_tier(&[(&timing, rounds.as_slice(), 3)], 2, 7);
         assert_eq!(t, timing);
         assert_eq!(r, rounds);
+    }
+
+    #[test]
+    fn in_place_predictions_match_a_population_snapshot() {
+        use crate::builder::{RoundConfig, SimBuilder};
+        use fedsched_device::{DeviceModel, TrainingWorkload};
+
+        let models = DeviceModel::all();
+        let devices: Vec<Device> = (0..23)
+            .map(|i| Device::from_model(models[i % models.len()], 31 + i as u64))
+            .collect();
+        let (workload, link, model_bytes) = (TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6);
+        let mut engine = SimBuilder::new(devices, RoundConfig::new(workload, link, model_bytes, 5))
+            .cohort_size(5)
+            .threads(2)
+            .build_hier()
+            .unwrap();
+        // Idle users, and a ragged last cohort.
+        let shards: Vec<usize> = (0..23)
+            .map(|i| if i % 4 == 0 { 0 } else { 3 + i % 5 })
+            .collect();
+        let schedule = Schedule::new(shards, 100.0);
+        let snapshot = |engine: &HierEngine| {
+            predict_round_times(&engine.devices(), &workload, &link, model_bytes, &schedule)
+        };
+        // Before the first run the population is still pending.
+        let cold = engine.predicted_user_times(&schedule);
+        assert_eq!(cold, snapshot(&engine));
+        engine.run(&schedule, 3);
+        let warm = engine.predicted_user_times(&schedule);
+        assert_eq!(warm, snapshot(&engine));
+        assert_ne!(
+            warm, cold,
+            "three rounds of training must change device state"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use fedsched_core::DeadlinePolicy;
 use fedsched_core::Schedule;
 use fedsched_device::TrainingWorkload;
 use fedsched_faults::{DriftConfig, FaultConfig};
-use fedsched_fl::spec::{schedule_from_json, schedule_to_json};
+use fedsched_fl::spec::{schedule_from_json, schedule_to_json, MAX_FLEET_DEVICES, MAX_PLAN_CELLS};
 use fedsched_fl::{
     AdmissionPolicy, AdversaryConfig, AggregatorKind, AttackKind, BuildTarget, ChurnConfig,
     ConfigError, DeviceSetSpec, JobSpec, SimBuilder,
@@ -346,6 +346,59 @@ fn removed_tags_decode_to_invalid_spec_naming_the_tag() {
         assert!(matches!(err, ConfigError::InvalidSpec(_)), "{err:?}");
         assert_eq!(err.cause_code(), "invalid_spec");
         assert!(err.to_string().contains(tag), "{err} does not name {tag}");
+    }
+}
+
+/// Decode `doc`, expecting a cause-coded `invalid_spec` whose message
+/// names `needle`.
+fn assert_rejected(doc: &str, needle: &str) {
+    let err = JobSpec::parse(doc).expect_err("oversized specs must not decode");
+    assert!(matches!(err, ConfigError::InvalidSpec(_)), "{err:?}");
+    assert_eq!(err.cause_code(), "invalid_spec");
+    assert!(
+        err.to_string().contains(needle),
+        "{err} does not name {needle}"
+    );
+}
+
+#[test]
+fn oversized_fleets_fail_to_decode() {
+    let hier = PINNED[3].0;
+    let with_copies = |copies: &str| {
+        let doc = hier.replace(r#""copies":10"#, &format!(r#""copies":{copies}"#));
+        assert_ne!(doc, hier, "the substitution must apply");
+        doc
+    };
+    // Testbed III has 10 devices: the last fleet under the cap decodes.
+    let fits = MAX_FLEET_DEVICES / 10;
+    let spec = JobSpec::parse(&with_copies(&fits.to_string())).unwrap();
+    assert_eq!(spec.devices.n_devices().unwrap(), fits * 10);
+    // One copy more, 1e16 devices, and 10 x 2^61 (which wraps a `usize`).
+    for copies in [
+        (fits + 1).to_string(),
+        "1e15".into(),
+        (1u64 << 61).to_string(),
+    ] {
+        assert_rejected(&with_copies(&copies), "devices");
+    }
+}
+
+#[test]
+fn oversized_fault_and_adversary_plans_fail_to_decode() {
+    // The loaded spec runs 6 devices with both plans 8 rounds long.
+    let loaded = PINNED[1].0;
+    let fits = MAX_PLAN_CELLS / 6;
+    for (plan, next) in [("faults", "aggregator"), ("adversary", "churn")] {
+        let with_rounds = |rounds: &str| {
+            let from = format!(r#""planned_rounds":8}},"{next}""#);
+            let doc = loaded.replace(&from, &format!(r#""planned_rounds":{rounds}}},"{next}""#));
+            assert_ne!(doc, loaded, "the substitution must apply");
+            doc
+        };
+        JobSpec::parse(&with_rounds(&fits.to_string())).unwrap();
+        for rounds in [(fits + 1).to_string(), "1e15".into()] {
+            assert_rejected(&with_rounds(&rounds), plan);
+        }
     }
 }
 

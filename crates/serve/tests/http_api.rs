@@ -280,6 +280,40 @@ fn http_error_causes_match_in_process_cause_codes() {
 }
 
 #[test]
+fn oversized_fleets_are_rejected_and_the_server_stays_up() {
+    let addr = start_server();
+    let mut spec = JobSpec::new(
+        BuildTarget::Hier,
+        DeviceSetSpec::Replicated {
+            preset: 3,
+            copies: 10,
+            seed: 101,
+        },
+        TrainingWorkload::lenet(),
+        Link::wifi_campus(),
+        2.5e6,
+        101,
+    );
+    spec.cohort_size = Some(10);
+    let text = JobRequest {
+        spec,
+        schedule: Schedule::new(vec![1; 100], 100.0),
+        rounds_total: 2,
+    }
+    .canonical_json();
+    // 1e16 devices, and 10 x 2^61, which wraps a `usize` product.
+    for copies in ["1e15", "2305843009213693952"] {
+        let doc = text.replace("\"copies\":10", &format!("\"copies\":{copies}"));
+        assert_ne!(doc, text, "the substitution must apply");
+        let (status, body) = http(&addr, "POST", "/jobs", &doc);
+        assert_eq!(status, 400, "{body}");
+        assert_eq!(error_cause(&body), "invalid_spec");
+    }
+    let (status, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+}
+
+#[test]
 fn unknown_routes_and_methods_are_typed_errors() {
     let addr = start_server();
     let (status, body) = http(&addr, "GET", "/nope", "");

@@ -4,9 +4,9 @@
 # Usage: scripts/verify.sh [--quick]
 #   --quick   skip the release build (debug build + tests only)
 #
-# Scope notes: fmt/clippy run only on the fedsched crates — vendor/ holds
-# minimal offline stand-ins for external crates (see vendor/README.md) and
-# is exempt from style enforcement.
+# Scope notes: fmt/clippy run only on the fedsched crates and the exp_perf
+# benchmark package — vendor/ holds minimal offline stand-ins for external
+# crates (see vendor/README.md) and is exempt from style enforcement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,7 +64,9 @@ done
 echo "==> experiment smoke tests (fedsched-bench)"
 cargo test -q -p fedsched-bench
 
-echo "==> benchmark tests (exp_perf, including the all-workload smoke)"
+echo "==> benchmark package (exp_perf): fmt --check, clippy -D warnings, tests incl. the all-workload smoke"
+cargo fmt --check --manifest-path exp_perf/Cargo.toml
+cargo clippy -q --manifest-path exp_perf/Cargo.toml --all-targets -- -D warnings
 cargo test -q --manifest-path exp_perf/Cargo.toml
 
 if [[ "$QUICK" -eq 0 ]]; then
