@@ -15,7 +15,7 @@
 //! * [`EpsilonGreedy`], [`Ucb1`], [`ThompsonSampling`] — the three classic
 //!   policies (Thompson uses a Gaussian posterior over each arm's mean);
 //! * [`BanditScheduler`] — composes a policy with any inner
-//!   [`Scheduler`](fedsched_core::Scheduler): the policy picks the cohort,
+//!   [`Scheduler`]: the policy picks the cohort,
 //!   the inner scheduler (e.g. Fed-LBAP) splits the shards among the
 //!   selected devices;
 //! * [`selection_stream`] — the dedicated salted [`DrawStream`] channel all

@@ -445,10 +445,10 @@ fn sweep_cohort(
 /// derivation, per-cohort round loop and merge fold replicated over a
 /// [`DeviceArena`], touching only devices that hold shards. The output is
 /// engine-shaped and byte-identical to a real default-topology
-/// [`HierEngine`] run of the same scenario — `mega_matches_hier` and the
-/// differential suite pin that — while the resident population stays at
-/// tens of bytes per pristine device, which is what lets the sweep reach
-/// a million devices.
+/// [`HierEngine`](fedsched_fl::HierEngine) run of the same scenario —
+/// `mega_matches_hier` and the differential suite pin that — while the
+/// resident population stays at tens of bytes per pristine device, which
+/// is what lets the sweep reach a million devices.
 pub fn mega_run(n: usize, active: usize, rounds: usize, seed: u64) -> MegaRun {
     let schedule = sparse_schedule(n, active);
     let wl = TrainingWorkload::lenet();
@@ -578,8 +578,9 @@ pub fn mega_run(n: usize, active: usize, rounds: usize, seed: u64) -> MegaRun {
 }
 
 /// Differential gate for the mega sweep: run the same sparse scenario
-/// through the real two-tier [`HierEngine`] (scalar devices, default
-/// parity topology) and demand byte-identical timing and outcomes.
+/// through the real two-tier [`HierEngine`](fedsched_fl::HierEngine)
+/// (scalar devices, default parity topology) and demand byte-identical
+/// timing and outcomes.
 pub fn mega_matches_hier(n: usize, active: usize, rounds: usize, seed: u64) -> bool {
     let mega = mega_run(n, active, rounds, seed);
     let mut hier = SimBuilder::new(

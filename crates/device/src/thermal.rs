@@ -176,7 +176,7 @@ impl ThermalModel {
     /// transitions the step crossed — the telemetry layer turns these into
     /// `thermal_cap` / `big_cluster_*` events.
     ///
-    /// Cap *restorations* are reported with [`CAP_REPORT_HYST_C`] of
+    /// Cap *restorations* are reported with `CAP_REPORT_HYST_C` of
     /// hysteresis: throttling at a trip point self-regulates the die right
     /// at the trip temperature (throttle → cool a fraction of a degree →
     /// unthrottle → reheat), and without a guard band that limit cycle

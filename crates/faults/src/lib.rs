@@ -72,26 +72,39 @@ impl ChurnConfig {
         self.depart_rate == 0.0 && self.arrive_rate == 0.0
     }
 
+    /// Check every knob is in range, returning the violated rule — the
+    /// non-panicking twin of [`ChurnConfig::validate`].
+    pub fn check(&self) -> Result<(), &'static str> {
+        for (rule, r) in [
+            (
+                "churn depart_rate must be a finite non-negative rate",
+                self.depart_rate,
+            ),
+            (
+                "churn arrive_rate must be a finite non-negative rate",
+                self.arrive_rate,
+            ),
+        ] {
+            if !(r >= 0.0 && r.is_finite()) {
+                return Err(rule);
+            }
+        }
+        let horizon_ok = self.horizon_s > 0.0 && self.horizon_s.is_finite();
+        if self.is_quiet() || horizon_ok {
+            Ok(())
+        } else {
+            Err("churn horizon must be positive while a rate is nonzero")
+        }
+    }
+
     /// Check every knob is in range.
     ///
     /// # Panics
     /// Panics on negative or non-finite rates, or a non-positive horizon
     /// while any rate is positive.
     pub fn validate(&self) {
-        for (name, r) in [
-            ("depart_rate", self.depart_rate),
-            ("arrive_rate", self.arrive_rate),
-        ] {
-            assert!(
-                r >= 0.0 && r.is_finite(),
-                "{name} must be a finite non-negative rate, got {r}"
-            );
-        }
-        if !self.is_quiet() {
-            assert!(
-                self.horizon_s > 0.0 && self.horizon_s.is_finite(),
-                "churn horizon must be positive while a rate is nonzero"
-            );
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
         }
     }
 }
@@ -132,22 +145,28 @@ impl DriftConfig {
         self.sigma == 0.0
     }
 
+    /// Check every knob is in range, returning the violated rule — the
+    /// non-panicking twin of [`DriftConfig::validate`].
+    pub fn check(&self) -> Result<(), &'static str> {
+        if !(self.sigma >= 0.0 && self.sigma.is_finite()) {
+            return Err("drift sigma must be a finite non-negative step scale");
+        }
+        let cap_ok = self.max_slowdown >= 1.0 && self.max_slowdown.is_finite();
+        if self.is_quiet() || cap_ok {
+            Ok(())
+        } else {
+            Err("drift max_slowdown must be >= 1 while sigma is nonzero")
+        }
+    }
+
     /// Check every knob is in range.
     ///
     /// # Panics
     /// Panics on a negative or non-finite sigma, or a cap below 1 while
     /// sigma is positive.
     pub fn validate(&self) {
-        assert!(
-            self.sigma >= 0.0 && self.sigma.is_finite(),
-            "drift sigma must be a finite non-negative step scale, got {}",
-            self.sigma
-        );
-        if !self.is_quiet() {
-            assert!(
-                self.max_slowdown >= 1.0 && self.max_slowdown.is_finite(),
-                "drift max_slowdown must be >= 1 while sigma is nonzero"
-            );
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
         }
     }
 }
@@ -330,48 +349,60 @@ impl FaultConfig {
             && self.drift.as_ref().is_none_or(DriftConfig::is_quiet)
     }
 
+    /// Check every knob is in range, the nested churn process and drift
+    /// included, returning the violated rule — the non-panicking twin of
+    /// [`FaultConfig::validate`] that wire decoding maps into a typed
+    /// error.
+    pub fn check(&self) -> Result<(), &'static str> {
+        for (rule, p) in [
+            ("crash_prob must be a probability", self.crash_prob),
+            ("churn_prob must be a probability", self.churn_prob),
+            (
+                "contention_prob must be a probability",
+                self.contention_prob,
+            ),
+            ("loss_prob must be a probability", self.loss_prob),
+            ("outage_prob must be a probability", self.outage_prob),
+            (
+                "group_outage_prob must be a probability",
+                self.group_outage_prob,
+            ),
+        ] {
+            if !((0.0..=1.0).contains(&p) && p.is_finite()) {
+                return Err(rule);
+            }
+        }
+        if !(self.contention_factor >= 1.0 && self.contention_factor.is_finite()) {
+            return Err("contention_factor must be >= 1");
+        }
+        if !(self.outage_horizon_s >= 0.0 && self.outage_duration_s >= 0.0) {
+            return Err("outage windows must be non-negative");
+        }
+        if self.group_outage_prob > 0.0 {
+            if self.group_count < 1 {
+                return Err("group outages need at least one failure domain");
+            }
+            if self.group_outage_rounds < 1 {
+                return Err("group outage duration must be at least one round");
+            }
+        }
+        if let Some(churn) = &self.churn_process {
+            churn.check()?;
+        }
+        if let Some(drift) = &self.drift {
+            drift.check()?;
+        }
+        Ok(())
+    }
+
     /// Check every knob is in range.
     ///
     /// # Panics
     /// Panics on probabilities outside `[0, 1]`, a contention factor below
-    /// 1, or negative durations.
+    /// 1, negative durations, or a malformed churn process or drift.
     pub fn validate(&self) {
-        for (name, p) in [
-            ("crash_prob", self.crash_prob),
-            ("churn_prob", self.churn_prob),
-            ("contention_prob", self.contention_prob),
-            ("loss_prob", self.loss_prob),
-            ("outage_prob", self.outage_prob),
-            ("group_outage_prob", self.group_outage_prob),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&p) && p.is_finite(),
-                "{name} must be a probability, got {p}"
-            );
-        }
-        assert!(
-            self.contention_factor >= 1.0 && self.contention_factor.is_finite(),
-            "contention_factor must be >= 1"
-        );
-        assert!(
-            self.outage_horizon_s >= 0.0 && self.outage_duration_s >= 0.0,
-            "outage windows must be non-negative"
-        );
-        if self.group_outage_prob > 0.0 {
-            assert!(
-                self.group_count >= 1,
-                "group outages need at least one failure domain"
-            );
-            assert!(
-                self.group_outage_rounds >= 1,
-                "group outage duration must be at least one round"
-            );
-        }
-        if let Some(churn) = &self.churn_process {
-            churn.validate();
-        }
-        if let Some(drift) = &self.drift {
-            drift.validate();
+        if let Err(rule) = self.check() {
+            panic!("{rule}");
         }
     }
 }

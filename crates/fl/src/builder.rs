@@ -4,14 +4,15 @@
 //! Historically each sim grew its own positional constructor plus a trail
 //! of panicking `with_*` builders; call sites repeated the same five
 //! arguments in the same order and learned about bad configuration at
-//! runtime, mid-panic. [`SimBuilder`] replaces that: one [`RoundConfig`]
-//! carries the knobs every path shares (workload, link, payload size,
-//! seed), chainable setters record intent without validating eagerly, and
-//! the terminal `build_*` methods validate everything at once, returning a
-//! typed [`ConfigError`] instead of panicking. The old positional
-//! constructors went through a `#[deprecated]`-shim cycle and are gone;
-//! the builder — and its wire twin, [`JobSpec`](crate::spec::JobSpec) —
-//! is the only construction path.
+//! runtime, mid-panic. [`SimBuilder`] replaces that. Its configuration
+//! *is* a wire [`JobSpec`] — the serialized form is the config — plus the
+//! host-side objects that have no wire form: the probe, an ad-hoc device
+//! fleet, and the sequential target's pre-built injector, rescheduler and
+//! priors. [`RoundConfig`] carries the knobs every path shares (workload,
+//! link, payload size, seed), chainable setters write spec fields without
+//! validating, and the terminal `build_*` methods validate everything at
+//! once — before a recipe fleet is built — returning a typed
+//! [`ConfigError`] instead of panicking.
 //!
 //! ```
 //! use fedsched_fl::{RoundConfig, SimBuilder};
@@ -31,7 +32,7 @@ use std::fmt;
 use fedsched_bandit::SelectionConfig;
 use fedsched_core::{DeadlinePolicy, Scheduler};
 use fedsched_device::{Device, TrainingWorkload};
-use fedsched_faults::{AdversaryConfig, AdversaryPlan, ChurnConfig, FaultConfig, FaultInjector};
+use fedsched_faults::{AdversaryConfig, ChurnConfig, FaultConfig, FaultInjector};
 use fedsched_net::{Link, RetryPolicy};
 use fedsched_profiler::LinearProfile;
 use fedsched_robust::AggregatorKind;
@@ -40,9 +41,8 @@ use fedsched_telemetry::Probe;
 use crate::cohorts::{default_engine_threads, DEFAULT_COHORT_SIZE};
 use crate::coordinator::{CoordinationMode, Coordinator};
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
-use crate::hier::{HierEngine, Tiers};
-use crate::resilient::ResilientRoundSim;
-
+use crate::hier::HierEngine;
+use crate::spec::{BuildTarget, DeviceSetSpec, JobSpec};
 /// Why a simulator could not be built.
 ///
 /// Every variant has a stable machine-readable [`cause_code`] (snake_case,
@@ -91,11 +91,11 @@ pub enum ConfigError {
     /// payload is the violated rule.
     InvalidTopology(&'static str),
     /// A configuration that cannot be expressed as a wire
-    /// [`JobSpec`](crate::spec::JobSpec) — it carries host-side objects
+    /// [`JobSpec`] — it carries host-side objects
     /// (custom injectors, reschedulers, priors, ad-hoc device fleets) with
     /// no serial form. The payload names the offending knob.
     NotSerializable(&'static str),
-    /// A wire [`JobSpec`](crate::spec::JobSpec) document that is
+    /// A wire [`JobSpec`] document that is
     /// malformed: bad JSON shape, an unknown field, or an unrecognized
     /// tag value. The payload describes the problem.
     InvalidSpec(String),
@@ -228,23 +228,18 @@ pub enum Selection {
     Bandit(SelectionConfig),
 }
 
-/// Buffered-async coordination knobs recorded by
-/// [`SimBuilder::buffered_async`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AsyncOptions {
-    pub(crate) buffer: usize,
-    pub(crate) eta: f64,
-}
-
 /// One builder for every simulator: the sequential [`EventRoundSim`], the
 /// population engine [`HierEngine`] built on it, and the [`Coordinator`]
 /// that drives a default-topology engine.
 ///
-/// Setters are infallible and record raw values; each terminal `build_*`
-/// validates the full configuration against its target and rejects knobs
-/// the target cannot honour with
+/// A builder is a wire [`JobSpec`] plus host-side extras. Setters are
+/// infallible and write spec fields (normalised the way the wire is:
+/// `deadline(DeadlinePolicy::Off)` and `selection(Selection::Off)` store
+/// nothing); each terminal `build_*` validates the full configuration
+/// against its target and rejects knobs the target cannot honour with
 /// [`ConfigError::UnsupportedOption`] — a cohort size on the sequential
-/// sim is an error, not a silent no-op.
+/// sim is an error, not a silent no-op. Validation needs only the fleet
+/// size, so a bad spec fails before its recipe fleet is built.
 ///
 /// Which knobs each target honours (mirrors the README migration table):
 ///
@@ -268,64 +263,87 @@ pub(crate) struct AsyncOptions {
 ///
 /// Every “—” cell is a typed [`ConfigError`], never a silent drop.
 pub struct SimBuilder {
-    pub(crate) devices: Vec<Device>,
-    pub(crate) config: RoundConfig,
-    pub(crate) probe: Probe,
-    pub(crate) deadline: DeadlinePolicy,
-    pub(crate) retry: Option<RetryPolicy>,
-    pub(crate) rescue: bool,
-    pub(crate) rescue_soc_floor: f64,
-    pub(crate) faults: Option<(FaultConfig, usize)>,
+    /// Every wire knob. `spec.target` is unused (the `build_*` method is
+    /// the target), and so is `spec.devices` while `devices` overrides it.
+    spec: JobSpec,
+    /// The ad-hoc fleet handed to [`SimBuilder::new`]; it has no wire form.
+    devices: Option<Vec<Device>>,
+    probe: Probe,
+    extras: SequentialExtras,
+}
+
+/// Host-side objects only the sequential target takes: each is sized for
+/// one fleet and none has a wire form.
+#[derive(Default)]
+pub(crate) struct SequentialExtras {
+    /// A pre-built fault injector; overrides the spec's `faults`.
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) rescheduler: Option<(Box<dyn Scheduler>, usize)>,
     pub(crate) priors: Option<Vec<LinearProfile>>,
-    pub(crate) cohort_size: Option<usize>,
-    pub(crate) threads: Option<usize>,
-    pub(crate) async_opts: Option<AsyncOptions>,
-    pub(crate) aggregator: Option<AggregatorKind>,
-    pub(crate) adversary: Option<(AdversaryConfig, usize)>,
-    pub(crate) churn: Option<ChurnConfig>,
-    pub(crate) admission: Option<AdmissionPolicy>,
-    pub(crate) selection: Option<SelectionConfig>,
-    pub(crate) edges: Option<usize>,
-    pub(crate) edge_link: Option<Link>,
-    pub(crate) edge_aggregator: Option<AggregatorKind>,
-    pub(crate) server_aggregator: Option<AggregatorKind>,
-    /// Remembered by [`SimBuilder::from_spec`] so
-    /// [`SimBuilder::to_spec`] can serialize the fleet back out; `None`
-    /// for ad-hoc `Vec<Device>` fleets, which have no wire form.
-    pub(crate) device_spec: Option<crate::spec::DeviceSetSpec>,
 }
 
 impl SimBuilder {
     /// Start building over `devices` with the shared `config`.
     pub fn new(devices: Vec<Device>, config: RoundConfig) -> Self {
+        let RoundConfig {
+            workload,
+            link,
+            model_bytes,
+            seed,
+        } = config;
+        // `devices` overrides this recipe, which is never built.
+        let recipe = DeviceSetSpec::Testbed { preset: 1, seed };
+        let spec = JobSpec::new(
+            BuildTarget::EventSim,
+            recipe,
+            workload,
+            link,
+            model_bytes,
+            seed,
+        );
         SimBuilder {
-            devices,
-            config,
-            probe: Probe::disabled(),
-            deadline: DeadlinePolicy::Off,
-            retry: None,
-            rescue: true,
-            rescue_soc_floor: 0.0,
-            faults: None,
-            injector: None,
-            rescheduler: None,
-            priors: None,
-            cohort_size: None,
-            threads: None,
-            async_opts: None,
-            aggregator: None,
-            adversary: None,
-            churn: None,
-            admission: None,
-            selection: None,
-            edges: None,
-            edge_link: None,
-            edge_aggregator: None,
-            server_aggregator: None,
-            device_spec: None,
+            devices: Some(devices),
+            ..SimBuilder::from_spec(&spec)
         }
+    }
+
+    /// Start building from a wire spec (minus its target, which the
+    /// `build_*` method chosen supplies, and the probe, a host-side
+    /// attachment — see [`JobSpec::build`]). The fleet recipe is kept,
+    /// so [`SimBuilder::to_spec`] round-trips.
+    pub fn from_spec(spec: &JobSpec) -> Self {
+        SimBuilder {
+            spec: spec.clone(),
+            devices: None,
+            probe: Probe::disabled(),
+            extras: SequentialExtras::default(),
+        }
+    }
+
+    /// Serialize this builder's configuration as a wire spec targeting
+    /// `target`.
+    ///
+    /// Fails with [`ConfigError::NotSerializable`] when the builder
+    /// carries host-side objects with no wire form: an ad-hoc
+    /// `Vec<Device>` fleet (only [`DeviceSetSpec`] recipes serialize), a
+    /// pre-built [`injector`](SimBuilder::injector), a
+    /// [`rescheduler`](SimBuilder::rescheduler) closure, or offline
+    /// [`priors`](SimBuilder::priors). The probe is intentionally *not*
+    /// part of the spec — telemetry attachment is the host's business.
+    pub fn to_spec(&self, target: BuildTarget) -> Result<JobSpec, ConfigError> {
+        let host_side = [
+            ("ad-hoc device fleet", self.devices.is_some()),
+            ("injector", self.extras.injector.is_some()),
+            ("rescheduler", self.extras.rescheduler.is_some()),
+            ("priors", self.extras.priors.is_some()),
+        ];
+        if let Some(&(what, _)) = host_side.iter().find(|(_, set)| *set) {
+            return Err(ConfigError::NotSerializable(what));
+        }
+        Ok(JobSpec {
+            target,
+            ..self.spec.clone()
+        })
     }
 
     /// Attach a telemetry probe. Valid for every build target.
@@ -334,41 +352,53 @@ impl SimBuilder {
         self
     }
 
-    /// Set the per-round deadline policy. On [`build_event_sim`] adaptive
-    /// policies resolve against the cohort's own predicted times each
-    /// round; on [`build_hier`] against each cohort separately; on
+    /// Set the per-round deadline policy. `Fixed` applies a constant
+    /// cutoff; `MeanFactor` and `Quantile` re-resolve the cutoff **every
+    /// round** from side-effect-free predicted per-user times on the
+    /// current schedule and thermal state, so the deadline tightens or
+    /// relaxes as the cohort drifts. On [`build_event_sim`] adaptive
+    /// policies resolve against the cohort's own predicted times; on
+    /// [`build_hier`] against each cohort separately; on
     /// [`build_coordinator`] against the pooled population.
     ///
     /// [`build_event_sim`]: SimBuilder::build_event_sim
     /// [`build_hier`]: SimBuilder::build_hier
     /// [`build_coordinator`]: SimBuilder::build_coordinator
     pub fn deadline(mut self, policy: DeadlinePolicy) -> Self {
-        self.deadline = policy;
+        self.spec.deadline = (!policy.is_off()).then_some(policy);
         self
     }
 
     /// Set the transfer retry policy.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
+        self.spec.retry = Some(retry);
         self
     }
 
     /// Disable mid-round straggler rescue.
     pub fn no_rescue(mut self) -> Self {
-        self.rescue = false;
+        self.spec.no_rescue = true;
         self
     }
 
-    /// Energy-aware rescue floor: survivors below this SoC are exempt.
+    /// Energy-aware rescue: never reassign orphaned shards to a survivor
+    /// whose battery state of charge is below `floor` (in `[0, 1]`).
+    ///
+    /// Rescue work is *extra* drain a device's owner never signed up for;
+    /// piling it onto a nearly-empty phone trades one lost allocation this
+    /// round for a depleted (hence permanently lost) device in the next.
+    /// The floor is checked against each survivor's SoC at rescue time —
+    /// after this round's own training drain. The default floor of `0.0`
+    /// accepts every survivor.
     pub fn rescue_soc_floor(mut self, floor: f64) -> Self {
-        self.rescue_soc_floor = floor;
+        self.spec.rescue_soc_floor = floor;
         self
     }
 
     /// Inject faults drawn from `config`, planned for `planned_rounds`.
     /// On the population engines each cohort derives its own injector.
     pub fn faults(mut self, config: FaultConfig, planned_rounds: usize) -> Self {
-        self.faults = Some((config, planned_rounds));
+        self.spec.faults = Some((config, planned_rounds));
         self
     }
 
@@ -376,31 +406,34 @@ impl SimBuilder {
     /// [`faults`](SimBuilder::faults); lets callers decouple the fault-plan
     /// seed from the simulation seed.
     pub fn injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
+        self.extras.injector = Some(injector);
         self
     }
 
-    /// Re-plan the shard allocation every `every` rounds (event_sim only).
+    /// Re-plan the shard allocation every `every` rounds (event_sim only),
+    /// using online profiles fitted to observed (faulted) round behaviour.
     pub fn rescheduler(mut self, scheduler: Box<dyn Scheduler>, every: usize) -> Self {
-        self.rescheduler = Some((scheduler, every));
+        self.extras.rescheduler = Some((scheduler, every));
         self
     }
 
-    /// Warm-start online profilers from offline priors (event_sim only).
+    /// Warm-start the per-device online profilers from offline priors
+    /// (event_sim only), so the first reschedule has an estimate even for
+    /// devices that have not been observed yet.
     pub fn priors(mut self, priors: Vec<LinearProfile>) -> Self {
-        self.priors = Some(priors);
+        self.extras.priors = Some(priors);
         self
     }
 
     /// Devices per cohort (coordinator and hier only).
     pub fn cohort_size(mut self, size: usize) -> Self {
-        self.cohort_size = Some(size);
+        self.spec.cohort_size = Some(size);
         self
     }
 
     /// Worker threads (coordinator and hier only). Never changes results.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.spec.threads = Some(threads);
         self
     }
 
@@ -418,15 +451,16 @@ impl SimBuilder {
     /// its edge and root tiers; there is no unqualified server-tier
     /// alias, so a flat config ported to `build_hier` keeps its meaning.
     pub fn aggregator(mut self, kind: AggregatorKind) -> Self {
-        self.aggregator = Some(kind);
+        self.spec.aggregator = Some(kind);
         self
     }
 
     /// Attach an adversary model planned for `planned_rounds`. On the
-    /// population engines each cohort derives its own [`AdversaryPlan`]
-    /// from the cohort seed, mirroring per-cohort fault injectors.
+    /// population engines each cohort derives its own
+    /// [`AdversaryPlan`](fedsched_faults::AdversaryPlan) from the cohort
+    /// seed, mirroring per-cohort fault injectors.
     pub fn adversary(mut self, config: AdversaryConfig, planned_rounds: usize) -> Self {
-        self.adversary = Some((config, planned_rounds));
+        self.spec.adversary = Some((config, planned_rounds));
         self
     }
 
@@ -450,7 +484,7 @@ impl SimBuilder {
     /// # Ok::<(), fedsched_fl::ConfigError>(())
     /// ```
     pub fn churn(mut self, config: ChurnConfig) -> Self {
-        self.churn = Some(config);
+        self.spec.churn = Some(config);
         self
     }
 
@@ -477,16 +511,24 @@ impl SimBuilder {
     /// # Ok::<(), fedsched_fl::ConfigError>(())
     /// ```
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = Some(policy);
+        self.spec.admission = Some(policy);
         self
     }
 
     /// Online bandit-driven client selection. Each round the
-    /// policy picks a `k`-device cohort per scheduling domain, the inner
-    /// scheduler splits the full shard load among the picked devices, and
-    /// observed round outcomes (throughput discounted by battery drain)
-    /// feed back as arm rewards. [`Selection::Off`] — the default —
-    /// keeps today's schedule-everyone behaviour bit for bit.
+    /// policy picks a `k`-device cohort per scheduling domain among
+    /// devices not known gone, the inner scheduler splits the full shard
+    /// load among the picked devices, and observed round outcomes
+    /// (throughput discounted by battery drain) feed back as arm rewards.
+    /// [`Selection::Off`] — the default — keeps today's
+    /// schedule-everyone behaviour bit for bit.
+    ///
+    /// All selection randomness comes from a dedicated salted
+    /// [`selection_stream`](fedsched_bandit::selection_stream) keyed by
+    /// `(selection seed, round)`, so runs replay byte-identically and
+    /// never perturb the main RNG. The selection seed is the config's
+    /// pinned one, else the sim's (each cohort's, on the population
+    /// engines).
     ///
     /// Selection re-plans the shard split every round itself, so it
     /// cannot be combined with [`rescheduler`](SimBuilder::rescheduler);
@@ -509,7 +551,7 @@ impl SimBuilder {
     /// # Ok::<(), fedsched_fl::ConfigError>(())
     /// ```
     pub fn selection(mut self, selection: Selection) -> Self {
-        self.selection = match selection {
+        self.spec.selection = match selection {
             Selection::Off => None,
             Selection::Bandit(config) => Some(config),
         };
@@ -522,7 +564,7 @@ impl SimBuilder {
     /// per cohort, the parity topology whose server fold is the flat
     /// cohort merge.
     pub fn edges(mut self, edges: usize) -> Self {
-        self.edges = Some(edges);
+        self.spec.edges = Some(edges);
         self
     }
 
@@ -530,14 +572,14 @@ impl SimBuilder {
     /// only): each edge's round makespan gains one sampled transfer of
     /// the model payload, drawn from the edge's own RNG stream.
     pub fn edge_link(mut self, link: Link) -> Self {
-        self.edge_link = Some(link);
+        self.spec.edge_link = Some(link);
         self
     }
 
     /// Robust aggregation rule applied at the *edge* tier over per-cohort
     /// proxy updates ([`build_hier`](SimBuilder::build_hier) only).
     pub fn edge_aggregator(mut self, kind: AggregatorKind) -> Self {
-        self.edge_aggregator = Some(kind);
+        self.spec.edge_aggregator = Some(kind);
         self
     }
 
@@ -545,7 +587,7 @@ impl SimBuilder {
     /// per-edge proxy updates ([`build_hier`](SimBuilder::build_hier)
     /// only).
     pub fn server_aggregator(mut self, kind: AggregatorKind) -> Self {
-        self.server_aggregator = Some(kind);
+        self.spec.server_aggregator = Some(kind);
         self
     }
 
@@ -554,71 +596,70 @@ impl SimBuilder {
     /// queued, discounting each by FedAsync staleness weight with base
     /// rate `eta`.
     pub fn buffered_async(mut self, buffer: usize, eta: f64) -> Self {
-        self.async_opts = Some(AsyncOptions { buffer, eta });
+        self.spec.buffered_async = Some((buffer, eta));
         self
     }
 
-    /// Reject hierarchy knobs on every non-hierarchical build target —
-    /// dropping a topology silently would fake a two-tier run.
-    fn reject_hier(&self) -> Result<(), ConfigError> {
-        if self.edges.is_some() {
-            return Err(ConfigError::UnsupportedOption("edges"));
+    /// Devices the build will simulate, counted without building a
+    /// recipe fleet.
+    fn fleet_size(&self) -> Result<usize, ConfigError> {
+        match &self.devices {
+            Some(devices) => Ok(devices.len()),
+            None => self.spec.devices.n_devices(),
         }
-        if self.edge_link.is_some() {
-            return Err(ConfigError::UnsupportedOption("edge_link"));
-        }
-        if self.edge_aggregator.is_some() {
-            return Err(ConfigError::UnsupportedOption("edge_aggregator"));
-        }
-        if self.server_aggregator.is_some() {
-            return Err(ConfigError::UnsupportedOption("server_aggregator"));
-        }
-        Ok(())
     }
 
-    /// Reject the knobs only the sequential sim takes: a pre-built
-    /// injector is sized for one fleet, and the rescheduler and priors act
-    /// on one set of online profiles — the population engines derive a
-    /// fault plan and profiles per cohort.
-    fn reject_sequential_only(&self) -> Result<(), ConfigError> {
-        if self.injector.is_some() {
-            return Err(ConfigError::UnsupportedOption("injector"));
+    /// The fleet itself: the ad-hoc one, else the recipe's. Called only
+    /// once every check has passed.
+    fn fleet(&mut self) -> Result<Vec<Device>, ConfigError> {
+        match self.devices.take() {
+            Some(devices) => Ok(devices),
+            None => self.spec.devices.build(),
         }
-        if self.rescheduler.is_some() {
-            return Err(ConfigError::UnsupportedOption("rescheduler"));
-        }
-        if self.priors.is_some() {
-            return Err(ConfigError::UnsupportedOption("priors"));
-        }
-        Ok(())
     }
 
-    /// Validate the online-selection config and its knob interactions.
-    /// Selection owns the per-round shard split, so a periodic
-    /// rescheduler alongside it is a contradiction, not a composition.
-    fn check_selection(&self) -> Result<Option<SelectionConfig>, ConfigError> {
-        if let Some(config) = &self.selection {
-            config.validate().map_err(ConfigError::InvalidSelection)?;
-            if self.rescheduler.is_some() {
-                return Err(ConfigError::InvalidSelection(
-                    "selection re-plans the split every round; drop the rescheduler",
-                ));
-            }
+    /// Reject a set knob `target` cannot honour — dropping it silently
+    /// would fake the experiment. One row per “—” cell of the table
+    /// above, in checking order: the topology knobs only `hier` takes;
+    /// the sequential target's host-side objects, each sized for one
+    /// fleet and one set of online profiles where the population engines
+    /// derive a plan and profiles per cohort; then the cohort and async
+    /// knobs.
+    fn check_target(&self, target: BuildTarget) -> Result<(), ConfigError> {
+        use BuildTarget::{Coordinator, EventSim, Hier};
+        let (s, x) = (&self.spec, &self.extras);
+        let knobs: [(&'static str, bool, &[BuildTarget]); 10] = [
+            ("edges", s.edges.is_some(), &[Hier]),
+            ("edge_link", s.edge_link.is_some(), &[Hier]),
+            ("edge_aggregator", s.edge_aggregator.is_some(), &[Hier]),
+            ("server_aggregator", s.server_aggregator.is_some(), &[Hier]),
+            ("injector", x.injector.is_some(), &[EventSim]),
+            ("rescheduler", x.rescheduler.is_some(), &[EventSim]),
+            ("priors", x.priors.is_some(), &[EventSim]),
+            ("cohort_size", s.cohort_size.is_some(), &[Coordinator, Hier]),
+            ("threads", s.threads.is_some(), &[Coordinator, Hier]),
+            ("buffered_async", s.buffered_async.is_some(), &[Coordinator]),
+        ];
+        match knobs
+            .iter()
+            .find(|(_, set, honoured)| *set && !honoured.contains(&target))
+        {
+            Some(&(knob, ..)) => Err(ConfigError::UnsupportedOption(knob)),
+            None => Ok(()),
         }
-        Ok(self.selection)
     }
 
-    /// Validate the churn/admission knob combination and, when a churn
-    /// process is configured, fold it into the fault config so per-cohort
-    /// injectors derive their churn timelines from cohort seeds.
-    fn take_churn(&mut self) -> Result<Option<AdmissionPolicy>, ConfigError> {
-        let admission = self.admission.take();
-        if admission.is_some() && self.churn.is_none() {
+    /// Validate every knob the round core shares across targets, in a
+    /// fixed order: churn and admission, deadline, retry, rescue floor,
+    /// aggregator, adversary, selection.
+    fn check_core(&self) -> Result<(), ConfigError> {
+        let s = &self.spec;
+        if s.admission.is_some() && s.churn.is_none() {
             return Err(ConfigError::InvalidChurn(
                 "admission requires a churn process",
             ));
         }
-        if let Some(cfg) = self.churn.take() {
+        if let Some(cfg) = s.churn {
             let rate_ok = |r: f64| r.is_finite() && r >= 0.0;
             if !rate_ok(cfg.depart_rate) || !rate_ok(cfg.arrive_rate) {
                 return Err(ConfigError::InvalidChurn(
@@ -632,93 +673,42 @@ impl SimBuilder {
                     "horizon must be positive while a rate is nonzero",
                 ));
             }
-            match &mut self.faults {
-                Some((fc, _)) => *fc = fc.clone().with_churn_process(cfg),
-                None => {
-                    return Err(ConfigError::InvalidChurn(
-                        "churn requires a fault source (faults(..))",
-                    ))
-                }
+            // Churn timelines ride on the fault plan: the round core
+            // folds the process into each injector's fault config.
+            if s.faults.is_none() {
+                return Err(ConfigError::InvalidChurn(
+                    "churn requires a fault source (faults(..))",
+                ));
             }
         }
-        Ok(admission)
-    }
-
-    fn check_aggregator(&self) -> Result<AggregatorKind, ConfigError> {
-        let kind = self.aggregator.unwrap_or_default();
-        kind.validate().map_err(ConfigError::InvalidAggregator)?;
-        Ok(kind)
-    }
-
-    fn check_adversary(&self) -> Result<Option<(AdversaryConfig, usize)>, ConfigError> {
-        if let Some((config, _)) = &self.adversary {
-            config.check().map_err(ConfigError::InvalidAdversary)?;
+        if let Some(policy) = s.deadline {
+            policy.check().map_err(ConfigError::InvalidDeadline)?;
         }
-        Ok(self.adversary)
-    }
-
-    fn check_deadline(&self) -> Result<(), ConfigError> {
-        self.deadline.check().map_err(ConfigError::InvalidDeadline)
-    }
-
-    fn check_retry(&self) -> Result<(), ConfigError> {
-        if let Some(retry) = &self.retry {
+        if let Some(retry) = &s.retry {
             retry.check().map_err(ConfigError::InvalidRetry)?;
         }
-        Ok(())
-    }
-
-    fn check_soc_floor(&self) -> Result<(), ConfigError> {
-        let floor = self.rescue_soc_floor;
-        if (0.0..=1.0).contains(&floor) && floor.is_finite() {
-            Ok(())
-        } else {
-            Err(ConfigError::InvalidSocFloor(floor))
+        let floor = s.rescue_soc_floor;
+        if !((0.0..=1.0).contains(&floor) && floor.is_finite()) {
+            return Err(ConfigError::InvalidSocFloor(floor));
         }
-    }
-
-    fn check_async(&self) -> Result<Option<CoordinationMode>, ConfigError> {
-        match self.async_opts {
-            None => Ok(None),
-            Some(AsyncOptions { buffer, eta }) => {
-                if buffer == 0 {
-                    return Err(ConfigError::InvalidAsync(
-                        "buffer must hold at least one update",
-                    ));
-                }
-                if !(eta > 0.0 && eta.is_finite()) {
-                    return Err(ConfigError::InvalidAsync("eta must be positive and finite"));
-                }
-                Ok(Some(CoordinationMode::BufferedAsync { buffer, eta }))
+        s.aggregator
+            .unwrap_or_default()
+            .validate()
+            .map_err(ConfigError::InvalidAggregator)?;
+        if let Some((config, _)) = &s.adversary {
+            config.check().map_err(ConfigError::InvalidAdversary)?;
+        }
+        // Selection owns the per-round shard split, so a periodic
+        // rescheduler alongside it is a contradiction, not a composition.
+        if let Some(config) = &s.selection {
+            config.validate().map_err(ConfigError::InvalidSelection)?;
+            if self.extras.rescheduler.is_some() {
+                return Err(ConfigError::InvalidSelection(
+                    "selection re-plans the split every round; drop the rescheduler",
+                ));
             }
         }
-    }
-
-    /// Validate every knob the round core shares across targets and
-    /// freeze them into the setter-free [`CoreConfig`].
-    fn core_config(&mut self) -> Result<CoreConfig, ConfigError> {
-        let admission = self.take_churn()?;
-        self.check_deadline()?;
-        self.check_retry()?;
-        self.check_soc_floor()?;
-        let aggregator = self.check_aggregator()?;
-        let adversary = self.check_adversary()?;
-        let selection = self.check_selection()?;
-        let c = self.config;
-        Ok(CoreConfig {
-            workload: c.workload,
-            link: c.link,
-            model_bytes: c.model_bytes,
-            faults: self.faults.take(),
-            retry: self.retry,
-            deadline: self.deadline,
-            rescue: self.rescue,
-            rescue_soc_floor: self.rescue_soc_floor,
-            aggregator,
-            adversary,
-            admission,
-            selection,
-        })
+        Ok(())
     }
 
     /// Build the sequential round engine, [`EventRoundSim`]: every fault,
@@ -726,19 +716,10 @@ impl SimBuilder {
     /// churn knob is honoured. With no fault source configured the
     /// injector is quiet and the fault machinery is inert.
     pub fn build_event_sim(mut self) -> Result<EventRoundSim, ConfigError> {
-        self.reject_hier()?;
-        if self.cohort_size.is_some() {
-            return Err(ConfigError::UnsupportedOption("cohort_size"));
-        }
-        if self.threads.is_some() {
-            return Err(ConfigError::UnsupportedOption("threads"));
-        }
-        if self.async_opts.is_some() {
-            return Err(ConfigError::UnsupportedOption("buffered_async"));
-        }
-        let core = self.core_config()?;
-        let n = self.devices.len();
-        if let Some((_, 0)) = &self.rescheduler {
+        let n = self.fleet_size()?;
+        self.check_target(BuildTarget::EventSim)?;
+        self.check_core()?;
+        if let Some((_, 0)) = &self.extras.rescheduler {
             return Err(ConfigError::ZeroRescheduleInterval);
         }
         let sized = |what, got| {
@@ -752,18 +733,21 @@ impl SimBuilder {
                 })
             }
         };
-        if let Some(priors) = &self.priors {
+        if let Some(priors) = &self.extras.priors {
             sized("priors", priors.len())?;
         }
-        if let Some(injector) = &self.injector {
+        if let Some(injector) = &self.extras.injector {
             sized("fault plan", injector.plan().n_devices())?;
         }
-        let extras = SequentialExtras {
-            injector: self.injector,
-            rescheduler: self.rescheduler,
-            priors: self.priors,
-        };
-        Ok(core.event_sim(self.devices, self.config.seed, self.probe, extras))
+        let devices = self.fleet()?;
+        let seed = self.spec.seed;
+        Ok(EventRoundSim::from_spec(
+            &self.spec,
+            devices,
+            seed,
+            self.probe,
+            self.extras,
+        ))
     }
 
     /// Build a [`Coordinator`]: a default-topology [`HierEngine`] driven
@@ -772,9 +756,21 @@ impl SimBuilder {
     /// cutoff per round) in barrier mode, or is rejected in buffered-async
     /// mode where no global barrier exists.
     pub fn build_coordinator(mut self) -> Result<Coordinator, ConfigError> {
-        self.reject_hier()?;
-        let mode = self.check_async()?.unwrap_or(CoordinationMode::Barrier);
-        let policy = self.deadline;
+        let n = self.fleet_size()?;
+        self.check_target(BuildTarget::Coordinator)?;
+        let mode = match self.spec.buffered_async {
+            None => CoordinationMode::Barrier,
+            Some((0, _)) => {
+                return Err(ConfigError::InvalidAsync(
+                    "buffer must hold at least one update",
+                ))
+            }
+            Some((_, eta)) if !(eta > 0.0 && eta.is_finite()) => {
+                return Err(ConfigError::InvalidAsync("eta must be positive and finite"))
+            }
+            Some((buffer, eta)) => CoordinationMode::BufferedAsync { buffer, eta },
+        };
+        let policy = self.spec.deadline.unwrap_or(DeadlinePolicy::Off);
         if !policy.is_off() && matches!(mode, CoordinationMode::BufferedAsync { .. }) {
             return Err(ConfigError::InvalidAsync(
                 "global deadline policies require barrier mode",
@@ -784,9 +780,9 @@ impl SimBuilder {
         // The coordinator owns deadline resolution: cohorts must not also
         // resolve per-cohort, so the engine is always built with its own
         // policy Off and receives the global cutoff round by round.
-        self.deadline = DeadlinePolicy::Off;
-        self.async_opts = None;
-        Ok(Coordinator::from_parts(self.build_hier()?, policy, mode))
+        self.spec.deadline = None;
+        self.spec.buffered_async = None;
+        Ok(Coordinator::from_parts(self.engine(n)?, policy, mode))
     }
 
     /// Build the population engine, [`HierEngine`]: one [`EventRoundSim`]
@@ -800,143 +796,57 @@ impl SimBuilder {
     /// defaults — one edge per cohort, no backhaul link, FedAvg at both
     /// tiers — the tiers emit nothing, and a single cohort replays the
     /// sequential [`EventRoundSim`] byte for byte.
-    pub fn build_hier(mut self) -> Result<HierEngine, ConfigError> {
-        self.reject_sequential_only()?;
-        if self.async_opts.is_some() {
-            return Err(ConfigError::UnsupportedOption("buffered_async"));
+    pub fn build_hier(self) -> Result<HierEngine, ConfigError> {
+        let n = self.fleet_size()?;
+        self.check_target(BuildTarget::Hier)?;
+        self.engine(n)
+    }
+
+    /// Validate the topology and round-core knobs over `n` devices, then
+    /// build the population engine.
+    fn engine(mut self, n: usize) -> Result<HierEngine, ConfigError> {
+        let s = &self.spec;
+        for kind in [s.edge_aggregator, s.server_aggregator] {
+            kind.unwrap_or_default()
+                .validate()
+                .map_err(ConfigError::InvalidAggregator)?;
         }
-        let edge_aggregator = self.edge_aggregator.unwrap_or_default();
-        let server_aggregator = self.server_aggregator.unwrap_or_default();
-        edge_aggregator
-            .validate()
-            .map_err(ConfigError::InvalidAggregator)?;
-        server_aggregator
-            .validate()
-            .map_err(ConfigError::InvalidAggregator)?;
-        if self.edges == Some(0) {
+        if s.edges == Some(0) {
             return Err(ConfigError::InvalidTopology(
                 "hierarchy needs at least one edge aggregator",
             ));
         }
-        let mut core = self.core_config()?;
-        // Cohort fault plans always carry their cohort seed, so even a
-        // fault-free cohort's draw streams follow the cohort geometry.
-        core.faults.get_or_insert_with(|| (FaultConfig::none(), 0));
-        let cohort_size = self.cohort_size.unwrap_or(DEFAULT_COHORT_SIZE);
+        self.check_core()?;
+        let s = &self.spec;
+        let cohort_size = s.cohort_size.unwrap_or(DEFAULT_COHORT_SIZE);
         if cohort_size == 0 {
             return Err(ConfigError::ZeroCohortSize);
         }
-        let threads = self.threads.unwrap_or_else(default_engine_threads);
+        let threads = s.threads.unwrap_or_else(default_engine_threads);
         if threads == 0 {
             return Err(ConfigError::ZeroThreads);
         }
-        let n_cohorts = self.devices.len().div_ceil(cohort_size);
-        let edges = self.edges.unwrap_or(n_cohorts);
+        let n_cohorts = n.div_ceil(cohort_size);
+        let edges = s.edges.unwrap_or(n_cohorts);
         if edges > n_cohorts {
             return Err(ConfigError::InvalidTopology(
                 "more edge aggregators than cohorts",
             ));
         }
-        let tiers = Tiers {
-            edges,
-            edge_link: self.edge_link,
-            edge_aggregator,
-            server_aggregator,
-        };
+        // Cohort fault plans always carry their cohort seed, so even a
+        // fault-free cohort's draw streams follow the cohort geometry.
+        self.spec
+            .faults
+            .get_or_insert_with(|| (FaultConfig::none(), 0));
+        let devices = self.fleet()?;
         Ok(HierEngine::from_parts(
-            self.devices,
-            self.config.seed,
-            core,
+            devices,
+            self.spec,
             self.probe,
             cohort_size,
             threads,
-            tiers,
+            edges,
         ))
-    }
-}
-
-/// Every round-core knob, validated and setter-free: what [`SimBuilder`]
-/// freezes once per build and [`CoreConfig::event_sim`] turns into a
-/// round core — once for the sequential sim, once per cohort in
-/// [`HierEngine`].
-pub(crate) struct CoreConfig {
-    pub(crate) workload: TrainingWorkload,
-    pub(crate) link: Link,
-    pub(crate) model_bytes: f64,
-    pub(crate) faults: Option<(FaultConfig, usize)>,
-    pub(crate) retry: Option<RetryPolicy>,
-    pub(crate) deadline: DeadlinePolicy,
-    pub(crate) rescue: bool,
-    pub(crate) rescue_soc_floor: f64,
-    pub(crate) aggregator: AggregatorKind,
-    pub(crate) adversary: Option<(AdversaryConfig, usize)>,
-    pub(crate) admission: Option<AdmissionPolicy>,
-    pub(crate) selection: Option<SelectionConfig>,
-}
-
-/// Host-side objects only the sequential target takes: each is sized for
-/// one fleet and none has a wire form.
-#[derive(Default)]
-pub(crate) struct SequentialExtras {
-    pub(crate) injector: Option<FaultInjector>,
-    pub(crate) rescheduler: Option<(Box<dyn Scheduler>, usize)>,
-    pub(crate) priors: Option<Vec<LinearProfile>>,
-}
-
-impl CoreConfig {
-    /// The one place a round core is assembled: `devices` simulated from
-    /// `seed`, recording into `probe`. The fault injector is the extras'
-    /// pre-built one, else planned from `faults` for this fleet and seed,
-    /// else quiet.
-    pub(crate) fn event_sim(
-        &self,
-        devices: Vec<Device>,
-        seed: u64,
-        probe: Probe,
-        extras: SequentialExtras,
-    ) -> EventRoundSim {
-        let n = devices.len();
-        let injector = extras.injector.unwrap_or_else(|| match &self.faults {
-            Some((config, planned)) => {
-                FaultInjector::from_config(config.clone(), n, *planned, seed)
-            }
-            None => FaultInjector::quiet(n),
-        });
-        let mut core = ResilientRoundSim::from_parts(
-            devices,
-            self.workload,
-            self.link,
-            self.model_bytes,
-            seed,
-            injector,
-        )
-        .with_probe(probe)
-        .with_deadline_policy(self.deadline)
-        .with_rescue_soc_floor(self.rescue_soc_floor)
-        .with_aggregator(self.aggregator);
-        if let Some((config, planned)) = self.adversary {
-            core = core.with_adversary(AdversaryPlan::generate(config, n, planned, seed));
-        }
-        if let Some(retry) = self.retry {
-            core = core.with_retry(retry);
-        }
-        if !self.rescue {
-            core = core.without_rescue();
-        }
-        if let Some((scheduler, every)) = extras.rescheduler {
-            core = core.with_rescheduler(scheduler, every);
-        }
-        if let Some(priors) = extras.priors {
-            core = core.with_priors(&priors);
-        }
-        if let Some(config) = self.selection {
-            core = core.with_selection(config);
-        }
-        let mut sim = EventRoundSim::new(core);
-        if let Some(policy) = self.admission {
-            sim.set_admission(policy);
-        }
-        sim
     }
 }
 
@@ -989,34 +899,69 @@ mod tests {
 
     #[test]
     fn unsupported_knobs_are_rejected_not_dropped() {
-        let err = SimBuilder::new(devices(1), config(1))
-            .cohort_size(4)
-            .build_event_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("cohort_size"));
-        assert_eq!(err.cause_code(), "unsupported_option");
-
-        let err = SimBuilder::new(devices(1), config(1))
-            .threads(2)
-            .build_event_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("threads"));
-
-        let err = SimBuilder::new(devices(1), config(1))
-            .buffered_async(2, 0.5)
-            .build_event_sim()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("buffered_async"));
-
-        let err = SimBuilder::new(devices(1), config(1))
-            .rescheduler(Box::new(fedsched_core::FedLbap), 2)
-            .build_hier()
-            .err()
-            .unwrap();
-        assert_eq!(err, ConfigError::UnsupportedOption("rescheduler"));
+        use fedsched_core::FedLbap;
+        use fedsched_profiler::LinearProfile;
+        use BuildTarget::{Coordinator, EventSim, Hier};
+        type Knob = fn(SimBuilder) -> SimBuilder;
+        // Each restricted knob alone, with the targets the rustdoc table
+        // says honour it; every other cell is a "—".
+        let knobs: [(&str, Knob, &[BuildTarget]); 10] = [
+            (
+                "injector",
+                |b| b.injector(FaultInjector::quiet(3)),
+                &[EventSim],
+            ),
+            (
+                "rescheduler",
+                |b| b.rescheduler(Box::new(FedLbap), 2),
+                &[EventSim],
+            ),
+            (
+                "priors",
+                |b| b.priors(vec![LinearProfile::new(1.0, 0.01); 3]),
+                &[EventSim],
+            ),
+            ("cohort_size", |b| b.cohort_size(4), &[Coordinator, Hier]),
+            ("threads", |b| b.threads(2), &[Coordinator, Hier]),
+            (
+                "buffered_async",
+                |b| b.buffered_async(2, 0.5),
+                &[Coordinator],
+            ),
+            ("edges", |b| b.edges(1), &[Hier]),
+            ("edge_link", |b| b.edge_link(Link::lte_tmobile()), &[Hier]),
+            (
+                "edge_aggregator",
+                |b| b.edge_aggregator(AggregatorKind::Median),
+                &[Hier],
+            ),
+            (
+                "server_aggregator",
+                |b| b.server_aggregator(AggregatorKind::Median),
+                &[Hier],
+            ),
+        ];
+        let mut dashes = 0;
+        for (knob, set, honoured) in knobs {
+            for target in BuildTarget::all() {
+                let builder = set(SimBuilder::new(devices(1), config(1)));
+                let built = match target {
+                    EventSim => builder.build_event_sim().map(drop),
+                    Coordinator => builder.build_coordinator().map(drop),
+                    Hier => builder.build_hier().map(drop),
+                };
+                let cell = format!("{knob} on {}", target.name());
+                if honoured.contains(&target) {
+                    assert_eq!(built, Ok(()), "{cell}");
+                } else {
+                    dashes += 1;
+                    let err = built.expect_err(&cell);
+                    assert_eq!(err, ConfigError::UnsupportedOption(knob), "{cell}");
+                    assert_eq!(err.cause_code(), "unsupported_option");
+                }
+            }
+        }
+        assert_eq!(dashes, 18);
     }
 
     #[test]
@@ -1061,6 +1006,20 @@ mod tests {
                 what: "priors",
                 expected: 3,
                 got: 0
+            }
+        );
+
+        let err = SimBuilder::new(devices(1), config(1))
+            .injector(FaultInjector::quiet(2))
+            .build_event_sim()
+            .err()
+            .unwrap();
+        assert_eq!(
+            err,
+            ConfigError::ArityMismatch {
+                what: "fault plan",
+                expected: 3,
+                got: 2
             }
         );
 

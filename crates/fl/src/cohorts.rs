@@ -107,10 +107,9 @@ mod tests {
     use super::*;
     use crate::builder::{RoundConfig, SimBuilder};
     use crate::hier::HierReport;
-    use crate::resilient::ResilientRoundSim;
     use fedsched_core::Schedule;
     use fedsched_device::{Device, DeviceModel, Testbed, TrainingWorkload};
-    use fedsched_faults::{FaultConfig, FaultInjector};
+    use fedsched_faults::FaultConfig;
     use fedsched_net::{Link, RetryPolicy};
     use fedsched_telemetry::{Event, EventLog, Probe};
 
@@ -163,15 +162,11 @@ mod tests {
     fn single_cohort_engine_matches_lockstep_oracle() {
         let tb = Testbed::testbed_1(7);
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
-        let mut reference = ResilientRoundSim::from_parts(
-            tb.devices().to_vec(),
-            TrainingWorkload::lenet(),
-            Link::wifi_campus(),
-            MODEL_BYTES,
-            7,
-            FaultInjector::quiet(3),
-        );
-        let expected = reference.run(&schedule, 4);
+        let expected = SimBuilder::new(tb.devices().to_vec(), config(7))
+            .build_event_sim()
+            .unwrap()
+            .into_inner()
+            .run(&schedule, 4);
 
         for threads in [1, 4] {
             let builder = SimBuilder::new(tb.devices().to_vec(), config(7)).threads(threads);
@@ -287,15 +282,12 @@ mod tests {
         let n = 9;
         let schedule = uniform_schedule(n, 2);
         let faults = FaultConfig::none().with_crash_prob(0.3);
-        let mut reference = ResilientRoundSim::from_parts(
-            population(n, 13),
-            TrainingWorkload::lenet(),
-            Link::wifi_campus(),
-            MODEL_BYTES,
-            13,
-            FaultInjector::from_config(faults.clone(), n, 3, 13),
-        );
-        let expected = reference.run(&schedule, 3);
+        let expected = engine(n, 13)
+            .faults(faults.clone(), 3)
+            .build_event_sim()
+            .unwrap()
+            .into_inner()
+            .run(&schedule, 3);
 
         let builder = engine(n, 13).cohort_size(n).threads(4).faults(faults, 3);
         let report = run(builder, &schedule, 3);

@@ -4,7 +4,7 @@
 //! [`EventRoundSim`] is the only round engine. The sequential target
 //! ([`SimBuilder::build_event_sim`](crate::SimBuilder::build_event_sim))
 //! is one of them; every population engine runs one per cohort. It keeps
-//! a [`Parking`](fedsched_core::Parking) bitmap over the cohort: devices
+//! a [`Parking`] bitmap over the cohort: devices
 //! with no scheduled shards are *parked* and are never iterated, never
 //! predicted against, and never scheduled into the queue. The per-round
 //! hot loop is `O(active + events)` instead of `O(devices)`, which at the
@@ -29,22 +29,29 @@
 //!   straggler is then selected from ascending `(time, seq)` pops with a
 //!   strictly-greater comparison, which picks the lowest-index device
 //!   among equal-time finishers — exactly an index scan.
-//! * Rescue begins only after the phase-1 queue drains ([`RoundEvent::RescueBegin`]
+//! * Rescue begins only after the phase-1 queue drains (`RoundEvent::RescueBegin`
 //!   fires at the failure-detection time): a mid-drain rescue could race a
 //!   later finisher for the straggler slot and flip a tie.
 //! * Adaptive deadlines resolve over the *active set only*; idle devices
 //!   predict `0.0` and [`fedsched_core::DeadlinePolicy::resolve`] ignores
 //!   non-positive entries, so the resolved cutoff is unchanged.
 
-use fedsched_core::{EventQueue, Parking, Schedule};
+use fedsched_core::{DeadlinePolicy, EventQueue, Parking, Schedule};
 use fedsched_device::Device;
-use fedsched_faults::FaultInjector;
-use fedsched_telemetry::Event;
+use fedsched_faults::{AdversaryPlan, FaultInjector};
+use fedsched_net::RetryPolicy;
+use fedsched_profiler::OnlineProfiler;
+use fedsched_telemetry::{Event, Probe};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
+use crate::builder::SequentialExtras;
 use crate::clock;
 use crate::resilient::{
-    assemble_report, ChaosReport, Phase1, ResilientRoundSim, RoundTally, StragglerTrack,
+    assemble_report, ChaosReport, Phase1, ResilientRoundSim, RoundTally, SelectionState,
+    StragglerTrack, PROFILER_LAMBDA,
 };
+use crate::spec::JobSpec;
 
 /// Timed events within one simulated round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,11 +129,77 @@ pub struct EventRoundSim {
 }
 
 impl EventRoundSim {
-    /// Wrap a fully configured resilient simulator. All knobs (retry,
-    /// deadline policy, rescue, rescheduler, adversary, ...) are the
-    /// inner simulator's.
-    pub(crate) fn new(inner: ResilientRoundSim) -> Self {
-        let n = inner.n_devices();
+    /// The one place a round core is assembled: `devices` simulated from
+    /// `seed` under the validated `spec`, recording into `probe` (every
+    /// device emits its own thermal and battery events through it too).
+    /// The fault injector is the extras' pre-built one, else planned from
+    /// `spec.faults` — with `spec.churn` folded in — for this fleet and
+    /// seed, else quiet. The sequential target calls this once with the
+    /// master seed; [`HierEngine`](crate::HierEngine) once per cohort with
+    /// the cohort's seed. The spec's target, fleet recipe and topology
+    /// knobs are the caller's business.
+    pub(crate) fn from_spec(
+        spec: &JobSpec,
+        mut devices: Vec<Device>,
+        seed: u64,
+        probe: Probe,
+        extras: SequentialExtras,
+    ) -> Self {
+        let n = devices.len();
+        for d in &mut devices {
+            d.set_probe(probe.clone());
+        }
+        let injector = extras.injector.unwrap_or_else(|| match &spec.faults {
+            Some((config, planned)) => {
+                let config = match spec.churn {
+                    Some(churn) => config.clone().with_churn_process(churn),
+                    None => config.clone(),
+                };
+                FaultInjector::from_config(config, n, *planned, seed)
+            }
+            None => FaultInjector::quiet(n),
+        });
+        // Online profiles exist only for their readers: priors seed them
+        // warm; a rescheduler or selection policy starts them cold.
+        let profilers = match &extras.priors {
+            Some(priors) => priors
+                .iter()
+                .map(|p| OnlineProfiler::with_prior(PROFILER_LAMBDA, p))
+                .collect(),
+            None if extras.rescheduler.is_some() || spec.selection.is_some() => {
+                vec![OnlineProfiler::new(PROFILER_LAMBDA); n]
+            }
+            None => Vec::new(),
+        };
+        let inner = ResilientRoundSim {
+            devices,
+            workload: spec.workload,
+            link: spec.link,
+            model_bytes: spec.model_bytes,
+            rng: StdRng::seed_from_u64(seed),
+            probe,
+            rounds_done: 0,
+            injector,
+            retry: spec.retry.unwrap_or_else(RetryPolicy::single_attempt),
+            deadline: spec.deadline.unwrap_or(DeadlinePolicy::Off),
+            rescue: !spec.no_rescue,
+            rescue_soc_floor: spec.rescue_soc_floor,
+            rescheduler: extras.rescheduler,
+            profilers,
+            has_prior: extras.priors.is_some(),
+            known_gone: vec![false; n],
+            aggregator: spec.aggregator.unwrap_or_default(),
+            adversary: spec
+                .adversary
+                .map(|(config, planned)| AdversaryPlan::generate(config, n, planned, seed)),
+            selection: spec.selection.map(|config| SelectionState {
+                policy: config.policy.build(),
+                seed: config.seed.resolve(seed),
+                config,
+                soc_at_select: vec![1.0; n],
+                last_selected: Vec::new(),
+            }),
+        };
         EventRoundSim {
             inner,
             queue: EventQueue::new(),
@@ -137,13 +210,8 @@ impl EventRoundSim {
             participants: 0,
             unplaced: 0,
             gone: vec![false; n],
-            admission: AdmissionPolicy::default(),
+            admission: spec.admission.unwrap_or_default(),
         }
-    }
-
-    /// Set the mid-round arrival admission policy (builder hook).
-    pub fn set_admission(&mut self, policy: AdmissionPolicy) {
-        self.admission = policy;
     }
 
     /// The configured phase core, for driving it through the test-only
@@ -493,12 +561,11 @@ impl EventRoundSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilient::ResilientRoundSim;
-    use fedsched_core::DeadlinePolicy;
-    use fedsched_device::{Device, Testbed, TrainingWorkload};
-    use fedsched_faults::{FaultConfig, FaultInjector};
-    use fedsched_net::{Link, RetryPolicy};
-    use fedsched_telemetry::{EventLog, Probe};
+    use crate::builder::{RoundConfig, SimBuilder};
+    use fedsched_device::{Testbed, TrainingWorkload};
+    use fedsched_faults::FaultConfig;
+    use fedsched_net::Link;
+    use fedsched_telemetry::EventLog;
     use std::sync::Arc;
 
     fn devices(seed: u64) -> Vec<Device> {
@@ -509,36 +576,34 @@ mod tests {
         Link::new(100.0, 100.0, 0.0, 0.05)
     }
 
-    fn chaos_pair(deadline: Option<f64>) -> (ResilientRoundSim, EventRoundSim) {
+    /// A faulted testbed-1 builder with retries, an optional fixed
+    /// deadline and `probe` attached.
+    fn chaos(deadline: Option<f64>, probe: Probe) -> SimBuilder {
         let config = FaultConfig::none()
             .with_crash_prob(0.3)
             .with_loss_prob(0.15)
             .with_churn_prob(0.05);
-        let build = || {
-            let inj = FaultInjector::from_config(config.clone(), 3, 8, 19);
-            let mut sim = ResilientRoundSim::from_parts(
-                devices(19),
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                19,
-                inj,
-            )
-            .with_retry(RetryPolicy::default_chaos());
-            if let Some(d) = deadline {
-                sim = sim.with_deadline_policy(DeadlinePolicy::Fixed(d));
-            }
-            sim
-        };
-        (build(), EventRoundSim::new(build()))
+        let round = RoundConfig::new(TrainingWorkload::lenet(), link(), 2.5e6, 19);
+        let mut b = SimBuilder::new(devices(19), round)
+            .probe(probe)
+            .faults(config, 8)
+            .retry(RetryPolicy::default_chaos());
+        if let Some(d) = deadline {
+            b = b.deadline(DeadlinePolicy::Fixed(d));
+        }
+        b
     }
 
     #[test]
     fn chaos_run_matches_lockstep_bit_for_bit() {
-        let (mut lockstep, mut event) = chaos_pair(Some(50.0));
+        let build = || {
+            chaos(Some(50.0), Probe::disabled())
+                .build_event_sim()
+                .unwrap()
+        };
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
-        let a = lockstep.run(&schedule, 8);
-        let b = event.run(&schedule, 8);
+        let a = build().into_inner().run(&schedule, 8);
+        let b = build().run(&schedule, 8);
         assert_eq!(a, b);
     }
 
@@ -546,27 +611,29 @@ mod tests {
     fn traces_match_lockstep_byte_for_byte() {
         let log_a = Arc::new(EventLog::new());
         let log_b = Arc::new(EventLog::new());
-        let (lockstep, _) = chaos_pair(Some(50.0));
-        let mut lockstep = lockstep.with_probe(Probe::attached(log_a.clone()));
-        let (inner, _) = chaos_pair(Some(50.0));
-        let mut event = EventRoundSim::new(inner.with_probe(Probe::attached(log_b.clone())));
+        let build = |log: &Arc<EventLog>| {
+            chaos(Some(50.0), Probe::attached(log.clone()))
+                .build_event_sim()
+                .unwrap()
+        };
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
-        let a = lockstep.run(&schedule, 8);
-        let b = event.run(&schedule, 8);
+        let a = build(&log_a).into_inner().run(&schedule, 8);
+        let b = build(&log_b).run(&schedule, 8);
         assert_eq!(a, b);
         assert_eq!(log_a.to_jsonl(), log_b.to_jsonl());
     }
 
+    /// A quiet testbed-1 sim over the jittery test link.
+    fn plain_sim(seed: u64) -> EventRoundSim {
+        let config = RoundConfig::new(TrainingWorkload::lenet(), link(), 2.5e6, seed);
+        SimBuilder::new(devices(seed), config)
+            .build_event_sim()
+            .unwrap()
+    }
+
     #[test]
     fn idle_devices_stay_parked_and_unqueued() {
-        let mut sim = EventRoundSim::new(ResilientRoundSim::from_parts(
-            devices(5),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            5,
-            FaultInjector::quiet(3),
-        ));
+        let mut sim = plain_sim(5);
         let report = sim.run(&Schedule::new(vec![20, 0, 0], 100.0), 4);
         assert_eq!(sim.parked_devices(), 2);
         // Per round: one device event + one round-close marker.
@@ -581,7 +648,6 @@ mod tests {
         admission: Option<AdmissionPolicy>,
         probe: Probe,
     ) -> EventRoundSim {
-        use crate::builder::{RoundConfig, SimBuilder};
         let config = RoundConfig::new(TrainingWorkload::lenet(), link(), 2.5e6, seed);
         let mut b = SimBuilder::new(devices(seed), config)
             .probe(probe)
@@ -666,7 +732,6 @@ mod tests {
         let log_reject = Arc::new(EventLog::new());
         let log_fill = Arc::new(EventLog::new());
         let run = |admission, log: &Arc<EventLog>| {
-            use crate::builder::{RoundConfig, SimBuilder};
             let config = RoundConfig::new(TrainingWorkload::lenet(), link(), 2.5e6, 41);
             let mut sim = SimBuilder::new(devices(41), config)
                 .probe(Probe::attached(log.clone() as Arc<_>))
@@ -704,7 +769,7 @@ mod tests {
 
     #[test]
     fn bandit_selection_matches_lockstep_bit_for_bit() {
-        use crate::builder::{RoundConfig, Selection, SimBuilder};
+        use crate::builder::Selection;
         use fedsched_bandit::{MaybeSeeded, PolicyKind, SelectionConfig};
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
         let selection = SelectionConfig {
@@ -738,7 +803,6 @@ mod tests {
     }
 
     fn quiet_sim(seed: u64) -> EventRoundSim {
-        use crate::builder::{RoundConfig, SimBuilder};
         let config = RoundConfig::new(
             TrainingWorkload::lenet(),
             Link::new(100.0, 100.0, 0.0, 0.0),
@@ -780,7 +844,6 @@ mod tests {
 
     #[test]
     fn comm_fraction_is_small_for_lenet_wifi() {
-        use crate::builder::{RoundConfig, SimBuilder};
         // Paper Observation 3: ~5% average comm share.
         let config = RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, 4);
         let mut sim = SimBuilder::new(devices(4), config)
@@ -793,7 +856,6 @@ mod tests {
 
     #[test]
     fn thermal_state_persists_across_rounds() {
-        use crate::builder::{RoundConfig, SimBuilder};
         use fedsched_device::DeviceModel;
         // A Nexus6P-only cohort slows down in later rounds as it heats.
         let config = RoundConfig::new(
@@ -813,7 +875,6 @@ mod tests {
 
     #[test]
     fn probe_records_round_timeline() {
-        use crate::builder::{RoundConfig, SimBuilder};
         let log = Arc::new(EventLog::new());
         let config = RoundConfig::new(
             TrainingWorkload::lenet(),
@@ -889,7 +950,6 @@ mod tests {
 
     #[test]
     fn probed_and_unprobed_runs_agree() {
-        use crate::builder::{RoundConfig, SimBuilder};
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
         let plain = quiet_sim(12).run(&schedule, 2);
         let config = RoundConfig::new(
@@ -927,14 +987,7 @@ mod tests {
 
     #[test]
     fn sequence_counter_survives_rounds() {
-        let mut sim = EventRoundSim::new(ResilientRoundSim::from_parts(
-            devices(6),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            6,
-            FaultInjector::quiet(3),
-        ));
+        let mut sim = plain_sim(6);
         sim.run(&Schedule::new(vec![5, 5, 5], 100.0), 2);
         let after_two = sim.events_scheduled();
         sim.run(&Schedule::new(vec![5, 5, 5], 100.0), 1);
@@ -956,7 +1009,6 @@ mod tests {
             loss_pct in 0u32..25,
             deadline_pick in 0usize..4,
         ) {
-            use crate::builder::{RoundConfig, SimBuilder};
             use fedsched_device::DeviceModel;
             let rounds = 3;
             let models = DeviceModel::all();

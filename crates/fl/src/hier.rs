@@ -34,16 +34,18 @@
 //!
 //! # Edge links and tier-level robust aggregation
 //!
-//! An optional edge→server backhaul [`Link`] adds one sampled transfer
-//! per edge per round to that edge's makespan. Each edge draws from its
-//! own persistent RNG stream seeded by [`derive_edge_seed`] — disjoint
-//! from the master and every cohort stream by construction — so backhaul
-//! sampling never perturbs device-tier results and is itself independent
-//! of thread count and cohort geometry.
+//! An optional edge→server backhaul [`Link`](fedsched_net::Link) adds one
+//! sampled transfer per edge per round to that edge's makespan. Each edge
+//! draws from its own persistent RNG stream seeded by
+//! [`derive_edge_seed`] — disjoint from the master and every cohort
+//! stream by construction — so backhaul sampling never perturbs
+//! device-tier results and is itself independent of thread count and
+//! cohort geometry.
 //!
-//! [`AggregatorKind`] composes at either tier. Tier aggregation scores
-//! deterministic proxy vectors built from the round outcomes (no RNG),
-//! emits [`Event::RobustAggregate`] per reduction, and records rejection
+//! [`AggregatorKind`](fedsched_robust::AggregatorKind) composes at either
+//! tier. Tier aggregation scores deterministic proxy vectors built from
+//! the round outcomes (no RNG), emits [`Event::RobustAggregate`] per
+//! reduction, and records rejection
 //! counts as *additive bookkeeping* in the [`HierReport`] — it never
 //! rewrites the shard/coverage accounting, so the conservation identities
 //! the differential suite checks survive any tier aggregator.
@@ -53,19 +55,18 @@ use std::sync::{Arc, Mutex};
 
 use fedsched_core::Schedule;
 use fedsched_device::Device;
-use fedsched_net::Link;
 use fedsched_parallel::{fixed_chunks, parallel_map_stealing};
-use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::{Event, EventLog, Probe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::builder::{CoreConfig, SequentialExtras};
+use crate::builder::SequentialExtras;
 use crate::clock::{predict_round_times, TimingReport};
 use crate::cohorts::{derive_cohort_seed, CohortReport};
 use crate::eventsim::EventRoundSim;
 use crate::resilient::RoundOutcome;
+use crate::spec::JobSpec;
 
 /// Derive the backhaul RNG seed for `edge` from the master seed.
 ///
@@ -268,18 +269,6 @@ fn proxy_update(outcome: &RoundOutcome, participants: usize) -> (Vec<f32>, usize
     )
 }
 
-/// The reduction tiers above the cohorts, as the builder validated them.
-pub(crate) struct Tiers {
-    /// Edge aggregators; `1..=n_cohorts`, or zero for an empty fleet.
-    pub(crate) edges: usize,
-    /// Edge→server backhaul, if any.
-    pub(crate) edge_link: Option<Link>,
-    /// Rule scoring per-cohort proxy updates at each edge.
-    pub(crate) edge_aggregator: AggregatorKind,
-    /// Rule scoring per-edge proxy updates at the server.
-    pub(crate) server_aggregator: AggregatorKind,
-}
-
 /// A cohort and its long-lived round core. The `Mutex` is never contended
 /// — each work item touches exactly one slot — it exists to hand `&mut`
 /// access to whichever worker claims the cohort.
@@ -297,15 +286,16 @@ pub struct HierEngine {
     /// Population, held until the first run builds the cohort sims.
     pending: Vec<Device>,
     n: usize,
-    seed: u64,
     cohort_size: usize,
     threads: usize,
     probe: Probe,
-    /// What every cohort's round core is built from.
-    core: CoreConfig,
+    /// The validated configuration every cohort's round core is built
+    /// from, and the source of the master seed and the tier knobs.
+    spec: JobSpec,
+    /// Edge aggregators; `1..=n_cohorts`, or zero for an empty fleet.
+    edges: usize,
     slots: Vec<CohortSlot>,
     rounds_done: usize,
-    tiers: Tiers,
     /// One persistent backhaul RNG per edge, seeded by
     /// [`derive_edge_seed`]; streams continue across `run` calls exactly
     /// like the device-tier sim RNGs.
@@ -315,27 +305,25 @@ pub struct HierEngine {
 impl HierEngine {
     pub(crate) fn from_parts(
         devices: Vec<Device>,
-        seed: u64,
-        core: CoreConfig,
+        spec: JobSpec,
         probe: Probe,
         cohort_size: usize,
         threads: usize,
-        tiers: Tiers,
+        edges: usize,
     ) -> Self {
-        let edge_rngs = (0..tiers.edges)
-            .map(|e| StdRng::seed_from_u64(derive_edge_seed(seed, e)))
+        let edge_rngs = (0..edges)
+            .map(|e| StdRng::seed_from_u64(derive_edge_seed(spec.seed, e)))
             .collect();
         HierEngine {
             n: devices.len(),
             pending: devices,
-            seed,
             cohort_size,
             threads,
             probe,
-            core,
+            spec,
+            edges,
             slots: Vec::new(),
             rounds_done: 0,
-            tiers,
             edge_rngs,
         }
     }
@@ -347,7 +335,7 @@ impl HierEngine {
 
     /// Edge aggregators in the topology.
     pub fn n_edges(&self) -> usize {
-        self.tiers.edges
+        self.edges
     }
 
     /// Worker threads used for the cohort phase. Affects wall-clock only.
@@ -407,9 +395,9 @@ impl HierEngine {
         let predict = |devices: &[Device], schedule: &Schedule| {
             predict_round_times(
                 devices,
-                &self.core.workload,
-                &self.core.link,
-                self.core.model_bytes,
+                &self.spec.workload,
+                &self.spec.link,
+                self.spec.model_bytes,
                 schedule,
             )
         };
@@ -438,15 +426,19 @@ impl HierEngine {
             .enumerate()
             .map(|(cohort, range)| {
                 let cohort_devices = devices.by_ref().take(range.len()).collect();
-                let seed = derive_cohort_seed(self.seed, cohort);
+                let seed = derive_cohort_seed(self.spec.seed, cohort);
                 let log = self.probe.is_enabled().then(|| Arc::new(EventLog::new()));
                 let probe = match &log {
                     Some(log) => Probe::attached(log.clone() as Arc<_>),
                     None => Probe::disabled(),
                 };
-                let sim =
-                    self.core
-                        .event_sim(cohort_devices, seed, probe, SequentialExtras::default());
+                let sim = EventRoundSim::from_spec(
+                    &self.spec,
+                    cohort_devices,
+                    seed,
+                    probe,
+                    SequentialExtras::default(),
+                );
                 CohortSlot {
                     range,
                     seed,
@@ -511,10 +503,10 @@ impl HierEngine {
     /// no hierarchy events are emitted, so traces — not just reports —
     /// match the flat cohort path.
     fn trivial_topology(&self) -> bool {
-        self.tiers.edges == self.n_cohorts()
-            && self.tiers.edge_link.is_none()
-            && self.tiers.edge_aggregator.is_fedavg()
-            && self.tiers.server_aggregator.is_fedavg()
+        self.edges == self.n_cohorts()
+            && self.spec.edge_link.is_none()
+            && self.spec.edge_aggregator.unwrap_or_default().is_fedavg()
+            && self.spec.server_aggregator.unwrap_or_default().is_fedavg()
     }
 
     /// Simulate `rounds` synchronous rounds of `schedule` across the whole
@@ -537,7 +529,9 @@ impl HierEngine {
         let cohorts = self.run_cohorts(schedule, rounds);
         let probe = &self.probe;
         let trivial = self.trivial_topology();
-        let tiers = &self.tiers;
+        let edges = self.edges;
+        let edge_aggregator = self.spec.edge_aggregator.unwrap_or_default();
+        let server_aggregator = self.spec.server_aggregator.unwrap_or_default();
 
         // Participants per cohort: active users in the cohort's schedule
         // slice — the fold's comm-fraction weights.
@@ -551,9 +545,9 @@ impl HierEngine {
             })
             .collect();
 
-        let layout = edge_cohort_ranges(cohorts.len(), tiers.edges);
-        let mut edge_reports = Vec::with_capacity(tiers.edges);
-        let mut edge_links: Vec<Vec<f64>> = Vec::with_capacity(tiers.edges);
+        let layout = edge_cohort_ranges(cohorts.len(), edges);
+        let mut edge_reports = Vec::with_capacity(edges);
+        let mut edge_links: Vec<Vec<f64>> = Vec::with_capacity(edges);
         for (e, span) in layout.iter().enumerate() {
             let items: Vec<(&TimingReport, &[RoundOutcome], usize)> = span
                 .clone()
@@ -568,11 +562,11 @@ impl HierEngine {
             // to the edge's makespan. Sampling only happens when a link is
             // configured, so parity topologies draw nothing (and dodge the
             // −0.0 + 0.0 bit hazard entirely).
-            let links = if let Some(link) = tiers.edge_link {
+            let links = if let Some(link) = self.spec.edge_link {
                 let rng = &mut self.edge_rngs[e];
                 (0..rounds)
                     .map(|r| {
-                        let s = link.sample_round_seconds(self.core.model_bytes, rng);
+                        let s = link.sample_round_seconds(self.spec.model_bytes, rng);
                         timing.per_round_makespan[r] += s;
                         edge_rounds[r].makespan_s += s;
                         s
@@ -593,7 +587,7 @@ impl HierEngine {
                 cohort_end: span.end,
                 start,
                 end,
-                seed: derive_edge_seed(self.seed, e),
+                seed: derive_edge_seed(self.spec.seed, e),
                 timing,
                 rounds: edge_rounds,
             });
@@ -637,9 +631,8 @@ impl HierEngine {
         // Tier-level robust scoring + event emission, all on this thread.
         let mut edge_rejections = 0usize;
         let mut server_rejections = 0usize;
-        let edge_rule = (!tiers.edge_aggregator.is_fedavg()).then(|| tiers.edge_aggregator.build());
-        let server_rule =
-            (!tiers.server_aggregator.is_fedavg()).then(|| tiers.server_aggregator.build());
+        let edge_rule = (!edge_aggregator.is_fedavg()).then(|| edge_aggregator.build());
+        let server_rule = (!server_aggregator.is_fedavg()).then(|| server_aggregator.build());
         // `r` indexes several parallel per-round structures (edge timings,
         // backhaul draws, cohort outcomes), so a plain range is clearest.
         #[allow(clippy::needless_range_loop)]
@@ -805,6 +798,7 @@ mod tests {
     fn in_place_predictions_match_a_population_snapshot() {
         use crate::builder::{RoundConfig, SimBuilder};
         use fedsched_device::{DeviceModel, TrainingWorkload};
+        use fedsched_net::Link;
 
         let models = DeviceModel::all();
         let devices: Vec<Device> = (0..23)

@@ -3,7 +3,7 @@
 //! The paper leans on two statistical notions: *gradient divergence* (local
 //! updates pulling away from the global direction under non-IID data, the
 //! mechanism behind Fig. 3's accuracy loss) and *gradient diversity* (Yin et
-//! al., AISTATS'18 — the paper's reference [21]) which it invokes to explain
+//! al., AISTATS'18 — the paper's reference \[21\]) which it invokes to explain
 //! why random assignments sometimes win Table III. This module computes both
 //! from a round's client updates.
 

@@ -40,7 +40,6 @@ use fedsched_profiler::{LinearProfile, OnlineProfiler};
 use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::{Event, Probe};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::clock::{self, TimingReport};
@@ -53,7 +52,7 @@ const PENALTY_FIXED_S: f64 = 1e6;
 const PENALTY_PER_SAMPLE_S: f64 = 1e3;
 /// Forgetting factor for the per-device online profilers: recent rounds
 /// dominate, so estimates track thermal drift and contention.
-const PROFILER_LAMBDA: f64 = 0.9;
+pub(crate) const PROFILER_LAMBDA: f64 = 0.9;
 /// Dimension of the proxy update vectors the timing simulator feeds the
 /// robust aggregator (the real training engine aggregates full parameter
 /// vectors; the timing path only needs enough coordinates to score).
@@ -128,24 +127,18 @@ impl ChaosReport {
     }
 }
 
-/// Between-round rescheduling configuration.
-struct Rescheduler {
-    scheduler: Box<dyn Scheduler>,
-    every: usize,
-}
-
 /// Online bandit-driven client-selection state (see
-/// [`ResilientRoundSim::with_selection`]).
-struct SelectionState {
-    config: SelectionConfig,
-    policy: Box<dyn SelectionPolicy>,
+/// [`SimBuilder::selection`](crate::SimBuilder::selection)).
+pub(crate) struct SelectionState {
+    pub(crate) config: SelectionConfig,
+    pub(crate) policy: Box<dyn SelectionPolicy>,
     /// Resolved selection-stream seed (config override or master seed).
-    seed: u64,
+    pub(crate) seed: u64,
     /// Battery SoC snapshot per device at selection time, for the reward's
     /// energy discount.
-    soc_at_select: Vec<f64>,
+    pub(crate) soc_at_select: Vec<f64>,
     /// Arms picked for the round in flight (ascending device indices).
-    last_selected: Vec<usize>,
+    pub(crate) last_selected: Vec<usize>,
 }
 
 /// Phase-1 result for one participating device.
@@ -339,118 +332,36 @@ impl StragglerTrack {
 }
 
 /// One cohort's devices, links and fault model, plus the per-round phase
-/// primitives [`EventRoundSim`](crate::EventRoundSim) drives.
+/// primitives [`EventRoundSim`](crate::EventRoundSim) drives. Assembled
+/// only by `EventRoundSim::from_spec`, which sizes every per-device field
+/// (and the injector's and adversary's plans) to `devices`.
 pub(crate) struct ResilientRoundSim {
-    devices: Vec<Device>,
-    workload: TrainingWorkload,
-    link: Link,
-    model_bytes: f64,
-    rng: StdRng,
-    probe: Probe,
-    rounds_done: usize,
-    injector: FaultInjector,
-    retry: RetryPolicy,
-    deadline: DeadlinePolicy,
-    rescue: bool,
-    rescue_soc_floor: f64,
-    rescheduler: Option<Rescheduler>,
-    /// Per-device online profiles. Empty until a rescheduler, selection
+    pub(crate) devices: Vec<Device>,
+    pub(crate) workload: TrainingWorkload,
+    pub(crate) link: Link,
+    pub(crate) model_bytes: f64,
+    pub(crate) rng: StdRng,
+    pub(crate) probe: Probe,
+    pub(crate) rounds_done: usize,
+    pub(crate) injector: FaultInjector,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) deadline: DeadlinePolicy,
+    pub(crate) rescue: bool,
+    pub(crate) rescue_soc_floor: f64,
+    /// Between-round re-planning: `(scheduler, every)` rounds.
+    pub(crate) rescheduler: Option<(Box<dyn Scheduler>, usize)>,
+    /// Per-device online profiles. Empty unless a rescheduler, selection
     /// or priors — the only readers — are attached.
-    profilers: Vec<OnlineProfiler>,
-    has_prior: bool,
+    pub(crate) profilers: Vec<OnlineProfiler>,
+    pub(crate) has_prior: bool,
     /// Devices the server has observed leaving for good.
-    known_gone: Vec<bool>,
-    aggregator: AggregatorKind,
-    adversary: Option<AdversaryPlan>,
-    /// Master seed, kept so the selection stream can inherit it.
-    seed: u64,
-    selection: Option<SelectionState>,
+    pub(crate) known_gone: Vec<bool>,
+    pub(crate) aggregator: AggregatorKind,
+    pub(crate) adversary: Option<AdversaryPlan>,
+    pub(crate) selection: Option<SelectionState>,
 }
 
 impl ResilientRoundSim {
-    /// Positional constructor backing the
-    /// [`SimBuilder`](crate::SimBuilder), the only public construction
-    /// path (the `new` shim was removed with the job-spec API).
-    ///
-    /// # Panics
-    /// Panics if the injector was planned for a different cohort size.
-    pub(crate) fn from_parts(
-        devices: Vec<Device>,
-        workload: TrainingWorkload,
-        link: Link,
-        model_bytes: f64,
-        seed: u64,
-        injector: FaultInjector,
-    ) -> Self {
-        assert_eq!(
-            injector.plan().n_devices(),
-            devices.len(),
-            "fault plan/cohort size mismatch"
-        );
-        let n = devices.len();
-        ResilientRoundSim {
-            devices,
-            workload,
-            link,
-            model_bytes,
-            rng: StdRng::seed_from_u64(seed),
-            probe: Probe::disabled(),
-            rounds_done: 0,
-            injector,
-            retry: RetryPolicy::single_attempt(),
-            deadline: DeadlinePolicy::Off,
-            rescue: true,
-            rescue_soc_floor: 0.0,
-            rescheduler: None,
-            profilers: Vec::new(),
-            has_prior: false,
-            known_gone: vec![false; n],
-            aggregator: AggregatorKind::FedAvg,
-            adversary: None,
-            seed,
-            selection: None,
-        }
-    }
-
-    /// Attach a telemetry probe (builder form): the `round_start` /
-    /// `user_span` / `round_end` timeline plus the fault vocabulary
-    /// (`fault_injected`, `transfer_retry`, `user_timeout`,
-    /// `shards_reassigned`, `round_degraded`). Every device in the cohort
-    /// emits its own thermal/battery events through the same probe.
-    pub(crate) fn with_probe(mut self, probe: Probe) -> Self {
-        for d in &mut self.devices {
-            d.set_probe(probe.clone());
-        }
-        self.probe = probe;
-        self
-    }
-
-    /// Set the retry policy applied to every transfer.
-    pub(crate) fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        retry.validate();
-        self.retry = retry;
-        self
-    }
-
-    /// Set the per-round deadline policy. `Fixed` applies a constant cutoff;
-    /// `MeanFactor` / `Quantile` re-resolve the cutoff **every round** from
-    /// side-effect-free predicted per-user times
-    /// ([`predict_user_time`](clock::predict_user_time)) on the *current*
-    /// schedule and thermal state, so the deadline tightens or relaxes as
-    /// the cohort drifts.
-    ///
-    /// # Panics
-    /// Panics on a malformed policy (non-positive fixed deadline or mean
-    /// factor, quantile outside `[0, 1]`) — the fallible path is
-    /// [`SimBuilder::deadline`](crate::SimBuilder::deadline).
-    pub(crate) fn with_deadline_policy(mut self, policy: DeadlinePolicy) -> Self {
-        if let Err(rule) = policy.check() {
-            panic!("{rule}");
-        }
-        self.deadline = policy;
-        self
-    }
-
     /// Overwrite the deadline for the *next* rounds with an
     /// already-resolved cutoff (or clear it). This is the coordination
     /// hook: [`Coordinator`](crate::Coordinator) resolves one global
@@ -491,143 +402,6 @@ impl ResilientRoundSim {
                 self.deadline.resolve(&predicted)
             }
         }
-    }
-
-    /// Disable mid-round straggler rescue (failed users' shards are lost).
-    pub(crate) fn without_rescue(mut self) -> Self {
-        self.rescue = false;
-        self
-    }
-
-    /// Select the robust aggregation rule the server scores deliveries with.
-    ///
-    /// With the default [`AggregatorKind::FedAvg`] (or with no adversary
-    /// configured) the robust layer is entirely inert: no extra telemetry,
-    /// no RNG consumption, bit-identical traces. The fallible counterpart is
-    /// [`SimBuilder::aggregator`](crate::SimBuilder::aggregator).
-    ///
-    /// # Panics
-    /// Panics on an invalid kind (e.g. Multi-Krum with `k == 0`).
-    pub(crate) fn with_aggregator(mut self, kind: AggregatorKind) -> Self {
-        if let Err(rule) = kind.validate() {
-            panic!("{rule}");
-        }
-        self.aggregator = kind;
-        self
-    }
-
-    /// Attach an adversary plan: compromised devices submit attacked proxy
-    /// updates which the configured aggregator scores every round
-    /// (`update_rejected` / `robust_aggregate` telemetry, plus the
-    /// [`RoundOutcome::rejected_updates`] counter). A quiet plan (zero
-    /// attacker fraction) leaves the run byte-identical to no plan at all.
-    ///
-    /// # Panics
-    /// Panics if the plan was generated for a different cohort size.
-    pub(crate) fn with_adversary(mut self, plan: AdversaryPlan) -> Self {
-        assert_eq!(
-            plan.n_devices(),
-            self.devices.len(),
-            "adversary plan/cohort size mismatch"
-        );
-        self.adversary = Some(plan);
-        self
-    }
-
-    /// Energy-aware rescue: never reassign orphaned shards to a survivor
-    /// whose battery state of charge is below `floor` (in `[0, 1]`).
-    ///
-    /// Rescue work is *extra* drain a device's owner never signed up for;
-    /// piling it onto a nearly-empty phone trades one lost allocation this
-    /// round for a depleted (hence permanently lost) device in the next.
-    /// The floor is checked against each survivor's SoC at rescue time —
-    /// after this round's own training drain. The default floor of `0.0`
-    /// accepts every survivor, preserving the pre-existing behaviour bit
-    /// for bit.
-    ///
-    /// # Panics
-    /// Panics if `floor` is outside `[0, 1]`.
-    pub(crate) fn with_rescue_soc_floor(mut self, floor: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&floor) && floor.is_finite(),
-            "rescue SoC floor must be in [0, 1], got {floor}"
-        );
-        self.rescue_soc_floor = floor;
-        self
-    }
-
-    /// Re-plan the shard allocation with `scheduler` every `every` rounds,
-    /// using online profiles fitted to observed (faulted) round behaviour.
-    ///
-    /// # Panics
-    /// Panics if `every == 0`.
-    pub(crate) fn with_rescheduler(mut self, scheduler: Box<dyn Scheduler>, every: usize) -> Self {
-        assert!(every > 0, "rescheduling interval must be positive");
-        self.rescheduler = Some(Rescheduler { scheduler, every });
-        self.ensure_profilers();
-        self
-    }
-
-    /// Allocate cold online profilers unless priors already did.
-    fn ensure_profilers(&mut self) {
-        if self.profilers.is_empty() {
-            self.profilers = vec![OnlineProfiler::new(PROFILER_LAMBDA); self.devices.len()];
-        }
-    }
-
-    /// Warm-start the per-device online profilers from offline profiles, so
-    /// the first reschedule has an estimate even for devices that have not
-    /// been observed yet.
-    ///
-    /// # Panics
-    /// Panics if `priors` does not match the cohort size.
-    pub(crate) fn with_priors(mut self, priors: &[LinearProfile]) -> Self {
-        assert_eq!(
-            priors.len(),
-            self.devices.len(),
-            "priors/cohort size mismatch"
-        );
-        self.profilers = priors
-            .iter()
-            .map(|p| OnlineProfiler::with_prior(PROFILER_LAMBDA, p))
-            .collect();
-        self.has_prior = true;
-        self
-    }
-
-    /// Enable online bandit-driven client selection: before every round a
-    /// [`SelectionPolicy`] picks a `k`-device cohort among devices not
-    /// known gone, the full shard load is re-split among the picked
-    /// devices, and after the round each picked arm is credited a reward —
-    /// observed throughput (samples per second) discounted by the round's
-    /// battery drain, `0.0` for picked devices that delivered nothing.
-    ///
-    /// All selection randomness comes from a dedicated salted
-    /// [`selection_stream`] keyed by `(selection seed, round)`, so runs
-    /// replay byte-identically and never perturb the main RNG.
-    ///
-    /// # Panics
-    /// Panics on an invalid config, or if a rescheduler is attached —
-    /// selection owns the per-round re-plan. The fallible path is
-    /// [`SimBuilder::selection`](crate::SimBuilder::selection).
-    pub(crate) fn with_selection(mut self, config: SelectionConfig) -> Self {
-        if let Err(rule) = config.validate() {
-            panic!("{rule}");
-        }
-        assert!(
-            self.rescheduler.is_none(),
-            "selection re-plans the split every round; drop the rescheduler"
-        );
-        let n = self.devices.len();
-        self.selection = Some(SelectionState {
-            policy: config.policy.build(),
-            seed: config.seed.resolve(self.seed),
-            config,
-            soc_at_select: vec![1.0; n],
-            last_selected: Vec::new(),
-        });
-        self.ensure_profilers();
-        self
     }
 
     /// Number of devices.
@@ -1277,8 +1051,8 @@ impl ResilientRoundSim {
     /// replaced — the event path rebuilds its active set when it was.
     pub(crate) fn maybe_reschedule(&mut self, current: &mut Schedule, orig_total: usize) -> bool {
         let n = self.devices.len();
-        if let Some(rs) = &self.rescheduler {
-            if self.rounds_done.is_multiple_of(rs.every) && orig_total > 0 {
+        if let Some((scheduler, every)) = &self.rescheduler {
+            if self.rounds_done.is_multiple_of(*every) && orig_total > 0 {
                 let comm_est = self.link.round_seconds(self.model_bytes);
                 let profiles: Vec<LinearProfile> = (0..n)
                     .map(|j| {
@@ -1297,7 +1071,7 @@ impl ResilientRoundSim {
                     current.shard_size,
                     &vec![comm_est; n],
                 );
-                if let Ok(next) = rs.scheduler.schedule_traced(&costs, &self.probe) {
+                if let Ok(next) = scheduler.schedule_traced(&costs, &self.probe) {
                     *current = next;
                     return true;
                 }
@@ -1568,6 +1342,7 @@ pub(crate) fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{RoundConfig, SimBuilder};
     use fedsched_device::Testbed;
     use fedsched_faults::FaultConfig;
 
@@ -1583,20 +1358,26 @@ mod tests {
         Schedule::new(vec![10, 10, 10], 100.0)
     }
 
+    /// A builder over `devices` simulated from `seed`.
+    fn builder_over(devices: Vec<Device>, seed: u64) -> SimBuilder {
+        let config = RoundConfig::new(TrainingWorkload::lenet(), link(), 2.5e6, seed);
+        SimBuilder::new(devices, config)
+    }
+
+    /// A builder over testbed 1 whose fleet and simulation share `seed`.
+    fn builder(seed: u64) -> SimBuilder {
+        builder_over(devices(seed), seed)
+    }
+
+    /// The lockstep oracle configured by `builder`.
+    fn oracle(builder: SimBuilder) -> ResilientRoundSim {
+        builder.build_event_sim().unwrap().into_inner()
+    }
+
     #[test]
     fn quiet_run_completes_everything_and_matches_the_event_core() {
-        let quiet = || {
-            ResilientRoundSim::from_parts(
-                devices(11),
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                11,
-                FaultInjector::quiet(3),
-            )
-        };
-        let lockstep = quiet().run(&schedule(), 4);
-        let event = crate::EventRoundSim::new(quiet()).run(&schedule(), 4);
+        let lockstep = oracle(builder(11)).run(&schedule(), 4);
+        let event = builder(11).build_event_sim().unwrap().run(&schedule(), 4);
         assert_eq!(lockstep, event, "quiet rounds must match bit for bit");
         for r in &lockstep.rounds {
             assert_eq!(r.completed, 30);
@@ -1613,16 +1394,12 @@ mod tests {
             .with_contention(0.2, 1.5);
         let run = || {
             let inj = FaultInjector::from_config(config.clone(), 3, 10, 77);
-            let mut sim = ResilientRoundSim::from_parts(
-                devices(7),
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                7,
-                inj,
-            )
-            .with_retry(RetryPolicy::default_chaos())
-            .with_deadline_policy(DeadlinePolicy::Fixed(60.0));
+            let mut sim = oracle(
+                builder(7)
+                    .injector(inj)
+                    .retry(RetryPolicy::default_chaos())
+                    .deadline(DeadlinePolicy::Fixed(60.0)),
+            );
             sim.run(&schedule(), 10)
         };
         let a = run();
@@ -1637,17 +1414,12 @@ mod tests {
             .with_churn_prob(0.05)
             .with_loss_prob(0.2)
             .with_outages(0.3, 40.0, 10.0);
-        let inj = FaultInjector::from_config(config, 3, 12, 5);
-        let mut sim = ResilientRoundSim::from_parts(
-            devices(5),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            5,
-            inj,
-        )
-        .with_retry(RetryPolicy::default_chaos())
-        .with_deadline_policy(DeadlinePolicy::Fixed(45.0));
+        let mut sim = oracle(
+            builder(5)
+                .faults(config, 12)
+                .retry(RetryPolicy::default_chaos())
+                .deadline(DeadlinePolicy::Fixed(45.0)),
+        );
         let report = sim.run(&schedule(), 12);
         for r in &report.rounds {
             assert_eq!(
@@ -1668,20 +1440,13 @@ mod tests {
     fn rescue_recovers_shards_lost_without_it() {
         let config = FaultConfig::none().with_crash_prob(0.35);
         let run = |rescue: bool| {
-            let inj = FaultInjector::from_config(config.clone(), 3, 15, 21);
-            let mut sim = ResilientRoundSim::from_parts(
-                devices(21),
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                21,
-                inj,
-            )
-            .with_deadline_policy(DeadlinePolicy::Fixed(60.0));
+            let mut b = builder(21)
+                .faults(config.clone(), 15)
+                .deadline(DeadlinePolicy::Fixed(60.0));
             if !rescue {
-                sim = sim.without_rescue();
+                b = b.no_rescue();
             }
-            sim.run(&schedule(), 15)
+            oracle(b).run(&schedule(), 15)
         };
         let with = run(true);
         let without = run(false);
@@ -1700,16 +1465,7 @@ mod tests {
 
     #[test]
     fn deadline_caps_phase_one_makespan() {
-        let mut sim = ResilientRoundSim::from_parts(
-            devices(9),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            9,
-            FaultInjector::quiet(3),
-        )
-        .with_deadline_policy(DeadlinePolicy::Fixed(5.0))
-        .without_rescue();
+        let mut sim = oracle(builder(9).deadline(DeadlinePolicy::Fixed(5.0)).no_rescue());
         let report = sim.run(&schedule(), 3);
         for r in &report.rounds {
             assert!(r.makespan_s <= 5.0 + 1e-9, "makespan {}", r.makespan_s);
@@ -1724,15 +1480,7 @@ mod tests {
         // Device 0 churns out in round 0 with certainty.
         let config = FaultConfig::none().with_churn_prob(1.0);
         let inj = FaultInjector::from_config(config, 3, 1, 2);
-        let mut sim = ResilientRoundSim::from_parts(
-            devices(13),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            13,
-            inj,
-        )
-        .with_rescheduler(Box::new(FedLbap), 1);
+        let mut sim = oracle(builder(13).injector(inj).rescheduler(Box::new(FedLbap), 1));
         let report = sim.run(&schedule(), 4);
         // After round 0 every device is known gone... all three churn in
         // round 0, so later rounds keep the old schedule only if the
@@ -1759,18 +1507,11 @@ mod tests {
             // The only survivor enters the round nearly empty.
             devs[0].set_battery_soc(0.05);
             let inj = FaultInjector::from_config(config.clone(), 2, 1, seed);
-            let mut sim = ResilientRoundSim::from_parts(
-                devs,
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                31,
-                inj,
-            );
+            let mut b = builder_over(devs, 31).injector(inj);
             if let Some(f) = floor {
-                sim = sim.with_rescue_soc_floor(f);
+                b = b.rescue_soc_floor(f);
             }
-            sim.run(&Schedule::new(vec![5, 5], 100.0), 1)
+            oracle(b).run(&Schedule::new(vec![5, 5], 100.0), 1)
         };
 
         // Without a floor the critical device absorbs the orphaned shards.
@@ -1793,36 +1534,15 @@ mod tests {
     fn zero_soc_floor_is_bit_identical_to_default() {
         let config = FaultConfig::none().with_crash_prob(0.3).with_loss_prob(0.1);
         let run = |explicit_floor: bool| {
-            let inj = FaultInjector::from_config(config.clone(), 3, 8, 17);
-            let mut sim = ResilientRoundSim::from_parts(
-                devices(17),
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                17,
-                inj,
-            )
-            .with_retry(RetryPolicy::default_chaos());
+            let mut b = builder(17)
+                .faults(config.clone(), 8)
+                .retry(RetryPolicy::default_chaos());
             if explicit_floor {
-                sim = sim.with_rescue_soc_floor(0.0);
+                b = b.rescue_soc_floor(0.0);
             }
-            sim.run(&schedule(), 8)
+            oracle(b).run(&schedule(), 8)
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    #[should_panic(expected = "rescue SoC floor must be in [0, 1]")]
-    fn out_of_range_soc_floor_panics() {
-        let _ = ResilientRoundSim::from_parts(
-            devices(1),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            1,
-            FaultInjector::quiet(3),
-        )
-        .with_rescue_soc_floor(1.5);
     }
 
     #[test]
@@ -1833,21 +1553,14 @@ mod tests {
             .with_crash_prob(0.3)
             .with_loss_prob(0.15);
         let run = |probe: Option<Probe>| {
-            let inj = FaultInjector::from_config(config.clone(), 3, 8, 3);
-            let mut sim = ResilientRoundSim::from_parts(
-                devices(3),
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                3,
-                inj,
-            )
-            .with_retry(RetryPolicy::default_chaos())
-            .with_deadline_policy(DeadlinePolicy::Fixed(50.0));
+            let mut b = builder(3)
+                .faults(config.clone(), 8)
+                .retry(RetryPolicy::default_chaos())
+                .deadline(DeadlinePolicy::Fixed(50.0));
             if let Some(p) = probe {
-                sim = sim.with_probe(p);
+                b = b.probe(p);
             }
-            sim.run(&schedule(), 8)
+            oracle(b).run(&schedule(), 8)
         };
         let log = Arc::new(EventLog::new());
         let plain = run(None);
@@ -1858,27 +1571,20 @@ mod tests {
 
     #[test]
     fn quiet_adversary_is_bit_identical_to_no_adversary() {
-        use fedsched_faults::{AdversaryConfig, AdversaryPlan};
+        use fedsched_faults::AdversaryConfig;
         use fedsched_telemetry::EventLog;
         use std::sync::Arc;
         let config = FaultConfig::none().with_crash_prob(0.2).with_loss_prob(0.1);
-        let run = |adversary: Option<AdversaryPlan>, kind: AggregatorKind| {
+        let run = |adversary: Option<AdversaryConfig>, kind: AggregatorKind| {
             let log = Arc::new(EventLog::new());
-            let inj = FaultInjector::from_config(config.clone(), 3, 6, 41);
-            let mut sim = ResilientRoundSim::from_parts(
-                devices(41),
-                TrainingWorkload::lenet(),
-                link(),
-                2.5e6,
-                41,
-                inj,
-            )
-            .with_probe(Probe::attached(log.clone()))
-            .with_aggregator(kind);
-            if let Some(plan) = adversary {
-                sim = sim.with_adversary(plan);
+            let mut b = builder(41)
+                .faults(config.clone(), 6)
+                .probe(Probe::attached(log.clone()))
+                .aggregator(kind);
+            if let Some(adversary) = adversary {
+                b = b.adversary(adversary, 6);
             }
-            let report = sim.run(&schedule(), 6);
+            let report = oracle(b).run(&schedule(), 6);
             (report, log.to_jsonl())
         };
         let baseline = run(None, AggregatorKind::FedAvg);
@@ -1888,8 +1594,7 @@ mod tests {
             AggregatorKind::Median,
             AggregatorKind::Krum { f: 1 },
         ] {
-            let quiet = AdversaryPlan::generate(AdversaryConfig::none(), 3, 6, 41);
-            let got = run(Some(quiet), kind);
+            let got = run(Some(AdversaryConfig::none()), kind);
             assert_eq!(
                 baseline,
                 got,
@@ -1901,31 +1606,26 @@ mod tests {
 
     #[test]
     fn attacked_round_scores_and_rejects_updates() {
-        use fedsched_faults::{AdversaryConfig, AdversaryPlan, AttackKind};
+        use fedsched_faults::{AdversaryConfig, AttackKind};
         use fedsched_telemetry::EventLog;
         use std::sync::Arc;
         let adv = AdversaryConfig::none().with_attackers(0.34, AttackKind::Boost { factor: 50.0 });
         // Find a seed whose plan compromises exactly one of the 3 devices,
-        // so honest updates outnumber attacked ones and Krum can isolate it.
+        // so honest updates outnumber attacked ones and Krum can isolate
+        // it; the sim runs from that seed, so it plans the same attack.
         let seed = (0..200u64)
             .find(|&s| {
                 let p = AdversaryPlan::generate(adv, 3, 6, s);
                 (0..3).filter(|&j| p.is_compromised(j)).count() == 1
             })
             .expect("some seed compromises exactly one device");
-        let plan = AdversaryPlan::generate(adv, 3, 6, seed);
         let log = Arc::new(EventLog::new());
-        let mut sim = ResilientRoundSim::from_parts(
-            devices(9),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            9,
-            FaultInjector::quiet(3),
-        )
-        .with_probe(Probe::attached(log.clone()))
-        .with_aggregator(AggregatorKind::MultiKrum { f: 1, k: 2 })
-        .with_adversary(plan);
+        let mut sim = oracle(
+            builder_over(devices(9), seed)
+                .probe(Probe::attached(log.clone()))
+                .aggregator(AggregatorKind::MultiKrum { f: 1, k: 2 })
+                .adversary(adv, 6),
+        );
         let report = sim.run(&schedule(), 6);
         let total_rejected: usize = report.rounds.iter().map(|r| r.rejected_updates).sum();
         assert!(
@@ -1949,14 +1649,15 @@ mod tests {
         use fedsched_telemetry::EventLog;
         use std::sync::Arc;
         let config = FaultConfig::none().with_group_outages(1.0, 3, 1);
-        let inj = FaultInjector::from_config(config, 6, 2, 23);
         let log = Arc::new(EventLog::new());
         let mut devs = devices(23);
         devs.extend(devices(24));
         devs.truncate(6);
-        let mut sim =
-            ResilientRoundSim::from_parts(devs, TrainingWorkload::lenet(), link(), 2.5e6, 23, inj)
-                .with_probe(Probe::attached(log.clone()));
+        let mut sim = oracle(
+            builder_over(devs, 23)
+                .faults(config, 2)
+                .probe(Probe::attached(log.clone())),
+        );
         let report = sim.run(&Schedule::new(vec![5; 6], 100.0), 2);
         // Probability 1 downs every domain every round: nothing completes.
         assert!(report.rounds.iter().all(|r| r.completed == 0));
@@ -1966,48 +1667,5 @@ mod tests {
             .filter(|e| e.kind() == "group_outage")
             .collect();
         assert_eq!(outages.len(), 6, "3 groups x 2 rounds");
-    }
-
-    #[test]
-    #[should_panic(expected = "adversary plan/cohort size mismatch")]
-    fn wrong_adversary_arity_panics() {
-        use fedsched_faults::{AdversaryConfig, AdversaryPlan};
-        let plan = AdversaryPlan::generate(AdversaryConfig::none(), 5, 2, 1);
-        let _ = ResilientRoundSim::from_parts(
-            devices(1),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            1,
-            FaultInjector::quiet(3),
-        )
-        .with_adversary(plan);
-    }
-
-    #[test]
-    #[should_panic(expected = "multi_krum needs k >= 1")]
-    fn invalid_aggregator_kind_panics() {
-        let _ = ResilientRoundSim::from_parts(
-            devices(1),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            1,
-            FaultInjector::quiet(3),
-        )
-        .with_aggregator(AggregatorKind::MultiKrum { f: 1, k: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "fault plan/cohort size mismatch")]
-    fn wrong_injector_arity_panics() {
-        let _ = ResilientRoundSim::from_parts(
-            devices(1),
-            TrainingWorkload::lenet(),
-            link(),
-            2.5e6,
-            1,
-            FaultInjector::quiet(2),
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! Secure aggregation by pairwise additive masking (Bonawitz et al.,
-//! CCS'17 — the paper's reference [13]: "we can always resort to security
+//! CCS'17 — the paper's reference \[13\]: "we can always resort to security
 //! protocols to protect the intermediate gradients").
 //!
 //! Each ordered pair of users `(i, j)` with `i < j` derives a shared mask

@@ -1,15 +1,26 @@
 //! The wire form of a simulator configuration: [`JobSpec`].
 //!
-//! [`SimBuilder`] is the single in-process construction choke point; this
-//! module gives the same configuration a *serial* form so it can cross a
-//! process boundary (the `fedsched-serve` HTTP API), be fingerprinted for
+//! A `JobSpec` is the only configuration type: [`SimBuilder`], the
+//! in-process construction choke point, is a `JobSpec` plus host-side
+//! extras, and every round core is assembled from one. This module gives
+//! that configuration its *serial* form so it can cross a process
+//! boundary (the `fedsched-serve` HTTP API), be fingerprinted for
 //! caching, and be replayed for crash recovery. The design constraints:
 //!
-//! * **Round-trip exactness.** `JobSpec -> SimBuilder::from_spec ->
-//!   SimBuilder::to_spec` is the identity, and `JobSpec -> JSON ->
-//!   JobSpec` is the identity — including `u64` seeds above 2^53 (encoded
-//!   as decimal strings, see [`u64_to_json`]) and non-finite floats like
+//! * **Round-trip exactness.** [`SimBuilder::from_spec`] is a clone and
+//!   [`SimBuilder::to_spec`] a target stamp, so `from_spec -> to_spec` is
+//!   the identity, and `JobSpec -> JSON -> JobSpec` is the identity —
+//!   including `u64` seeds above 2^53 (encoded as decimal strings, see
+//!   [`u64_to_json`]) and non-finite floats like
 //!   `RetryPolicy::single_attempt().timeout_s` (encoded as `"inf"`).
+//! * **Hostile input is rejected at decode.** Beyond shape, tags and the
+//!   fleet and plan caps, decoding refuses values the round core would
+//!   spin, panic or silently mis-simulate on: a zero batch size,
+//!   non-finite or negative FLOP counts and payload size, link rates that
+//!   are not finite and positive, non-finite or negative latency and
+//!   jitter (`link` and `edge_link`), and fault configs outside
+//!   [`FaultConfig::check`]'s ranges. Each is an
+//!   [`ConfigError::InvalidSpec`] naming the field.
 //! * **Determinism.** Encoding is canonical: one fixed field order, `None`
 //!   knobs omitted, floats in shortest-round-trip form. Equal specs
 //!   produce equal bytes, so [`JobSpec::fingerprint`] is a stable cache
@@ -35,7 +46,7 @@ use fedsched_net::{Link, RetryPolicy};
 use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::Probe;
 
-use crate::builder::{AsyncOptions, ConfigError, RoundConfig, Selection, SimBuilder};
+use crate::builder::{ConfigError, SimBuilder};
 use crate::coordinator::Coordinator;
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
 use crate::hier::HierEngine;
@@ -64,6 +75,24 @@ fn bad(problem: impl Into<String>) -> ConfigError {
 
 fn shape(err: JsonError) -> ConfigError {
     ConfigError::InvalidSpec(err.to_string())
+}
+
+/// `value` if finite and non-negative (strictly positive when `positive`),
+/// else an `invalid_spec` naming `field`: values the round core would
+/// spin, panic or silently mis-simulate on never get past decoding.
+fn finite(field: &str, value: f64, positive: bool) -> Result<f64, ConfigError> {
+    let (ok, rule) = if positive {
+        (value > 0.0, "> 0")
+    } else {
+        (value >= 0.0, ">= 0")
+    };
+    if ok && value.is_finite() {
+        Ok(value)
+    } else {
+        Err(bad(format!(
+            "{field} must be finite and {rule}, got {value}"
+        )))
+    }
 }
 
 /// Which terminal `build_*` method a job spec targets.
@@ -246,7 +275,8 @@ impl DeviceSetSpec {
 /// Construct directly, or derive one from a configured builder with
 /// [`SimBuilder::to_spec`]. Turn it back into a live simulator with
 /// [`JobSpec::build`] (or [`SimBuilder::from_spec`] to keep configuring).
-/// `None` everywhere means "builder default".
+/// `None` everywhere means "builder default"; the builder's setters write
+/// these fields directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Which terminal build method to invoke.
@@ -479,10 +509,14 @@ impl JobSpec {
             target,
             DeviceSetSpec::from_json(v.req("devices").map_err(shape)?)?,
             workload_from_json(v.req("workload").map_err(shape)?)?,
-            link_from_json(v.req("link").map_err(shape)?)?,
-            v.req("model_bytes")
-                .and_then(|m| m.as_f64_lenient())
-                .map_err(shape)?,
+            link_from_json(v.req("link").map_err(shape)?, "link")?,
+            finite(
+                "model_bytes",
+                v.req("model_bytes")
+                    .and_then(|m| m.as_f64_lenient())
+                    .map_err(shape)?,
+                false,
+            )?,
             u64_from_json(v.req("seed").map_err(shape)?)?,
         );
         if let Some(d) = v.get("deadline") {
@@ -550,7 +584,7 @@ impl JobSpec {
             spec.edges = Some(e.as_usize().map_err(shape)?);
         }
         if let Some(l) = v.get("edge_link") {
-            spec.edge_link = Some(link_from_json(l)?);
+            spec.edge_link = Some(link_from_json(l, "edge_link")?);
         }
         if let Some(a) = v.get("edge_aggregator") {
             spec.edge_aggregator = Some(aggregator_from_json(a)?);
@@ -601,7 +635,7 @@ impl JobSpec {
     /// builder: every validation error surfaces with the same
     /// [`ConfigError`] cause code.
     pub fn build(&self, probe: Probe) -> Result<BuiltSim, ConfigError> {
-        let builder = SimBuilder::from_spec(self)?.probe(probe);
+        let builder = SimBuilder::from_spec(self).probe(probe);
         let sim = match self.target {
             BuildTarget::EventSim => SimKind::EventSim(Box::new(builder.build_event_sim()?)),
             BuildTarget::Coordinator => SimKind::Coordinator(builder.build_coordinator()?),
@@ -611,125 +645,6 @@ impl JobSpec {
             sim,
             rounds_done: 0,
         })
-    }
-}
-
-impl SimBuilder {
-    /// Reconstruct a builder from a wire spec (minus the target, which is
-    /// chosen at build time, and the probe, which is a host-side
-    /// attachment — see [`JobSpec::build`]). The builder remembers the
-    /// fleet recipe, so [`SimBuilder::to_spec`] round-trips.
-    pub fn from_spec(spec: &JobSpec) -> Result<Self, ConfigError> {
-        let mut b = SimBuilder::new(
-            spec.devices.build()?,
-            RoundConfig::new(spec.workload, spec.link, spec.model_bytes, spec.seed),
-        );
-        b.device_spec = Some(spec.devices);
-        if let Some(policy) = spec.deadline {
-            b = b.deadline(policy);
-        }
-        if let Some(retry) = spec.retry {
-            b = b.retry(retry);
-        }
-        if spec.no_rescue {
-            b = b.no_rescue();
-        }
-        if spec.rescue_soc_floor != 0.0 {
-            b = b.rescue_soc_floor(spec.rescue_soc_floor);
-        }
-        if let Some((config, planned)) = &spec.faults {
-            b = b.faults(config.clone(), *planned);
-        }
-        if let Some(size) = spec.cohort_size {
-            b = b.cohort_size(size);
-        }
-        if let Some(threads) = spec.threads {
-            b = b.threads(threads);
-        }
-        if let Some((buffer, eta)) = spec.buffered_async {
-            b = b.buffered_async(buffer, eta);
-        }
-        if let Some(kind) = spec.aggregator {
-            b = b.aggregator(kind);
-        }
-        if let Some((config, planned)) = spec.adversary {
-            b = b.adversary(config, planned);
-        }
-        if let Some(churn) = spec.churn {
-            b = b.churn(churn);
-        }
-        if let Some(policy) = spec.admission {
-            b = b.admission(policy);
-        }
-        if let Some(edges) = spec.edges {
-            b = b.edges(edges);
-        }
-        if let Some(link) = spec.edge_link {
-            b = b.edge_link(link);
-        }
-        if let Some(kind) = spec.edge_aggregator {
-            b = b.edge_aggregator(kind);
-        }
-        if let Some(kind) = spec.server_aggregator {
-            b = b.server_aggregator(kind);
-        }
-        if let Some(config) = spec.selection {
-            b = b.selection(Selection::Bandit(config));
-        }
-        Ok(b)
-    }
-
-    /// Serialize this builder's configuration as a wire spec targeting
-    /// `target`.
-    ///
-    /// Fails with [`ConfigError::NotSerializable`] when the builder
-    /// carries host-side objects with no wire form: an ad-hoc
-    /// `Vec<Device>` fleet (only [`DeviceSetSpec`] recipes serialize), a
-    /// pre-built [`injector`](SimBuilder::injector), a
-    /// [`rescheduler`](SimBuilder::rescheduler) closure, or offline
-    /// [`priors`](SimBuilder::priors). The probe is intentionally *not*
-    /// part of the spec — telemetry attachment is the host's business.
-    pub fn to_spec(&self, target: BuildTarget) -> Result<JobSpec, ConfigError> {
-        let devices = self
-            .device_spec
-            .ok_or(ConfigError::NotSerializable("ad-hoc device fleet"))?;
-        if self.injector.is_some() {
-            return Err(ConfigError::NotSerializable("injector"));
-        }
-        if self.rescheduler.is_some() {
-            return Err(ConfigError::NotSerializable("rescheduler"));
-        }
-        if self.priors.is_some() {
-            return Err(ConfigError::NotSerializable("priors"));
-        }
-        let mut spec = JobSpec::new(
-            target,
-            devices,
-            self.config.workload,
-            self.config.link,
-            self.config.model_bytes,
-            self.config.seed,
-        );
-        spec.deadline = (!self.deadline.is_off()).then_some(self.deadline);
-        spec.retry = self.retry;
-        spec.no_rescue = !self.rescue;
-        spec.rescue_soc_floor = self.rescue_soc_floor;
-        spec.faults = self.faults.clone();
-        spec.cohort_size = self.cohort_size;
-        spec.threads = self.threads;
-        spec.buffered_async = self
-            .async_opts
-            .map(|AsyncOptions { buffer, eta }| (buffer, eta));
-        spec.aggregator = self.aggregator;
-        spec.adversary = self.adversary;
-        spec.churn = self.churn;
-        spec.admission = self.admission;
-        spec.edges = self.edges;
-        spec.edge_link = self.edge_link;
-        spec.edge_aggregator = self.edge_aggregator;
-        spec.server_aggregator = self.server_aggregator;
-        spec.selection = self.selection;
-        Ok(spec)
     }
 }
 
@@ -872,19 +787,23 @@ fn workload_from_json(v: &JsonValue) -> Result<TrainingWorkload, ConfigError> {
             "batch_size",
         ],
     )?;
+    let flops = |key: &str| {
+        let value = v.req(key).and_then(|x| x.as_f64_lenient()).map_err(shape)?;
+        finite(&format!("workload.{key}"), value, false)
+    };
+    let conv_flops_per_sample = flops("conv_flops_per_sample")?;
+    let dense_flops_per_sample = flops("dense_flops_per_sample")?;
+    let batch_size = v
+        .req("batch_size")
+        .and_then(|x| x.as_usize())
+        .map_err(shape)?;
+    if batch_size == 0 {
+        return Err(bad("workload.batch_size must be >= 1"));
+    }
     Ok(TrainingWorkload {
-        conv_flops_per_sample: v
-            .req("conv_flops_per_sample")
-            .and_then(|x| x.as_f64_lenient())
-            .map_err(shape)?,
-        dense_flops_per_sample: v
-            .req("dense_flops_per_sample")
-            .and_then(|x| x.as_f64_lenient())
-            .map_err(shape)?,
-        batch_size: v
-            .req("batch_size")
-            .and_then(|x| x.as_usize())
-            .map_err(shape)?,
+        conv_flops_per_sample,
+        dense_flops_per_sample,
+        batch_size,
     })
 }
 
@@ -897,17 +816,21 @@ fn link_to_json(l: &Link) -> JsonValue {
     ])
 }
 
-fn link_from_json(v: &JsonValue) -> Result<Link, ConfigError> {
+/// Decode the link at `field`: [`Link::new`]'s rules plus finiteness.
+fn link_from_json(v: &JsonValue, field: &str) -> Result<Link, ConfigError> {
     expect_fields(
         v,
         &["uplink_mbps", "downlink_mbps", "rtt_s", "jitter_sigma"],
     )?;
-    let f = |key: &str| v.req(key).and_then(|x| x.as_f64_lenient()).map_err(shape);
+    let f = |key: &str, positive: bool| {
+        let value = v.req(key).and_then(|x| x.as_f64_lenient()).map_err(shape)?;
+        finite(&format!("{field}.{key}"), value, positive)
+    };
     Ok(Link {
-        uplink_mbps: f("uplink_mbps")?,
-        downlink_mbps: f("downlink_mbps")?,
-        rtt_s: f("rtt_s")?,
-        jitter_sigma: f("jitter_sigma")?,
+        uplink_mbps: f("uplink_mbps", true)?,
+        downlink_mbps: f("downlink_mbps", true)?,
+        rtt_s: f("rtt_s", false)?,
+        jitter_sigma: f("jitter_sigma", false)?,
     })
 }
 
@@ -1146,6 +1069,9 @@ fn fault_config_from_json(v: &JsonValue) -> Result<FaultConfig, ConfigError> {
         Some(d) => Some(drift_from_json(d)?),
         None => None,
     };
+    config
+        .check()
+        .map_err(|rule| bad(format!("faults.config: {rule}")))?;
     Ok(config)
 }
 
@@ -1309,6 +1235,7 @@ pub fn schedule_from_json(v: &JsonValue) -> Result<Schedule, ConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::RoundConfig;
     use fedsched_device::Device;
 
     fn base_spec(target: BuildTarget) -> JobSpec {
@@ -1367,7 +1294,7 @@ mod tests {
         spec.faults = Some((FaultConfig::none().with_crash_prob(0.3), 4));
         spec.deadline = Some(DeadlinePolicy::Fixed(55.0));
         spec.threads = Some(2);
-        let builder = SimBuilder::from_spec(&spec).unwrap();
+        let builder = SimBuilder::from_spec(&spec);
         assert_eq!(builder.to_spec(BuildTarget::Hier).unwrap(), spec);
     }
 
@@ -1384,7 +1311,6 @@ mod tests {
 
         let spec = base_spec(BuildTarget::EventSim);
         let err = SimBuilder::from_spec(&spec)
-            .unwrap()
             .injector(fedsched_faults::FaultInjector::quiet(3))
             .to_spec(BuildTarget::EventSim)
             .err()
@@ -1455,7 +1381,7 @@ mod tests {
         assert_eq!(digests, replay_digests);
 
         // And the per-round makespans agree with one batched engine run.
-        let mut batch = SimBuilder::from_spec(&spec).unwrap().build_hier().unwrap();
+        let mut batch = SimBuilder::from_spec(&spec).build_hier().unwrap();
         let report = batch.run(&schedule, 3);
         let stepped_makespans: Vec<f64> = digests.iter().map(|d| d.makespan_s).collect();
         assert_eq!(report.timing.per_round_makespan, stepped_makespans);
@@ -1511,7 +1437,7 @@ mod tests {
                 assert_eq!(back.canonical_json(), text);
                 // And through the builder: from_spec -> to_spec is the
                 // identity for selection-carrying specs too.
-                let builder = SimBuilder::from_spec(&spec).unwrap();
+                let builder = SimBuilder::from_spec(&spec);
                 assert_eq!(builder.to_spec(BuildTarget::EventSim).unwrap(), spec);
             }
         }

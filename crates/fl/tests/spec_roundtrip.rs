@@ -1,15 +1,13 @@
 //! Property suite for the [`JobSpec`] wire schema: every builder knob
-//! combination expressible in-tree must survive `spec -> JSON -> spec`
-//! and `spec -> SimBuilder::from_spec -> SimBuilder::to_spec` unchanged,
-//! with a stable fingerprint.
+//! combination expressible in-tree must survive `spec -> JSON -> spec`,
+//! and the builder's public setters must write exactly the spec fields
+//! they name, with a stable fingerprint.
 //!
 //! The generator draws a random knob subset from a bitmask plus random
-//! parameter values, then *repairs* the combination just enough to pass
-//! builder validation for some target (e.g. churn requires a fault
-//! source). Serialization round-trips must hold for invalid combinations
-//! too — the wire layer transports configs, the builder judges them — so
-//! the suite checks round-tripping on the raw draw and builder agreement
-//! on the repaired one.
+//! parameter values. Round-trips must hold for invalid combinations too —
+//! the wire layer transports configs, the builder's `build_*` methods
+//! judge them — so both legs run on the raw draw. The rest of the suite
+//! pins the canonical bytes and the decode-time rejections.
 
 use fedsched_bandit::{MaybeSeeded, PolicyKind, SelectionConfig};
 use fedsched_core::DeadlinePolicy;
@@ -19,9 +17,10 @@ use fedsched_faults::{DriftConfig, FaultConfig};
 use fedsched_fl::spec::{schedule_from_json, schedule_to_json, MAX_FLEET_DEVICES, MAX_PLAN_CELLS};
 use fedsched_fl::{
     AdmissionPolicy, AdversaryConfig, AggregatorKind, AttackKind, BuildTarget, ChurnConfig,
-    ConfigError, DeviceSetSpec, JobSpec, SimBuilder,
+    ConfigError, DeviceSetSpec, JobSpec, Selection, SimBuilder,
 };
 use fedsched_net::{Link, RetryPolicy};
+use fedsched_telemetry::Probe;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -164,40 +163,67 @@ fn draw_spec(mask: u32, rng: &mut TestRng) -> JobSpec {
     spec
 }
 
-/// Repair a drawn spec into one the builder accepts for its target, so
-/// the builder-round-trip leg can run on buildable configs.
-fn repair(mut spec: JobSpec) -> JobSpec {
-    // Cohort knobs only exist on the population engines; topology knobs
-    // only on hier; async only on the coordinator; churn needs a fault
-    // source.
-    match spec.target {
-        BuildTarget::EventSim => {
-            spec.cohort_size = None;
-            spec.threads = None;
-            spec.buffered_async = None;
-        }
-        BuildTarget::Hier => {
-            spec.buffered_async = None;
-        }
-        BuildTarget::Coordinator => {
-            if spec.buffered_async.is_some() {
-                spec.deadline = None;
-            }
-        }
+/// Rebuild `spec` through the public setters: `from_spec` of the bare
+/// spec, then each knob of the draw through the setter of the same name.
+fn through_setters(spec: &JobSpec) -> SimBuilder {
+    let bare = JobSpec::new(
+        spec.target,
+        spec.devices,
+        spec.workload,
+        spec.link,
+        spec.model_bytes,
+        spec.seed,
+    );
+    let mut b = SimBuilder::from_spec(&bare).rescue_soc_floor(spec.rescue_soc_floor);
+    if let Some(policy) = spec.deadline {
+        b = b.deadline(policy);
     }
-    if spec.target != BuildTarget::Hier {
-        spec.edges = None;
-        spec.edge_link = None;
-        spec.edge_aggregator = None;
-        spec.server_aggregator = None;
+    if let Some(retry) = spec.retry {
+        b = b.retry(retry);
     }
-    if spec.churn.is_some() && spec.faults.is_none() {
-        spec.faults = Some((FaultConfig::none(), 4));
+    if spec.no_rescue {
+        b = b.no_rescue();
     }
-    if spec.admission.is_some() && spec.churn.is_none() {
-        spec.admission = None;
+    if let Some((config, planned)) = &spec.faults {
+        b = b.faults(config.clone(), *planned);
     }
-    spec
+    if let Some(size) = spec.cohort_size {
+        b = b.cohort_size(size);
+    }
+    if let Some(threads) = spec.threads {
+        b = b.threads(threads);
+    }
+    if let Some((buffer, eta)) = spec.buffered_async {
+        b = b.buffered_async(buffer, eta);
+    }
+    if let Some(kind) = spec.aggregator {
+        b = b.aggregator(kind);
+    }
+    if let Some((config, planned)) = spec.adversary {
+        b = b.adversary(config, planned);
+    }
+    if let Some(churn) = spec.churn {
+        b = b.churn(churn);
+    }
+    if let Some(policy) = spec.admission {
+        b = b.admission(policy);
+    }
+    if let Some(edges) = spec.edges {
+        b = b.edges(edges);
+    }
+    if let Some(link) = spec.edge_link {
+        b = b.edge_link(link);
+    }
+    if let Some(kind) = spec.edge_aggregator {
+        b = b.edge_aggregator(kind);
+    }
+    if let Some(kind) = spec.server_aggregator {
+        b = b.server_aggregator(kind);
+    }
+    if let Some(config) = spec.selection {
+        b = b.selection(Selection::Bandit(config));
+    }
+    b
 }
 
 /// One spec per remaining target, knob-rich where the target allows.
@@ -402,6 +428,182 @@ fn oversized_fault_and_adversary_plans_fail_to_decode() {
     }
 }
 
+/// The same document with the first `from` replaced by `to`.
+fn with(doc: &str, from: &str, to: &str) -> String {
+    let out = doc.replacen(from, to, 1);
+    assert_ne!(out, doc, "the substitution `{from}` must apply");
+    out
+}
+
+#[test]
+fn values_the_round_core_cannot_simulate_fail_to_decode() {
+    let (minimal, loaded, hier) = (PINNED[0].0, PINNED[1].0, PINNED[3].0);
+    let churn = r#""group_outage_rounds":1,"churn_process":{"depart_rate":-1,"arrive_rate":0,"horizon_s":60},"drift""#;
+    let cases = [
+        // Each of these decoded before and then spun, panicked or ran
+        // with a term silently dropped.
+        (
+            with(minimal, r#""batch_size":20"#, r#""batch_size":0"#),
+            "workload.batch_size",
+        ),
+        (
+            with(
+                minimal,
+                r#""conv_flops_per_sample":5100000"#,
+                r#""conv_flops_per_sample":"inf""#,
+            ),
+            "workload.conv_flops_per_sample",
+        ),
+        (
+            with(
+                minimal,
+                r#""conv_flops_per_sample":5100000"#,
+                r#""conv_flops_per_sample":-1"#,
+            ),
+            "workload.conv_flops_per_sample",
+        ),
+        (
+            with(
+                minimal,
+                r#""dense_flops_per_sample":1100000"#,
+                r#""dense_flops_per_sample":"nan""#,
+            ),
+            "workload.dense_flops_per_sample",
+        ),
+        (
+            with(
+                minimal,
+                r#""model_bytes":2500000"#,
+                r#""model_bytes":"nan""#,
+            ),
+            "model_bytes",
+        ),
+        (
+            with(minimal, r#""model_bytes":2500000"#, r#""model_bytes":-1"#),
+            "model_bytes",
+        ),
+        (
+            with(minimal, r#""uplink_mbps":85"#, r#""uplink_mbps":"nan""#),
+            "link.uplink_mbps",
+        ),
+        (
+            with(minimal, r#""uplink_mbps":85"#, r#""uplink_mbps":0"#),
+            "link.uplink_mbps",
+        ),
+        (
+            with(minimal, r#""downlink_mbps":85"#, r#""downlink_mbps":-5"#),
+            "link.downlink_mbps",
+        ),
+        (
+            with(minimal, r#""rtt_s":0.015"#, r#""rtt_s":"inf""#),
+            "link.rtt_s",
+        ),
+        (
+            with(minimal, r#""jitter_sigma":0.05"#, r#""jitter_sigma":"nan""#),
+            "link.jitter_sigma",
+        ),
+        (
+            with(
+                hier,
+                r#""edge_link":{"uplink_mbps":1000"#,
+                r#""edge_link":{"uplink_mbps":0"#,
+            ),
+            "edge_link.uplink_mbps",
+        ),
+        // Out-of-range fault configs used to panic inside `build`.
+        (
+            with(loaded, r#""crash_prob":0.2"#, r#""crash_prob":2"#),
+            "crash_prob",
+        ),
+        (
+            with(
+                loaded,
+                r#""contention_factor":1"#,
+                r#""contention_factor":0.5"#,
+            ),
+            "contention_factor",
+        ),
+        (
+            with(loaded, r#""group_outage_rounds":1,"drift""#, churn),
+            "depart_rate",
+        ),
+        (
+            with(
+                loaded,
+                r#""drift":{"sigma":0.2"#,
+                r#""drift":{"sigma":"nan""#,
+            ),
+            "drift sigma",
+        ),
+    ];
+    for (doc, field) in cases {
+        let err = JobSpec::parse(&doc).expect_err("hostile values must not decode");
+        assert_eq!(err.cause_code(), "invalid_spec", "{err}");
+        assert!(
+            err.to_string().contains(field),
+            "{err} does not name {field}"
+        );
+    }
+
+    // The boundary values the round core simulates fine still decode,
+    // build and step.
+    let schedule = Schedule::new(vec![10, 10, 10], 100.0);
+    for (from, to) in [
+        (r#""model_bytes":2500000"#, r#""model_bytes":0"#),
+        (
+            r#""conv_flops_per_sample":5100000"#,
+            r#""conv_flops_per_sample":0"#,
+        ),
+        (
+            r#""dense_flops_per_sample":1100000"#,
+            r#""dense_flops_per_sample":0"#,
+        ),
+        (r#""rtt_s":0.015"#, r#""rtt_s":0"#),
+        (r#""jitter_sigma":0.05"#, r#""jitter_sigma":0"#),
+    ] {
+        let spec = JobSpec::parse(&with(minimal, from, to)).expect("boundary values decode");
+        let mut sim = spec.build(Probe::disabled()).expect("and build");
+        assert!(sim.step(&schedule).makespan_s.is_finite(), "{to}");
+    }
+}
+
+#[test]
+fn bad_specs_fail_before_their_fleet_is_built() {
+    // The largest fleet a spec may describe. Built, it would take about
+    // 11 GB, so each error below must come from the knobs alone.
+    let fleet = DeviceSetSpec::Replicated {
+        preset: 3,
+        copies: MAX_FLEET_DEVICES / 10,
+        seed: 1,
+    };
+    let spec = |target| {
+        JobSpec::new(
+            target,
+            fleet,
+            TrainingWorkload::lenet(),
+            Link::wifi_campus(),
+            2.5e6,
+            1,
+        )
+    };
+    let mut hier = spec(BuildTarget::Hier);
+    hier.threads = Some(0);
+    let mut event_sim = spec(BuildTarget::EventSim);
+    event_sim.cohort_size = Some(64);
+    let mut coordinator = spec(BuildTarget::Coordinator);
+    coordinator.deadline = Some(DeadlinePolicy::Fixed(-1.0));
+    for (spec, cause) in [
+        (hier, "zero_threads"),
+        (event_sim, "unsupported_option"),
+        (coordinator, "invalid_deadline"),
+    ] {
+        match spec.build(Probe::disabled()) {
+            Ok(_) => panic!("{:?} must not build", spec.target),
+            Err(err) => assert_eq!(err.cause_code(), cause, "{err}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -417,18 +619,15 @@ proptest! {
         prop_assert_eq!(back.fingerprint(), spec.fingerprint());
     }
 
+    /// Every drawn knob set through its setter serializes back to the
+    /// draw: `to_spec` validates nothing, so invalid combinations count.
     #[test]
     fn buildable_specs_round_trip_through_the_builder(mask in 0u32..65536, salt in 0u64..u64::MAX) {
         let mut rng = TestRng::from_seed(salt);
-        let spec = repair(draw_spec(mask, &mut rng));
-        let builder = match SimBuilder::from_spec(&spec) {
-            Ok(b) => b,
-            // Some repaired draws are still invalid for their target
-            // (e.g. more edges than cohorts); those are the error-path
-            // suite's business, not round-trip's.
-            Err(_) => return Ok(()),
-        };
-        let back = builder.to_spec(spec.target).expect("from_spec output must serialize");
+        let spec = draw_spec(mask, &mut rng);
+        let back = through_setters(&spec)
+            .to_spec(spec.target)
+            .expect("a recipe fleet without host-side objects serializes");
         prop_assert_eq!(&back, &spec);
         prop_assert_eq!(back.fingerprint(), spec.fingerprint());
     }

@@ -1,6 +1,6 @@
 //! Lossy links and retry policies: communication failure simulated in time.
 //!
-//! A [`LossyLink`] wraps a [`Link`](crate::Link) with a per-attempt drop
+//! A [`LossyLink`] wraps a [`Link`] with a per-attempt drop
 //! probability and network outage windows; a [`RetryPolicy`] turns those
 //! failures into capped-exponential-backoff retries with a per-attempt
 //! timeout. All retries are *simulated* in the round's virtual clock —

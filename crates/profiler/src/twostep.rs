@@ -4,7 +4,7 @@
 //! `time = b0 + b1 * conv_params + b2 * dense_params` over a set of benchmark
 //! architectures. Step 2 fixes a target architecture, evaluates all step-1
 //! planes at it, and regresses the predicted times against data size. The
-//! output is a [`CostProfile`] for the (architecture, device) pair that
+//! output is a [`CostProfile`](crate::CostProfile) for the (architecture, device) pair that
 //! generalizes to unseen data sizes.
 
 use std::collections::BTreeMap;

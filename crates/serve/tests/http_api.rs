@@ -314,6 +314,26 @@ fn oversized_fleets_are_rejected_and_the_server_stays_up() {
 }
 
 #[test]
+fn out_of_range_fault_configs_are_rejected_and_the_server_stays_up() {
+    let addr = start_server();
+    let text = request(103, 2).canonical_json();
+    // A crash probability of 2 used to decode and then panic inside the
+    // build, on the connection thread.
+    let faults = r#""faults":{"config":{"crash_prob":2,"reboot_rounds":1,"churn_prob":0,"contention_prob":0,"contention_factor":1,"loss_prob":0,"outage_prob":0,"outage_horizon_s":0,"outage_duration_s":0,"group_outage_prob":0,"group_count":1,"group_outage_rounds":1},"planned_rounds":2},"cohort_size":3"#;
+    let doc = text.replace(r#""cohort_size":3"#, faults);
+    assert_ne!(doc, text, "the substitution must apply");
+    let (status, body) = http(&addr, "POST", "/jobs", &doc);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_cause(&body), "invalid_spec");
+    assert!(
+        body.contains("crash_prob"),
+        "{body} does not name crash_prob"
+    );
+    let (status, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+}
+
+#[test]
 fn unknown_routes_and_methods_are_typed_errors() {
     let addr = start_server();
     let (status, body) = http(&addr, "GET", "/nope", "");

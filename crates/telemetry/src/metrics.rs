@@ -22,7 +22,7 @@ const SKETCH_LEVEL_CAP: usize = 256;
 /// Moments (`count`, `sum`, `mean`, `std_dev`, `min`, `max`) are kept
 /// exactly via Welford's recurrence, so summary statistics never degrade.
 /// Order statistics come from a deterministic KLL-style compaction sketch:
-/// each level holds at most [`SKETCH_LEVEL_CAP`] items of weight
+/// each level holds at most `SKETCH_LEVEL_CAP` items of weight
 /// `2^level`; an overflowing level sorts itself and promotes every other
 /// item to the next level (weight doubles, total weight is conserved).
 /// Memory is `O(CAP · log(n / CAP))` regardless of how many values are
@@ -150,7 +150,7 @@ impl Histogram {
 
     /// Estimated quantile (`q` in `[0, 1]`) by weighted nearest rank, or
     /// 0.0 with no samples. Exact while all observations still fit in the
-    /// sketch's first level (≤ [`SKETCH_LEVEL_CAP`] values); beyond that
+    /// sketch's first level (≤ `SKETCH_LEVEL_CAP` values); beyond that
     /// the rank error is bounded by the sketch resolution (see the
     /// `sketch_quantile_error_is_bounded` test).
     pub fn quantile(&self, q: f64) -> f64 {

@@ -42,6 +42,11 @@ cargo fmt --check "${FEDSCHED_CRATES[@]}"
 echo "==> cargo clippy -D warnings (fedsched crates, all targets)"
 cargo clippy -q "${FEDSCHED_CRATES[@]}" --all-targets -- -D warnings
 
+# --lib: the root package's `fedsched-serve` binary would collide with the
+# `fedsched-serve` library's doc output.
+echo "==> cargo doc -D warnings (fedsched crates, libraries)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --lib "${FEDSCHED_CRATES[@]}"
+
 if [[ "$QUICK" -eq 0 ]]; then
   echo "==> cargo build --release"
   cargo build --release

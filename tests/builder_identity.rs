@@ -2,17 +2,18 @@
 //!
 //! The positional constructors are gone; the builder's identity contract
 //! is now pinned against its *wire twin*: for every Table I testbed
-//! preset and every build target, a simulator built in-process from the
-//! builder must produce reports and telemetry streams byte-identical to
-//! one built from the equivalent [`JobSpec`] after a round-trip through
-//! canonical JSON. The error half of the contract is pinned too: invalid
-//! knobs surface as typed [`ConfigError`]s with stable `cause_code`s at
-//! the facade level, never as silently-dropped options.
+//! preset, a simulator built in-process from an ad-hoc fleet and the
+//! builder's setters must produce reports and telemetry streams
+//! byte-identical to one built from the equivalent [`JobSpec`], both
+//! directly and after a round-trip through canonical JSON. The error half
+//! of the contract is pinned too: invalid knobs surface as typed
+//! [`ConfigError`](fedsched::fl::ConfigError)s with stable `cause_code`s
+//! at the facade level, never as silently-dropped options.
 
 use std::sync::Arc;
 
 use fedsched::core::Schedule;
-use fedsched::device::TrainingWorkload;
+use fedsched::device::{Testbed, TrainingWorkload};
 use fedsched::faults::{FaultConfig, FaultInjector};
 use fedsched::fl::{BuildTarget, DeadlinePolicy, DeviceSetSpec, JobSpec, RoundConfig, SimBuilder};
 use fedsched::net::{Link, RetryPolicy};
@@ -50,23 +51,69 @@ fn preset_size(preset: usize) -> usize {
     [3, 6, 10][preset - 1]
 }
 
-/// Run `spec` two ways — directly via `SimBuilder::from_spec`, and after
-/// a canonical-JSON round-trip — and return `(report_debug, jsonl)` for
-/// each. Both must be byte-identical for every preset.
-fn run_both_ways(spec: &JobSpec, schedule: &Schedule) -> ((String, String), (String, String)) {
-    let run = |spec: &JobSpec| {
+/// One leg's per-round report renderings and its JSONL trace.
+type Leg = (Vec<String>, String);
+
+/// Run one configuration three ways, one global round at a time: through
+/// `JobSpec::build` on `spec`, through `JobSpec::build` on `spec` after a
+/// canonical-JSON round-trip, and in-process from the ad-hoc testbed
+/// `preset` fleet that `spec` describes, with `configure` applying the
+/// spec's knobs through the builder's setters. Each leg returns every
+/// round's `format!("{report:?}")` and its JSONL trace.
+fn run_three_ways(
+    spec: &JobSpec,
+    preset: usize,
+    configure: impl Fn(SimBuilder) -> SimBuilder,
+    schedule: &Schedule,
+) -> [Leg; 3] {
+    let from_spec = |spec: &JobSpec| {
         let log = Arc::new(EventLog::new());
         let mut sim = spec
             .build(Probe::attached(log.clone()))
             .expect("spec is valid");
-        let digests: Vec<String> = (0..ROUNDS)
-            .map(|_| format!("{:?}", sim.step(schedule)))
-            .collect();
-        (digests.join("\n"), log.to_jsonl())
+        let rounds = (0..ROUNDS).map(|_| sim.step(schedule).detail).collect();
+        (rounds, log.to_jsonl())
     };
-    let direct = run(spec);
-    let rewired = run(&JobSpec::parse(&spec.canonical_json()).expect("canonical JSON decodes"));
-    (direct, rewired)
+    let direct = from_spec(spec);
+    let rewired =
+        from_spec(&JobSpec::parse(&spec.canonical_json()).expect("canonical JSON decodes"));
+
+    let log = Arc::new(EventLog::new());
+    let devices = Testbed::by_index(preset, SEED).into_devices();
+    let builder =
+        configure(SimBuilder::new(devices, round_config(SEED))).probe(Probe::attached(log.clone()));
+    let rounds: Vec<String> = match spec.target {
+        BuildTarget::EventSim => {
+            let mut sim = builder.build_event_sim().expect("config is valid");
+            (0..ROUNDS)
+                .map(|_| format!("{:?}", sim.run(schedule, 1)))
+                .collect()
+        }
+        BuildTarget::Coordinator => {
+            let mut sim = builder.build_coordinator().expect("config is valid");
+            (0..ROUNDS)
+                .map(|_| format!("{:?}", sim.run(schedule, 1)))
+                .collect()
+        }
+        BuildTarget::Hier => {
+            let mut sim = builder.build_hier().expect("config is valid");
+            (0..ROUNDS)
+                .map(|_| format!("{:?}", sim.run(schedule, 1)))
+                .collect()
+        }
+    };
+    [direct, rewired, (rounds, log.to_jsonl())]
+}
+
+/// Assert the three legs of [`run_three_ways`] agree byte for byte.
+fn assert_legs_agree(legs: [Leg; 3], preset: usize) {
+    let [direct, rewired, in_process] = legs;
+    assert!(!direct.1.is_empty());
+    assert_eq!(direct, rewired, "preset {preset}: wire round-trip diverged");
+    assert_eq!(
+        direct, in_process,
+        "preset {preset}: in-process builder diverged from the spec"
+    );
 }
 
 #[test]
@@ -75,9 +122,8 @@ fn builder_sim_is_bit_identical_to_wire_spec_for_every_preset() {
         // Quiet sequential sim: no fault, retry or deadline knob.
         let spec = base_spec(BuildTarget::EventSim, preset);
         let schedule = uniform(preset_size(preset), 8);
-        let (direct, rewired) = run_both_ways(&spec, &schedule);
-        assert!(!direct.1.is_empty());
-        assert_eq!(direct, rewired, "preset {preset}: wire round-trip diverged");
+        let legs = run_three_ways(&spec, preset, |b| b, &schedule);
+        assert_legs_agree(legs, preset);
     }
 }
 
@@ -95,9 +141,13 @@ fn builder_resilient_is_bit_identical_to_wire_spec_for_every_preset() {
         spec.retry = Some(RetryPolicy::default_chaos());
         spec.deadline = Some(DeadlinePolicy::Fixed(60.0));
         let schedule = uniform(preset_size(preset), 4);
-        let (direct, rewired) = run_both_ways(&spec, &schedule);
-        assert!(!direct.1.is_empty());
-        assert_eq!(direct, rewired, "preset {preset}: wire round-trip diverged");
+        let configure = |b: SimBuilder| {
+            b.faults(faults.clone(), ROUNDS)
+                .retry(RetryPolicy::default_chaos())
+                .deadline(DeadlinePolicy::Fixed(60.0))
+        };
+        let legs = run_three_ways(&spec, preset, configure, &schedule);
+        assert_legs_agree(legs, preset);
     }
 }
 
@@ -108,9 +158,8 @@ fn builder_engine_is_bit_identical_to_wire_spec_for_every_preset() {
         spec.cohort_size = Some(3);
         spec.threads = Some(4);
         let schedule = uniform(preset_size(preset), 6);
-        let (direct, rewired) = run_both_ways(&spec, &schedule);
-        assert!(!direct.1.is_empty());
-        assert_eq!(direct, rewired, "preset {preset}: wire round-trip diverged");
+        let legs = run_three_ways(&spec, preset, |b| b.cohort_size(3).threads(4), &schedule);
+        assert_legs_agree(legs, preset);
     }
 }
 
@@ -131,7 +180,6 @@ fn stepped_spec_sim_matches_builder_batch_run() {
             .collect();
 
         let mut batch = SimBuilder::from_spec(&spec)
-            .expect("spec is valid")
             .build_hier()
             .expect("engine config is valid");
         let report = batch.run(&schedule, ROUNDS);
@@ -145,7 +193,7 @@ fn stepped_spec_sim_matches_builder_batch_run() {
 #[test]
 fn facade_level_config_errors_carry_stable_cause_codes() {
     let spec = base_spec(BuildTarget::EventSim, 1);
-    let builder = || SimBuilder::from_spec(&spec).expect("base spec is valid");
+    let builder = || SimBuilder::from_spec(&spec);
     let n = preset_size(1);
 
     let cases: Vec<(&str, fedsched::fl::ConfigError)> = vec![
@@ -213,9 +261,7 @@ fn facade_level_config_errors_carry_stable_cause_codes() {
         (
             "not_serializable",
             SimBuilder::new(
-                fedsched::device::Testbed::testbed_1(SEED)
-                    .devices()
-                    .to_vec(),
+                Testbed::testbed_1(SEED).devices().to_vec(),
                 round_config(SEED),
             )
             .to_spec(BuildTarget::EventSim)
