@@ -14,10 +14,10 @@
 //!   seed-deterministic tie-breaking;
 //! * [`EpsilonGreedy`], [`Ucb1`], [`ThompsonSampling`] — the three classic
 //!   policies (Thompson uses a Gaussian posterior over each arm's mean);
-//! * [`BanditScheduler`] — composes a policy with any inner
-//!   [`Scheduler`]: the policy picks the cohort,
-//!   the inner scheduler (e.g. Fed-LBAP) splits the shards among the
-//!   selected devices;
+//! * [`SelectionConfig`] — the policy and cohort size `k` a job selects
+//!   with. `fedsched-fl`'s round core is the one consumer: each round the
+//!   policy picks the cohort, then the job's scheduler (e.g. Fed-LBAP)
+//!   splits the shards among the selected devices;
 //! * [`selection_stream`] — the dedicated salted [`DrawStream`] channel all
 //!   selection randomness comes from, so runs replay byte-identically and
 //!   never perturb the simulation's main RNG.
@@ -32,24 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use fedsched_core::{CostMatrix, Schedule, ScheduleError, Scheduler};
 use fedsched_faults::DrawStream;
-use fedsched_profiler::CostProfile;
 use serde::Serialize;
-use std::sync::Mutex;
 
 /// Salt folded into the master seed for the selection draw channel
 /// (`"bandit_s"` as big-endian bytes). Distinct from the fault plan's
 /// per-transfer channels and the adversary/churn/drift salts, so selection
 /// never aliases another consumer's stream.
 pub const SELECTION_SALT: u64 = 0x6261_6e64_6974_5f73;
-
-/// Penalty cost assigned to unselected devices when masking a cost matrix:
-/// large but finite, so inner schedulers starve them of work while their
-/// binary searches stay valid.
-const MASK_FIXED_S: f64 = 1e6;
-/// Per-shard slope of the mask penalty.
-const MASK_PER_SHARD_S: f64 = 1e3;
 
 /// The dedicated selection draw stream for one round: scoped to
 /// `(seed, round)` exactly like
@@ -487,127 +477,9 @@ impl SelectionConfig {
     }
 }
 
-/// Replace the rows of unselected users with a large-but-finite penalty so
-/// any inner scheduler starves them while its searches stay valid.
-/// Selected users' rows (and comm) are copied through bit-identically.
-pub fn mask_costs(costs: &CostMatrix, selected: &[bool]) -> CostMatrix {
-    assert_eq!(
-        selected.len(),
-        costs.n_users(),
-        "selection mask/user count mismatch"
-    );
-    struct Row<'a> {
-        costs: &'a CostMatrix,
-        j: usize,
-        masked: bool,
-    }
-    impl CostProfile for Row<'_> {
-        fn time_for(&self, samples: f64) -> f64 {
-            let k = (samples / self.costs.shard_size()).round() as usize;
-            if self.masked {
-                MASK_FIXED_S + k as f64 * MASK_PER_SHARD_S
-            } else {
-                // Rows store compute + comm; from_profiles re-adds comm.
-                self.costs.cost(self.j, k) - self.costs.comm(self.j)
-            }
-        }
-    }
-    let profiles: Vec<Row> = (0..costs.n_users())
-        .map(|j| Row {
-            costs,
-            j,
-            masked: !selected[j],
-        })
-        .collect();
-    let comm: Vec<f64> = (0..costs.n_users()).map(|j| costs.comm(j)).collect();
-    CostMatrix::from_profiles(&profiles, costs.total_shards(), costs.shard_size(), &comm)
-}
-
-/// A [`Scheduler`] that selects the cohort online before delegating the
-/// shard split to an inner scheduler: each `schedule` call is one bandit
-/// round — the policy picks `k` arms from its reward history, unselected
-/// users' costs are masked to a penalty, and the inner scheduler (e.g.
-/// Fed-LBAP) splits the shards among the selected.
-///
-/// Rewards are fed back between rounds via
-/// [`BanditScheduler::reward`]. The policy lives behind a mutex because
-/// [`Scheduler`] takes `&self`; calls are short and uncontended.
-pub struct BanditScheduler {
-    inner: Box<dyn Scheduler>,
-    policy: Mutex<Box<dyn SelectionPolicy>>,
-    k: usize,
-    seed: u64,
-    round: Mutex<u64>,
-    last_selected: Mutex<Vec<usize>>,
-}
-
-impl BanditScheduler {
-    /// Compose `policy` (selection) with `inner` (shard split), drawing
-    /// selection randomness from [`selection_stream`] under `seed`.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn new(
-        inner: Box<dyn Scheduler>,
-        policy: Box<dyn SelectionPolicy>,
-        k: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(k > 0, "selection cohort size k must be at least 1");
-        BanditScheduler {
-            inner,
-            policy: Mutex::new(policy),
-            k,
-            seed,
-            round: Mutex::new(0),
-            last_selected: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The cohort chosen by the most recent `schedule` call.
-    pub fn last_selected(&self) -> Vec<usize> {
-        self.last_selected.lock().expect("bandit lock").clone()
-    }
-
-    /// Credit `arm` with one observed reward.
-    pub fn reward(&self, arm: usize, reward: f64) {
-        self.policy.lock().expect("bandit lock").update(arm, reward);
-    }
-}
-
-impl Scheduler for BanditScheduler {
-    fn name(&self) -> &'static str {
-        "Bandit"
-    }
-
-    fn schedule(&self, costs: &CostMatrix) -> Result<Schedule, ScheduleError> {
-        let n = costs.n_users();
-        if n == 0 {
-            return Err(ScheduleError::NoUsers);
-        }
-        let mut round = self.round.lock().expect("bandit lock");
-        let mut stream = selection_stream(self.seed, *round);
-        *round += 1;
-        drop(round);
-        let eligible = vec![true; n];
-        let selected =
-            self.policy
-                .lock()
-                .expect("bandit lock")
-                .select(&eligible, self.k.min(n), &mut stream);
-        let mut mask = vec![false; n];
-        for &j in &selected {
-            mask[j] = true;
-        }
-        *self.last_selected.lock().expect("bandit lock") = selected;
-        self.inner.schedule(&mask_costs(costs, &mask))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedsched_core::lbap::FedLbap;
 
     fn stream() -> DrawStream {
         selection_stream(42, 0)
@@ -772,42 +644,6 @@ mod tests {
     fn non_finite_reward_panics() {
         let mut p = Ucb1::new(1.0);
         p.update(0, f64::NAN);
-    }
-
-    #[test]
-    fn mask_preserves_selected_rows_bit_for_bit() {
-        let costs = CostMatrix::from_linear_rates(&[1.0, 2.0, 3.0], 6, 50.0, &[0.5, 0.2, 0.1]);
-        let masked = mask_costs(&costs, &[true, false, true]);
-        for k in 0..=6 {
-            assert_eq!(masked.cost(0, k), costs.cost(0, k));
-            assert_eq!(masked.cost(2, k), costs.cost(2, k));
-        }
-        assert!(masked.cost(1, 1) >= 1e6, "unselected rows take the penalty");
-    }
-
-    #[test]
-    fn bandit_scheduler_starves_unselected_users() {
-        // k = 2 of 4: every schedule must leave at least two users idle.
-        let sched = BanditScheduler::new(Box::new(FedLbap), Box::new(Ucb1::new(1.0)), 2, 99);
-        let costs = CostMatrix::from_linear_rates(&[1.0, 1.1, 1.2, 1.3], 40, 50.0, &[0.1; 4]);
-        for _ in 0..6 {
-            let s = sched.schedule(&costs).expect("feasible");
-            let selected = sched.last_selected();
-            assert_eq!(selected.len(), 2);
-            assert_eq!(s.total_shards(), 40);
-            for (j, &shards) in s.shards.iter().enumerate() {
-                if !selected.contains(&j) {
-                    assert_eq!(shards, 0, "unselected user {j} must stay idle");
-                }
-            }
-            for &j in &selected {
-                sched.reward(j, 1.0 / (1.0 + j as f64));
-            }
-        }
-        // With rewards favouring low indices, greedy pressure should
-        // eventually settle on arms 0 and 1.
-        let final_sel = sched.last_selected();
-        assert!(final_sel.iter().all(|&j| j < 4));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::hint::black_box;
 use fedsched_data::{Dataset, DatasetKind};
 use fedsched_device::{Device, DeviceModel, TrainingWorkload};
 use fedsched_nn::{lenet_with_threads, mlp};
-use fedsched_parallel::{parallel_map, ThreadPool};
+use fedsched_parallel::parallel_map;
 
 fn bench_nn_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("nn_train_batch");
@@ -123,15 +123,6 @@ fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_primitives");
     group.bench_function("parallel_map_4t_10k", |b| {
         b.iter(|| black_box(parallel_map(10_000, 4, |i| (i as f64).sqrt())))
-    });
-    group.bench_function("threadpool_run_10k", |b| {
-        let pool = ThreadPool::new(4);
-        b.iter(|| {
-            pool.run(10_000, |i| {
-                black_box((i as f64).sqrt());
-            })
-            .unwrap()
-        })
     });
     group.finish();
 }

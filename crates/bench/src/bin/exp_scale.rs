@@ -1,18 +1,19 @@
 //! Regenerates the scale-out sweep: the population engine from 10 to
-//! 10,000 devices across worker thread counts (1M devices with the
-//! arena-backed mega arm at `--scale paper`).
+//! 10,000 devices across worker thread counts (1M devices through the
+//! engine's mega arm at `--scale paper`).
 //!
-//! `--hier-check` runs the hierarchical-aggregation gate: `HierEngine`
-//! thread invariance at 1k devices (threads 2 and 4 against threads 1),
-//! then the arena sweep against the real `HierEngine` at 100k devices
-//! under wall-clock and peak-RSS budgets.
+//! `--hier-check` runs the hierarchical-aggregation gate, all of it on
+//! `HierEngine`: thread invariance at 1k devices (threads 2 and 4 against
+//! threads 1), arena-built against scalar-built populations at 100k
+//! devices, then 1M devices at full coverage, the last two under
+//! wall-clock and peak-RSS budgets.
 use std::time::Instant;
 
 use fedsched_bench::{scaleout, Scale};
 
-/// Wall-clock budget for the 100k hier-check arm, seconds.
+/// Wall-clock budget for the 100k and 1M hier-check arms, seconds.
 const HIER_CHECK_WALL_BUDGET_S: f64 = 120.0;
-/// Peak-RSS budget for the 100k hier-check arm, bytes.
+/// Peak-RSS budget for the 100k and 1M hier-check arms, bytes.
 const HIER_CHECK_RSS_BUDGET: u64 = 4 * 1024 * 1024 * 1024;
 
 fn main() {
@@ -24,13 +25,21 @@ fn main() {
         );
         let start = Instant::now();
         assert!(
-            scaleout::mega_matches_hier(100_000, 250, 10, 42),
-            "arena sweep diverged from HierEngine at 100k devices"
+            scaleout::arena_matches_scalar(100_000, 250, 10, 42),
+            "arena-built population diverged from the scalar one through HierEngine at 100k devices"
         );
+        let mega = scaleout::mega_point(1_000_000, 1_000, 100, 42);
+        assert!(mega.full_coverage, "1M-device HierEngine run lost coverage");
         let wall_s = start.elapsed().as_secs_f64();
         assert!(
             wall_s < HIER_CHECK_WALL_BUDGET_S,
-            "100k hier check took {wall_s:.1} s, budget {HIER_CHECK_WALL_BUDGET_S} s"
+            "100k + 1M hier check took {wall_s:.1} s, budget {HIER_CHECK_WALL_BUDGET_S} s"
+        );
+        let summary = format!(
+            "1k thread invariance at threads 1/2/4; 100k arena-vs-scalar \
+             parity and 1M x 100 rounds at full coverage ({:.1} s) in \
+             {wall_s:.1} s",
+            mega.wall_s,
         );
         match scaleout::peak_rss_bytes() {
             Some(rss) => {
@@ -41,17 +50,13 @@ fn main() {
                     HIER_CHECK_RSS_BUDGET / (1024 * 1024),
                 );
                 println!(
-                    "[exp_scale] hier check ok: 1k thread invariance at \
-                     threads 1/2/4; 100k arena-vs-hier parity in {wall_s:.1} \
-                     s, peak RSS {} MB",
+                    "[exp_scale] hier check ok: {summary}, peak RSS {} MB",
                     rss / (1024 * 1024),
                 );
             }
-            None => println!(
-                "[exp_scale] hier check ok: 1k thread invariance at threads \
-                 1/2/4; 100k arena-vs-hier parity in {wall_s:.1} s (no \
-                 procfs, RSS budget skipped)",
-            ),
+            None => {
+                println!("[exp_scale] hier check ok: {summary} (no procfs, RSS budget skipped)")
+            }
         }
         return;
     }

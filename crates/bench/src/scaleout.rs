@@ -24,15 +24,10 @@ use std::time::Instant;
 
 use fedsched_core::Schedule;
 use fedsched_device::{Device, DeviceArena, DeviceModel, TrainingWorkload};
-use fedsched_fl::{
-    derive_cohort_seed, DeadlinePolicy, HierReport, RoundConfig, RoundOutcome, SimBuilder,
-    TimingReport, DEFAULT_COHORT_SIZE,
-};
+use fedsched_fl::{DeadlinePolicy, HierReport, RoundConfig, SimBuilder, DEFAULT_COHORT_SIZE};
 use fedsched_net::{model_transfer_bytes, Link};
 use fedsched_profiler::ModelArch;
 use fedsched_telemetry::{NullRecorder, Probe};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::common::SHARD_SIZE;
 use crate::report::Table;
@@ -148,10 +143,8 @@ pub struct HierParityPoint {
     pub hier_wall_s: f64,
 }
 
-/// The million-device arm: an arena-backed quiet sweep over a sparse
-/// active set, replicating the engine's per-cohort arithmetic exactly
-/// (see [`mega_run`]) so it stays differential-testable against
-/// [`HierEngine`](fedsched_fl::HierEngine) at small n.
+/// The million-device arm: the default-topology
+/// [`HierEngine`](fedsched_fl::HierEngine) over a sparse active set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MegaScalePoint {
     /// Devices in the population.
@@ -162,29 +155,15 @@ pub struct MegaScalePoint {
     pub rounds: usize,
     /// Cohorts the population partitions into.
     pub cohorts: usize,
-    /// Wall-clock seconds for the whole sweep, population build included.
+    /// Wall-clock seconds for the whole run, population build included.
     pub wall_s: f64,
-    /// Estimated resident bytes of the device population after the run.
-    pub resident_bytes: usize,
-    /// Devices that were actually inflated to full simulator state
-    /// (should equal the active set).
-    pub inflated: usize,
+    /// Peak resident set size of the process after the run, if procfs
+    /// reports it.
+    pub peak_rss_bytes: Option<u64>,
     /// Mean per-round makespan.
     pub mean_makespan_s: f64,
-    /// Whether every round reported full coverage (quiet sweep: must).
+    /// Whether every round reported full coverage (quiet run: must).
     pub full_coverage: bool,
-}
-
-/// A [`MegaScalePoint`] together with the report it folded, for parity
-/// checks against the real engines.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MegaRun {
-    /// The measurements.
-    pub point: MegaScalePoint,
-    /// Population-wide timing, engine-shaped.
-    pub timing: TimingReport,
-    /// Population-wide per-round outcomes, engine-shaped.
-    pub rounds: Vec<RoundOutcome>,
 }
 
 /// The full sweep.
@@ -207,19 +186,25 @@ pub struct ScaleoutSweep {
     pub event: EventEnginePoint,
     /// Hierarchical thread-invariance check.
     pub hier: HierParityPoint,
-    /// The arena-backed mega-scale arm.
+    /// The mega-scale arm.
     pub mega: MegaScalePoint,
+}
+
+/// Model and seed of device `i` in the mixed population of [`population`].
+fn member(i: usize, seed: u64) -> (DeviceModel, u64) {
+    let models = DeviceModel::all();
+    (
+        models[i % models.len()],
+        seed.wrapping_add(i as u64 * 0x9E37_79B9),
+    )
 }
 
 /// A mixed-model population of `n` devices cycling the Table I presets.
 pub fn population(n: usize, seed: u64) -> Vec<Device> {
-    let models = DeviceModel::all();
     (0..n)
         .map(|i| {
-            Device::from_model(
-                models[i % models.len()],
-                seed.wrapping_add(i as u64 * 0x9E37_79B9),
-            )
+            let (model, seed) = member(i, seed);
+            Device::from_model(model, seed)
         })
         .collect()
 }
@@ -385,206 +370,11 @@ pub fn sparse_schedule(n: usize, active: usize) -> Schedule {
     Schedule::new(shards, 1.0)
 }
 
-/// One cohort of the arena-backed quiet sweep: replicates the round
-/// core's quiet arithmetic exactly — comm sampled before compute,
-/// idle users skipped without an RNG draw, strictly-greater straggler
-/// update, `straggler_comm` accumulated per round — against the cohort's
-/// own seeded RNG stream. Only active devices inflate.
-#[allow(clippy::too_many_arguments)]
-fn sweep_cohort(
-    arena: &mut DeviceArena,
-    wl: &TrainingWorkload,
-    link: Link,
-    model_bytes: f64,
-    start: usize,
-    sub: &[usize],
-    shard_size: f64,
-    seed: u64,
-    rounds: usize,
-) -> TimingReport {
-    let active: Vec<(usize, usize)> = sub
-        .iter()
-        .enumerate()
-        .filter_map(|(j, &k)| {
-            let samples = (k as f64 * shard_size) as usize;
-            (samples > 0).then_some((start + j, samples))
-        })
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut per_round = Vec::with_capacity(rounds);
-    let mut user_totals = vec![0.0f64; sub.len()];
-    let mut straggler_comm = 0.0f64;
-    for _ in 0..rounds {
-        let mut worst = 0.0f64;
-        let mut worst_comm = 0.0f64;
-        for &(g, samples) in &active {
-            let comm = link.sample_round_seconds(model_bytes, &mut rng);
-            let compute = arena.device(g).train_samples(wl, samples);
-            let total = comm + compute;
-            user_totals[g - start] += total;
-            if total > worst {
-                worst = total;
-                worst_comm = comm;
-            }
-        }
-        per_round.push(worst);
-        straggler_comm += if worst > 0.0 { worst_comm / worst } else { 0.0 };
-    }
-    TimingReport {
-        per_round_makespan: per_round,
-        per_user_mean: user_totals.iter().map(|t| t / rounds as f64).collect(),
-        comm_fraction: if rounds == 0 {
-            0.0
-        } else {
-            straggler_comm / rounds as f64
-        },
-    }
-}
-
-/// The arena-backed quiet sweep: the engine's cohort geometry, seed
-/// derivation, per-cohort round loop and merge fold replicated over a
-/// [`DeviceArena`], touching only devices that hold shards. The output is
-/// engine-shaped and byte-identical to a real default-topology
-/// [`HierEngine`](fedsched_fl::HierEngine) run of the same scenario —
-/// `mega_matches_hier` and the differential suite pin that — while the
-/// resident population stays at tens of bytes per pristine device, which
-/// is what lets the sweep reach a million devices.
-pub fn mega_run(n: usize, active: usize, rounds: usize, seed: u64) -> MegaRun {
-    let schedule = sparse_schedule(n, active);
-    let wl = TrainingWorkload::lenet();
-    let link = Link::wifi_campus();
-    let model_bytes = model_transfer_bytes(&ModelArch::lenet());
-    let models = DeviceModel::all();
-
-    let start_t = Instant::now();
-    let mut arena = DeviceArena::from_models((0..n).map(|i| {
-        (
-            models[i % models.len()],
-            seed.wrapping_add(i as u64 * 0x9E37_79B9),
-        )
-    }));
-    let n_cohorts = n.div_ceil(DEFAULT_COHORT_SIZE);
-
-    // Fold accumulators, mirroring the engine's merge: max per-round
-    // makespan, population-ordered user means, participant-weighted comm
-    // fraction, integer sums with coverage recomputed at the end.
-    let mut per_round_makespan = vec![0.0f64; rounds];
-    let mut per_user_mean = Vec::with_capacity(n);
-    let mut comm_weighted = 0.0f64;
-    let mut total_participants = 0usize;
-    let mut merged: Vec<RoundOutcome> = (0..rounds)
-        .map(|r| RoundOutcome {
-            round: r,
-            scheduled: 0,
-            completed: 0,
-            rescued: 0,
-            lost_shards: 0,
-            admitted: 0,
-            admit_done: 0,
-            carried: 0,
-            coverage: 1.0,
-            makespan_s: 0.0,
-            failed_users: 0,
-            timed_out: 0,
-            rejected_updates: 0,
-        })
-        .collect();
-    let mut single_timing = None;
-
-    for c in 0..n_cohorts {
-        let lo = c * DEFAULT_COHORT_SIZE;
-        let hi = ((c + 1) * DEFAULT_COHORT_SIZE).min(n);
-        let sub = &schedule.shards[lo..hi];
-        let scheduled: usize = sub.iter().sum();
-        let participants = sub.iter().filter(|&&k| k > 0).count();
-        let timing = sweep_cohort(
-            &mut arena,
-            &wl,
-            link,
-            model_bytes,
-            lo,
-            sub,
-            schedule.shard_size,
-            derive_cohort_seed(seed, c),
-            rounds,
-        );
-
-        for (r, &m) in timing.per_round_makespan.iter().enumerate() {
-            if m > per_round_makespan[r] {
-                per_round_makespan[r] = m;
-            }
-        }
-        per_user_mean.extend_from_slice(&timing.per_user_mean);
-        comm_weighted += timing.comm_fraction * participants as f64;
-        total_participants += participants;
-        // Quiet cohorts synthesize full-coverage outcomes: everything
-        // scheduled completes, makespan comes straight from timing.
-        for (r, out) in merged.iter_mut().enumerate() {
-            out.scheduled += scheduled;
-            out.completed += scheduled;
-            let m = timing.per_round_makespan[r];
-            if m > out.makespan_s {
-                out.makespan_s = m;
-            }
-        }
-        if n_cohorts == 1 {
-            single_timing = Some(timing);
-        }
-    }
-
-    for out in &mut merged {
-        out.coverage = if out.scheduled == 0 {
-            1.0
-        } else {
-            (out.completed + out.rescued + out.admit_done) as f64
-                / (out.scheduled + out.admitted) as f64
-        };
-    }
-
-    // Single cohort: the engine passes the cohort report through
-    // verbatim, so the fold must too (the weighted comm fraction would
-    // multiply and divide by the same participant count — not always a
-    // bit-level no-op).
-    let timing = match single_timing {
-        Some(t) => t,
-        None => TimingReport {
-            per_round_makespan,
-            per_user_mean,
-            comm_fraction: if total_participants == 0 {
-                0.0
-            } else {
-                comm_weighted / total_participants as f64
-            },
-        },
-    };
-
-    let wall_s = start_t.elapsed().as_secs_f64();
-    let point = MegaScalePoint {
-        population: n,
-        active: schedule.active_users(),
-        rounds,
-        cohorts: n_cohorts,
-        wall_s,
-        resident_bytes: arena.resident_bytes(),
-        inflated: arena.n_inflated(),
-        mean_makespan_s: timing.mean_makespan(),
-        full_coverage: merged.iter().all(|r| r.coverage == 1.0),
-    };
-    MegaRun {
-        point,
-        timing,
-        rounds: merged,
-    }
-}
-
-/// Differential gate for the mega sweep: run the same sparse scenario
-/// through the real two-tier [`HierEngine`](fedsched_fl::HierEngine)
-/// (scalar devices, default parity topology) and demand byte-identical
-/// timing and outcomes.
-pub fn mega_matches_hier(n: usize, active: usize, rounds: usize, seed: u64) -> bool {
-    let mega = mega_run(n, active, rounds, seed);
-    let mut hier = SimBuilder::new(
-        population(n, seed),
+/// One quiet run of `schedule` over `devices` on the default-topology
+/// engine: LeNet over WiFi, one edge per cohort.
+fn sparse_run(devices: Vec<Device>, seed: u64, schedule: &Schedule, rounds: usize) -> HierReport {
+    SimBuilder::new(
+        devices,
         RoundConfig::new(
             TrainingWorkload::lenet(),
             Link::wifi_campus(),
@@ -593,9 +383,38 @@ pub fn mega_matches_hier(n: usize, active: usize, rounds: usize, seed: u64) -> b
         ),
     )
     .build_hier()
-    .expect("valid hier engine config");
-    let report = hier.run(&sparse_schedule(n, active), rounds);
-    report.timing == mega.timing && report.rounds == mega.rounds
+    .expect("valid hier engine config")
+    .run(schedule, rounds)
+}
+
+/// The mega-scale arm: `n` devices, `active` of them holding one
+/// single-sample shard, through the default-topology
+/// [`HierEngine`](fedsched_fl::HierEngine) in one `run` call.
+pub fn mega_point(n: usize, active: usize, rounds: usize, seed: u64) -> MegaScalePoint {
+    let schedule = sparse_schedule(n, active);
+    let start = Instant::now();
+    let report = sparse_run(population(n, seed), seed, &schedule, rounds);
+    MegaScalePoint {
+        population: n,
+        active: schedule.active_users(),
+        rounds,
+        cohorts: n.div_ceil(DEFAULT_COHORT_SIZE),
+        wall_s: start.elapsed().as_secs_f64(),
+        peak_rss_bytes: peak_rss_bytes(),
+        mean_makespan_s: report.timing.mean_makespan(),
+        full_coverage: report.rounds.iter().all(|r| r.coverage == 1.0),
+    }
+}
+
+/// Arena-vs-scalar parity through the engine: the same sparse run over
+/// a population built by [`DeviceArena::from_models`] then
+/// [`DeviceArena::into_devices`], and over one built by [`population`],
+/// must give `==` reports.
+pub fn arena_matches_scalar(n: usize, active: usize, rounds: usize, seed: u64) -> bool {
+    let schedule = sparse_schedule(n, active);
+    let arena = DeviceArena::from_models((0..n).map(|i| member(i, seed)));
+    sparse_run(arena.into_devices(), seed, &schedule, rounds)
+        == sparse_run(population(n, seed), seed, &schedule, rounds)
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -706,7 +525,7 @@ pub fn run(scale: Scale, seed: u64) -> ScaleoutSweep {
         coordination,
         event: event_point(event_pop, event_active, event_rounds, seed),
         hier: hier_point(hier_pop, seed, rounds, &hier_threads),
-        mega: mega_run(mega_pop, mega_active, mega_rounds, seed).point,
+        mega: mega_point(mega_pop, mega_active, mega_rounds, seed),
     }
 }
 
@@ -796,19 +615,20 @@ pub fn render(sweep: &ScaleoutSweep) -> String {
         h.hier_wall_s * 1e3,
     ));
     let m = &sweep.mega;
+    let peak = m
+        .peak_rss_bytes
+        .map_or("n/a".to_string(), |b| format!("{:.0} MB", b as f64 / 1e6));
     out.push_str(&format!(
-        "\n### Mega-scale — arena-backed sparse sweep\n\n\
-         {} devices ({} cohorts), {} active per round, {} rounds: \
-         {:.1} s wall, {} devices inflated, {:.1} MB resident \
-         ({:.1} B/device), coverage {}.\n",
+        "\n### Mega-scale — the population engine over a sparse active set\n\n\
+         {} devices ({} cohorts), {} active per round, {} rounds through \
+         the default-topology HierEngine in one run: {:.1} s wall \
+         (population build included), process peak RSS {peak}, \
+         coverage {}.\n",
         m.population,
         m.cohorts,
         m.active,
         m.rounds,
         m.wall_s,
-        m.inflated,
-        m.resident_bytes as f64 / 1e6,
-        m.resident_bytes as f64 / m.population.max(1) as f64,
         if m.full_coverage {
             "full"
         } else {
@@ -920,26 +740,24 @@ mod tests {
     }
 
     #[test]
-    fn mega_arm_inflates_only_the_active_set() {
+    fn mega_arm_runs_the_engine_at_full_coverage() {
         let m = &sweep().mega;
         assert_eq!(m.population, 10_000);
         assert_eq!(m.active, 100);
-        assert_eq!(m.inflated, m.active, "idle devices must stay pristine");
+        assert_eq!(m.rounds, 10);
+        assert_eq!(m.cohorts, 10_000usize.div_ceil(DEFAULT_COHORT_SIZE));
         assert!(m.full_coverage);
         assert!(m.mean_makespan_s > 0.0);
-        // Resident cost must stay far below full materialization:
-        // pristine columns plus the inflated active set only.
-        let per_device = m.resident_bytes as f64 / m.population as f64;
-        assert!(per_device < 128.0, "resident {per_device:.1} B/device");
+        assert!(m.wall_s > 0.0);
     }
 
     #[test]
-    fn mega_sweep_is_byte_identical_to_the_hier_engine_at_small_n() {
-        assert!(mega_matches_hier(200, 20, 3, 7));
-        // Degenerate geometries: single cohort (passthrough fold) and a
-        // fully idle population.
-        assert!(mega_matches_hier(40, 5, 2, 7));
-        assert!(mega_matches_hier(130, 0, 2, 7));
+    fn arena_population_matches_scalar_through_the_engine() {
+        assert!(arena_matches_scalar(200, 20, 3, 7));
+        // Degenerate geometries: a single cohort and a fully idle
+        // population.
+        assert!(arena_matches_scalar(40, 5, 2, 7));
+        assert!(arena_matches_scalar(130, 0, 2, 7));
     }
 
     #[test]

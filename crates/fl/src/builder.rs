@@ -649,6 +649,32 @@ impl SimBuilder {
         }
     }
 
+    /// Run every check the `build_*` method for `target` runs, in its
+    /// order, before any fleet or simulator exists: `Ok` exactly when
+    /// that build succeeds. The order is the fleet size, the target
+    /// table, then the target's own value checks — the coordinator checks
+    /// its async rules and global deadline, then the engine's — and last
+    /// the fault config, so a knob set that fails another check keeps
+    /// that error.
+    pub(crate) fn check(&self, target: BuildTarget) -> Result<(), ConfigError> {
+        let n = self.fleet_size()?;
+        self.check_target(target)?;
+        match target {
+            BuildTarget::EventSim => self.check_sequential(n)?,
+            BuildTarget::Coordinator => {
+                self.check_coordination()?;
+                self.check_engine(n)?;
+            }
+            BuildTarget::Hier => self.check_engine(n)?,
+        }
+        if let Some((config, _)) = &self.spec.faults {
+            config
+                .check()
+                .map_err(|rule| ConfigError::InvalidSpec(format!("faults.config: {rule}")))?;
+        }
+        Ok(())
+    }
+
     /// Validate every knob the round core shares across targets, in a
     /// fixed order: churn and admission, deadline, retry, rescue floor,
     /// aggregator, adversary, selection.
@@ -660,19 +686,7 @@ impl SimBuilder {
             ));
         }
         if let Some(cfg) = s.churn {
-            let rate_ok = |r: f64| r.is_finite() && r >= 0.0;
-            if !rate_ok(cfg.depart_rate) || !rate_ok(cfg.arrive_rate) {
-                return Err(ConfigError::InvalidChurn(
-                    "rates must be finite and non-negative",
-                ));
-            }
-            if (cfg.depart_rate > 0.0 || cfg.arrive_rate > 0.0)
-                && !(cfg.horizon_s > 0.0 && cfg.horizon_s.is_finite())
-            {
-                return Err(ConfigError::InvalidChurn(
-                    "horizon must be positive while a rate is nonzero",
-                ));
-            }
+            cfg.check().map_err(ConfigError::InvalidChurn)?;
             // Churn timelines ride on the fault plan: the round core
             // folds the process into each injector's fault config.
             if s.faults.is_none() {
@@ -711,13 +725,9 @@ impl SimBuilder {
         Ok(())
     }
 
-    /// Build the sequential round engine, [`EventRoundSim`]: every fault,
-    /// deadline, rescue, rescheduler, priors, adversary, selection and
-    /// churn knob is honoured. With no fault source configured the
-    /// injector is quiet and the fault machinery is inert.
-    pub fn build_event_sim(mut self) -> Result<EventRoundSim, ConfigError> {
-        let n = self.fleet_size()?;
-        self.check_target(BuildTarget::EventSim)?;
+    /// The sequential target's checks over `n` devices: the round core,
+    /// then the host-side extras sized for the fleet.
+    fn check_sequential(&self, n: usize) -> Result<(), ConfigError> {
         self.check_core()?;
         if let Some((_, 0)) = &self.extras.rescheduler {
             return Err(ConfigError::ZeroRescheduleInterval);
@@ -739,6 +749,69 @@ impl SimBuilder {
         if let Some(injector) = &self.extras.injector {
             sized("fault plan", injector.plan().n_devices())?;
         }
+        Ok(())
+    }
+
+    /// The coordinator's own checks: the buffered-async options, then
+    /// the global deadline, which needs barrier mode.
+    fn check_coordination(&self) -> Result<(), ConfigError> {
+        match self.spec.buffered_async {
+            Some((0, _)) => {
+                return Err(ConfigError::InvalidAsync(
+                    "buffer must hold at least one update",
+                ))
+            }
+            Some((_, eta)) if !(eta > 0.0 && eta.is_finite()) => {
+                return Err(ConfigError::InvalidAsync("eta must be positive and finite"))
+            }
+            _ => {}
+        }
+        let policy = self.spec.deadline.unwrap_or(DeadlinePolicy::Off);
+        if !policy.is_off() && self.spec.buffered_async.is_some() {
+            return Err(ConfigError::InvalidAsync(
+                "global deadline policies require barrier mode",
+            ));
+        }
+        policy.check().map_err(ConfigError::InvalidDeadline)
+    }
+
+    /// The population engine's checks over `n` devices: the tier
+    /// aggregators and edge count, the round core, then the cohort
+    /// geometry.
+    fn check_engine(&self, n: usize) -> Result<(), ConfigError> {
+        let s = &self.spec;
+        for kind in [s.edge_aggregator, s.server_aggregator] {
+            kind.unwrap_or_default()
+                .validate()
+                .map_err(ConfigError::InvalidAggregator)?;
+        }
+        if s.edges == Some(0) {
+            return Err(ConfigError::InvalidTopology(
+                "hierarchy needs at least one edge aggregator",
+            ));
+        }
+        self.check_core()?;
+        let cohort_size = s.cohort_size.unwrap_or(DEFAULT_COHORT_SIZE);
+        if cohort_size == 0 {
+            return Err(ConfigError::ZeroCohortSize);
+        }
+        if s.threads == Some(0) {
+            return Err(ConfigError::ZeroThreads);
+        }
+        if s.edges.is_some_and(|edges| edges > n.div_ceil(cohort_size)) {
+            return Err(ConfigError::InvalidTopology(
+                "more edge aggregators than cohorts",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Build the sequential round engine, [`EventRoundSim`]: every fault,
+    /// deadline, rescue, rescheduler, priors, adversary, selection and
+    /// churn knob is honoured. With no fault source configured the
+    /// injector is quiet and the fault machinery is inert.
+    pub fn build_event_sim(mut self) -> Result<EventRoundSim, ConfigError> {
+        self.check(BuildTarget::EventSim)?;
         let devices = self.fleet()?;
         let seed = self.spec.seed;
         Ok(EventRoundSim::from_spec(
@@ -756,33 +829,16 @@ impl SimBuilder {
     /// cutoff per round) in barrier mode, or is rejected in buffered-async
     /// mode where no global barrier exists.
     pub fn build_coordinator(mut self) -> Result<Coordinator, ConfigError> {
-        let n = self.fleet_size()?;
-        self.check_target(BuildTarget::Coordinator)?;
-        let mode = match self.spec.buffered_async {
+        self.check(BuildTarget::Coordinator)?;
+        let mode = match self.spec.buffered_async.take() {
             None => CoordinationMode::Barrier,
-            Some((0, _)) => {
-                return Err(ConfigError::InvalidAsync(
-                    "buffer must hold at least one update",
-                ))
-            }
-            Some((_, eta)) if !(eta > 0.0 && eta.is_finite()) => {
-                return Err(ConfigError::InvalidAsync("eta must be positive and finite"))
-            }
             Some((buffer, eta)) => CoordinationMode::BufferedAsync { buffer, eta },
         };
-        let policy = self.spec.deadline.unwrap_or(DeadlinePolicy::Off);
-        if !policy.is_off() && matches!(mode, CoordinationMode::BufferedAsync { .. }) {
-            return Err(ConfigError::InvalidAsync(
-                "global deadline policies require barrier mode",
-            ));
-        }
-        policy.check().map_err(ConfigError::InvalidDeadline)?;
         // The coordinator owns deadline resolution: cohorts must not also
         // resolve per-cohort, so the engine is always built with its own
         // policy Off and receives the global cutoff round by round.
-        self.spec.deadline = None;
-        self.spec.buffered_async = None;
-        Ok(Coordinator::from_parts(self.engine(n)?, policy, mode))
+        let policy = self.spec.deadline.take().unwrap_or(DeadlinePolicy::Off);
+        Ok(Coordinator::from_parts(self.engine()?, policy, mode))
     }
 
     /// Build the population engine, [`HierEngine`]: one [`EventRoundSim`]
@@ -797,48 +853,24 @@ impl SimBuilder {
     /// tiers — the tiers emit nothing, and a single cohort replays the
     /// sequential [`EventRoundSim`] byte for byte.
     pub fn build_hier(self) -> Result<HierEngine, ConfigError> {
-        let n = self.fleet_size()?;
-        self.check_target(BuildTarget::Hier)?;
-        self.engine(n)
+        self.check(BuildTarget::Hier)?;
+        self.engine()
     }
 
-    /// Validate the topology and round-core knobs over `n` devices, then
-    /// build the population engine.
-    fn engine(mut self, n: usize) -> Result<HierEngine, ConfigError> {
-        let s = &self.spec;
-        for kind in [s.edge_aggregator, s.server_aggregator] {
-            kind.unwrap_or_default()
-                .validate()
-                .map_err(ConfigError::InvalidAggregator)?;
-        }
-        if s.edges == Some(0) {
-            return Err(ConfigError::InvalidTopology(
-                "hierarchy needs at least one edge aggregator",
-            ));
-        }
-        self.check_core()?;
-        let s = &self.spec;
-        let cohort_size = s.cohort_size.unwrap_or(DEFAULT_COHORT_SIZE);
-        if cohort_size == 0 {
-            return Err(ConfigError::ZeroCohortSize);
-        }
-        let threads = s.threads.unwrap_or_else(default_engine_threads);
-        if threads == 0 {
-            return Err(ConfigError::ZeroThreads);
-        }
-        let n_cohorts = n.div_ceil(cohort_size);
-        let edges = s.edges.unwrap_or(n_cohorts);
-        if edges > n_cohorts {
-            return Err(ConfigError::InvalidTopology(
-                "more edge aggregators than cohorts",
-            ));
-        }
+    /// Build the population engine over the checked configuration.
+    fn engine(mut self) -> Result<HierEngine, ConfigError> {
+        let cohort_size = self.spec.cohort_size.unwrap_or(DEFAULT_COHORT_SIZE);
+        let threads = self.spec.threads.unwrap_or_else(default_engine_threads);
         // Cohort fault plans always carry their cohort seed, so even a
         // fault-free cohort's draw streams follow the cohort geometry.
         self.spec
             .faults
             .get_or_insert_with(|| (FaultConfig::none(), 0));
         let devices = self.fleet()?;
+        let edges = self
+            .spec
+            .edges
+            .unwrap_or_else(|| devices.len().div_ceil(cohort_size));
         Ok(HierEngine::from_parts(
             devices,
             self.spec,
@@ -1054,6 +1086,18 @@ mod tests {
             .err()
             .unwrap();
         assert_eq!(err.cause_code(), "invalid_async");
+
+        // An out-of-range fault config is the wire decoder's error on
+        // every target, not a panic at build or first run.
+        let crashy = || {
+            SimBuilder::new(devices(1), config(1))
+                .faults(FaultConfig::none().with_crash_prob(2.0), 4)
+        };
+        let expected =
+            ConfigError::InvalidSpec("faults.config: crash_prob must be a probability".to_string());
+        assert_eq!(crashy().build_event_sim().err(), Some(expected.clone()));
+        assert_eq!(crashy().build_coordinator().err(), Some(expected.clone()));
+        assert_eq!(crashy().build_hier().err(), Some(expected));
     }
 
     #[test]

@@ -630,6 +630,13 @@ impl JobSpec {
         json::fnv1a64(self.canonical_json().as_bytes())
     }
 
+    /// Run every check [`JobSpec::build`] runs, in the same order,
+    /// without building the fleet or the simulator: `Ok` exactly when
+    /// `build` would succeed.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        SimBuilder::from_spec(self).check(self.target)
+    }
+
     /// Materialize the simulator this spec describes, with `probe`
     /// attached for telemetry. Exactly as strict as the in-process
     /// builder: every validation error surfaces with the same

@@ -597,9 +597,11 @@ fn bad_specs_fail_before_their_fleet_is_built() {
         (event_sim, "unsupported_option"),
         (coordinator, "invalid_deadline"),
     ] {
+        let checked = spec.check().expect_err("check refuses what build refuses");
+        assert_eq!(checked.cause_code(), cause, "{checked}");
         match spec.build(Probe::disabled()) {
             Ok(_) => panic!("{:?} must not build", spec.target),
-            Err(err) => assert_eq!(err.cause_code(), cause, "{err}"),
+            Err(err) => assert_eq!(err, checked),
         }
     }
 }
@@ -621,6 +623,7 @@ proptest! {
 
     /// Every drawn knob set through its setter serializes back to the
     /// draw: `to_spec` validates nothing, so invalid combinations count.
+    /// `JobSpec::check` accepts and refuses each draw as `build` does.
     #[test]
     fn buildable_specs_round_trip_through_the_builder(mask in 0u32..65536, salt in 0u64..u64::MAX) {
         let mut rng = TestRng::from_seed(salt);
@@ -630,6 +633,8 @@ proptest! {
             .expect("a recipe fleet without host-side objects serializes");
         prop_assert_eq!(&back, &spec);
         prop_assert_eq!(back.fingerprint(), spec.fingerprint());
+        // `check` refuses exactly what `build` refuses, with its error.
+        prop_assert_eq!(spec.check().err(), spec.build(Probe::disabled()).err());
     }
 }
 

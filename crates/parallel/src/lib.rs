@@ -2,16 +2,17 @@
 //!
 //! The workspace deliberately avoids heavyweight parallelism dependencies and
 //! instead builds the few primitives it needs on top of [`crossbeam`]'s scoped
-//! threads and channels, following the patterns of *Rust Atomics and Locks*:
+//! threads, following the patterns of *Rust Atomics and Locks*:
 //!
-//! * [`ThreadPool`] — a persistent pool with a shared injector queue, used by
-//!   the neural-network crate for repeated mini-batch data parallelism where
-//!   per-call thread spawning would dominate.
-//! * [`parallel_for`] / [`parallel_map`] / [`parallel_reduce`] — scoped
-//!   fork-join helpers with *deterministic* results: work is claimed through an
-//!   atomic index so scheduling is dynamic, but reductions are always folded in
-//!   index order.
-//! * [`chunk_ranges`] — balanced chunking of `0..n` into at most `k` ranges.
+//! * [`parallel_map`] / [`parallel_map_stealing`] — scoped fork-join maps
+//!   with *deterministic* results: each result lands in its own index slot,
+//!   whether the range is split statically or claimed through an atomic
+//!   index. The federated-training loops and the NN crate's convolutions use
+//!   the first; the population engine maps its cohorts with the second.
+//! * [`parallel_for_slices`] — runs a closure over disjoint `&mut` chunks of
+//!   one output buffer, the NN crate's batch-parallel kernels.
+//! * [`chunk_ranges`] / [`fixed_chunks`] — balanced chunking of `0..n` into
+//!   at most `k` ranges, and fixed-size chunking (the cohort sharding rule).
 //!
 //! All primitives guarantee data-race freedom through scoped borrows; no
 //! `unsafe` is used anywhere in this crate.
@@ -20,12 +21,9 @@
 #![warn(missing_docs)]
 
 mod chunks;
-mod pool;
 mod scope_par;
 
 pub use chunks::{chunk_ranges, fixed_chunks, ChunkRanges, FixedChunks};
-pub use pool::{PoolError, ThreadPool};
 pub use scope_par::{
-    parallel_for, parallel_for_slices, parallel_map, parallel_map_stealing, parallel_reduce,
-    recommended_threads,
+    parallel_for_slices, parallel_map, parallel_map_stealing, recommended_threads,
 };

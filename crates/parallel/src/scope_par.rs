@@ -16,45 +16,6 @@ pub fn recommended_threads() -> usize {
         .min(16)
 }
 
-/// Run `body(i)` for every `i in 0..len` using up to `threads` workers.
-///
-/// Work is claimed in fixed-size grains through a shared atomic counter, so a
-/// slow iteration does not stall the others (dynamic load balancing). `body`
-/// must be `Sync` because multiple workers call it concurrently.
-///
-/// Falls back to a plain sequential loop when `threads <= 1` or `len <= 1`.
-pub fn parallel_for<F>(len: usize, threads: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if threads <= 1 || len <= 1 {
-        for i in 0..len {
-            body(i);
-        }
-        return;
-    }
-    let workers = threads.min(len);
-    // Grain: aim for ~4 grains per worker to balance scheduling overhead
-    // against load imbalance.
-    let grain = (len / (workers * 4)).max(1);
-    let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let start = cursor.fetch_add(grain, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                let end = (start + grain).min(len);
-                for i in start..end {
-                    body(i);
-                }
-            });
-        }
-    })
-    .expect("parallel_for worker panicked");
-}
-
 /// Map `0..len` through `f` in parallel, returning results in index order.
 ///
 /// Output order is deterministic regardless of scheduling: each worker writes
@@ -194,44 +155,10 @@ where
         .collect()
 }
 
-/// Parallel map-reduce over `0..len`: compute `f(i)` in parallel, then fold
-/// the results **in index order** with `fold`, starting from `init`.
-///
-/// Folding in index order makes floating-point reductions reproducible across
-/// runs and thread counts, which the profiler's regression tests rely on.
-pub fn parallel_reduce<T, A, F, G>(len: usize, threads: usize, init: A, f: F, fold: G) -> A
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    G: Fn(A, T) -> A,
-{
-    let mapped = parallel_map(len, threads, f);
-    mapped.into_iter().fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn parallel_for_visits_every_index_once() {
-        let n = 1000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for(n, 4, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn parallel_for_sequential_fallback() {
-        let sum = AtomicU64::new(0);
-        parallel_for(10, 1, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 45);
-    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -244,19 +171,6 @@ mod tests {
     fn parallel_map_empty_and_single() {
         assert_eq!(parallel_map(0, 4, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_map(1, 4, |i| i + 7), vec![7]);
-    }
-
-    #[test]
-    fn parallel_reduce_deterministic_float_sum() {
-        // Sum of many floats of wildly different magnitudes: index-ordered
-        // folding must give bit-identical results across thread counts.
-        let f = |i: usize| 1.0f64 / (1.0 + i as f64).powi(2);
-        let s1 = parallel_reduce(10_000, 1, 0.0f64, f, |a, x| a + x);
-        let s4 = parallel_reduce(10_000, 4, 0.0f64, f, |a, x| a + x);
-        let s9 = parallel_reduce(10_000, 9, 0.0f64, f, |a, x| a + x);
-        assert_eq!(s1.to_bits(), s4.to_bits());
-        assert_eq!(s1.to_bits(), s9.to_bits());
-        assert!((s1 - std::f64::consts::PI * std::f64::consts::PI / 6.0).abs() < 1e-3);
     }
 
     #[test]

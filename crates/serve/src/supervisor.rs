@@ -221,8 +221,8 @@ impl Supervisor {
                 return Ok((handle.shared.info(), true));
             }
         }
-        // Validate before spawning anything: build once and discard.
-        request.spec.build(Probe::disabled())?;
+        // Validate before spawning anything; the worker builds.
+        request.spec.check()?;
         let snapshot = Snapshot {
             job_id: job_id.clone(),
             completed_rounds: 0,

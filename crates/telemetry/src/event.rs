@@ -371,163 +371,39 @@ impl Event {
     /// simulator emits events with cohort-local user indices (`0..k`), and
     /// the engine remaps them onto the global population index space
     /// (`start..start+k`) when merging per-cohort buffers into one log.
-    pub fn with_user_offset(self, offset: usize) -> Event {
-        match self {
-            Event::UserSpan {
-                round,
-                user,
-                compute_s,
-                comm_s,
-            } => Event::UserSpan {
-                round,
-                user: user + offset,
-                compute_s,
-                comm_s,
-            },
-            Event::RoundEnd {
-                round,
-                makespan_s,
-                straggler,
-            } => Event::RoundEnd {
-                round,
-                makespan_s,
-                straggler: straggler + offset,
-            },
-            Event::FaultInjected {
-                round,
-                device,
-                kind,
-                magnitude,
-            } => Event::FaultInjected {
-                round,
-                device: device.map(|d| d + offset),
-                kind,
-                magnitude,
-            },
-            Event::TransferRetry {
-                round,
-                user,
-                attempt,
-                cause,
-                elapsed_s,
-            } => Event::TransferRetry {
-                round,
-                user: user + offset,
-                attempt,
-                cause,
-                elapsed_s,
-            },
-            Event::UserTimeout {
-                round,
-                user,
-                cause,
-                shards_at_risk,
-            } => Event::UserTimeout {
-                round,
-                user: user + offset,
-                cause,
-                shards_at_risk,
-            },
+    pub fn with_user_offset(mut self, offset: usize) -> Event {
+        match &mut self {
+            Event::UserSpan { user, .. }
+            | Event::TransferRetry { user, .. }
+            | Event::UserTimeout { user, .. }
+            | Event::DeviceArrive { user, .. }
+            | Event::DeviceDepart { user, .. }
+            | Event::ShardsOrphaned { user, .. }
+            | Event::MidRoundAdmit { user, .. }
+            | Event::BanditReward { user, .. }
+            | Event::UpdateRejected { user, .. }
+            | Event::AsyncMerge { user, .. }
+            | Event::DeadlineDrop { user, .. }
+            | Event::RoundEnd {
+                straggler: user, ..
+            }
+            | Event::FaultInjected {
+                device: Some(user), ..
+            } => *user += offset,
             Event::ShardsReassigned {
-                round,
-                from_user,
-                to_user,
-                shards,
-            } => Event::ShardsReassigned {
-                round,
-                from_user: from_user + offset,
-                to_user: to_user + offset,
-                shards,
-            },
-            Event::DeviceArrive { round, t_s, user } => Event::DeviceArrive {
-                round,
-                t_s,
-                user: user + offset,
-            },
-            Event::DeviceDepart { round, t_s, user } => Event::DeviceDepart {
-                round,
-                t_s,
-                user: user + offset,
-            },
-            Event::ShardsOrphaned {
-                round,
-                user,
-                shards,
-            } => Event::ShardsOrphaned {
-                round,
-                user: user + offset,
-                shards,
-            },
-            Event::MidRoundAdmit {
-                round,
-                t_s,
-                user,
-                shards,
-            } => Event::MidRoundAdmit {
-                round,
-                t_s,
-                user: user + offset,
-                shards,
-            },
-            Event::BanditSelect {
-                round,
-                policy,
-                k,
-                selected,
-            } => Event::BanditSelect {
-                round,
-                policy,
-                k,
-                selected: selected.into_iter().map(|j| j + offset).collect(),
-            },
-            Event::BanditReward {
-                round,
-                user,
-                reward,
-                mean,
-                pulls,
-            } => Event::BanditReward {
-                round,
-                user: user + offset,
-                reward,
-                mean,
-                pulls,
-            },
-            Event::UpdateRejected {
-                round,
-                user,
-                aggregator,
-                score,
-            } => Event::UpdateRejected {
-                round,
-                user: user + offset,
-                aggregator,
-                score,
-            },
-            Event::AsyncMerge {
-                t_s,
-                user,
-                staleness,
-                weight,
-            } => Event::AsyncMerge {
-                t_s,
-                user: user + offset,
-                staleness,
-                weight,
-            },
-            Event::DeadlineDrop {
-                user,
-                predicted_s,
-                deadline_s,
-                lost_shards,
-            } => Event::DeadlineDrop {
-                user: user + offset,
-                predicted_s,
-                deadline_s,
-                lost_shards,
-            },
-            other => other,
+                from_user, to_user, ..
+            } => {
+                *from_user += offset;
+                *to_user += offset;
+            }
+            Event::BanditSelect { selected, .. } => {
+                for j in selected {
+                    *j += offset;
+                }
+            }
+            _ => {}
         }
+        self
     }
 
     /// Encode as one deterministic JSON object (no trailing newline).

@@ -75,7 +75,7 @@ cargo clippy -q --manifest-path exp_perf/Cargo.toml --all-targets -- -D warnings
 cargo test -q --manifest-path exp_perf/Cargo.toml
 
 if [[ "$QUICK" -eq 0 ]]; then
-  echo "==> hierarchy scale smoke (thread invariance at 1k; arena-vs-hier + budgets at 100k)"
+  echo "==> hierarchy scale smoke (thread invariance at 1k; arena-vs-scalar at 100k; 1M through HierEngine; budgets)"
   cargo run -q --release -p fedsched-bench --bin exp_scale -- --hier-check
 fi
 

@@ -23,7 +23,8 @@
 //!   non-IID partitioners.
 //! * [`nn`] — from-scratch neural-network training (LeNet, VGG6).
 //! * [`fl`] — the FedAvg runtime tying everything together.
-//! * [`parallel`] — the crossbeam-based thread pool used throughout.
+//! * [`parallel`] — scoped, deterministic fork-join maps on crossbeam
+//!   threads, used by the NN kernels and the population engine.
 //! * [`telemetry`] — opt-in structured event recording (scheduler
 //!   decisions, thermal/battery transitions, round timelines) with
 //!   deterministic JSONL serialization and a metrics registry.
