@@ -22,11 +22,12 @@
 //! burns its deadline waiting for crashed users, then loses their data
 //! anyway); rescue buys full coverage at the price of a longer round.
 //!
-//! All three arms replay the *identical* [`FaultPlan`] per sweep point, so
-//! differences are policy, not luck. Losses are measured against the full
-//! workload: shards Deadline-Dropout refuses to schedule count as lost.
+//! All three arms replay the *identical* [`FaultInjector`] plan per sweep
+//! point, so differences are policy, not luck. Losses are measured against
+//! the full workload: shards Deadline-Dropout refuses to schedule count as
+//! lost.
 //!
-//! [`FaultPlan`]: fedsched_faults::FaultPlan
+//! [`FaultInjector`]: fedsched_faults::FaultInjector
 
 use std::sync::Arc;
 

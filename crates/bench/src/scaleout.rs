@@ -265,14 +265,14 @@ pub fn coordination_point(n: usize, seed: u64, rounds: usize) -> CoordinationPoi
         .no_rescue()
         .build_coordinator()
         .expect("global deadline coordinator config is valid");
-    let global_report = global.run(&schedule, rounds);
+    let global_report = global.coordinate(&schedule, rounds);
 
     // Arm 3: no barrier at all — buffered staleness-weighted aggregation.
     let mut buffered = builder()
         .buffered_async((cohorts / 2).max(1), ASYNC_ETA)
         .build_coordinator()
         .expect("buffered-async coordinator config is valid");
-    let async_report = buffered.run(&schedule, rounds);
+    let async_report = buffered.coordinate(&schedule, rounds);
 
     CoordinationPoint {
         population: n,

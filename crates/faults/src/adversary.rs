@@ -2,13 +2,13 @@
 //!
 //! The fault plan answers "which devices fail, when"; the adversary plan
 //! answers "which devices *lie*, and how". It follows the same fate-table
-//! idiom as [`crate::FaultPlan`]: everything is materialized up front from
-//! `(config, n_devices, n_rounds, seed)`, so an attacked run replays
+//! idiom as [`crate::FaultInjector`]: everything is materialized up front
+//! from `(config, n_devices, n_rounds, seed)`, so an attacked run replays
 //! byte-identically and a zero-adversary config consumes no randomness the
 //! honest path would miss.
 //!
-//! The plan's RNG seed is *salted* before use — [`crate::FaultPlan`] seeds
-//! its `StdRng` with the raw seed, and reusing it here would correlate
+//! The plan's RNG seed is *salted* before use — [`crate::FaultInjector`]
+//! seeds its `StdRng` with the raw seed, and reusing it here would correlate
 //! compromise draws with crash draws (the first attacker would always be
 //! the first crasher).
 //!
@@ -26,7 +26,7 @@ use serde::Serialize;
 use crate::DrawStream;
 
 /// Salt mixed into the plan seed so adversary draws never correlate with
-/// [`crate::FaultPlan`] draws made from the same master seed.
+/// [`crate::FaultInjector`] draws made from the same master seed.
 const ADVERSARY_SALT: u64 = 0x6164_7665_7273_6172; // "adversar"
 
 /// How a compromised device corrupts its update.
@@ -184,7 +184,7 @@ pub struct AdversaryPlan {
 
 impl AdversaryPlan {
     /// Generate a plan. Draw counts are fixed regardless of which draws
-    /// fire, matching the [`crate::FaultPlan::generate`] discipline.
+    /// fire, matching the [`crate::FaultInjector::from_config`] discipline.
     ///
     /// # Panics
     /// Panics via [`AdversaryConfig::validate`] on an invalid config, or
@@ -278,7 +278,7 @@ impl AdversaryPlan {
     }
 
     /// A stable 64-bit digest of the whole plan, mirroring
-    /// [`crate::FaultPlan::fingerprint`].
+    /// [`crate::FaultInjector::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         let mut mix = |v: u64| {
@@ -375,7 +375,7 @@ fn gaussian(stream: &mut DrawStream) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultPlan;
+    use crate::FaultInjector;
 
     fn attack_config() -> AdversaryConfig {
         AdversaryConfig::none().with_attackers(0.4, AttackKind::SignFlip)
@@ -413,7 +413,7 @@ mod tests {
         let seed = 1234;
         let n = 64;
         let faults =
-            FaultPlan::generate(crate::FaultConfig::none().with_crash_prob(0.4), n, 1, seed);
+            FaultInjector::from_config(crate::FaultConfig::none().with_crash_prob(0.4), n, 1, seed);
         let adv = AdversaryPlan::generate(
             AdversaryConfig::none().with_attackers(0.4, AttackKind::SignFlip),
             n,

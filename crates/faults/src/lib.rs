@@ -9,9 +9,9 @@
 //!
 //! * [`FaultConfig`] — the knobs: per-round crash/churn/contention
 //!   probabilities, per-transfer loss probability, network-outage windows;
-//! * [`FaultPlan`] — the materialized per-round, per-device fate table,
-//!   generated once from `(config, n_devices, n_rounds, seed)`;
-//! * [`FaultInjector`] — the query interface the round controller consumes:
+//! * [`FaultInjector`] — the materialized per-round, per-device fate
+//!   table, generated once from `(config, n_devices, n_rounds, seed)`, and
+//!   the query interface the round controller consumes:
 //!   [`FaultInjector::fate`], [`FaultInjector::contention`],
 //!   [`FaultInjector::outages`], plus counter-based auxiliary randomness
 //!   ([`DrawStream`]) for per-transfer loss decisions and retry jitter.
@@ -444,10 +444,12 @@ impl DeviceFate {
     }
 }
 
-/// The materialized fault schedule: per-round per-device fates, contention
-/// multipliers and per-round outage windows, all derived from one seed.
+/// The materialized fault schedule — per-round per-device fates,
+/// contention multipliers and per-round outage windows, all derived from
+/// one seed — and the query interface a round controller consumes: plan
+/// lookups plus derived auxiliary draw streams for per-transfer decisions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
+pub struct FaultInjector {
     config: FaultConfig,
     n_devices: usize,
     n_rounds: usize,
@@ -474,7 +476,7 @@ pub struct FaultPlan {
     drift_walk: Vec<f64>,
 }
 
-impl FaultPlan {
+impl FaultInjector {
     /// Generate a plan. Draw counts per cell are fixed regardless of which
     /// faults fire, so two configs with the same seed disagree only where
     /// their probabilities do.
@@ -482,7 +484,7 @@ impl FaultPlan {
     /// # Panics
     /// Panics via [`FaultConfig::validate`] on an invalid config, or when
     /// `n_devices == 0`.
-    pub fn generate(config: FaultConfig, n_devices: usize, n_rounds: usize, seed: u64) -> Self {
+    pub fn from_config(config: FaultConfig, n_devices: usize, n_rounds: usize, seed: u64) -> Self {
         config.validate();
         assert!(n_devices > 0, "fault plan needs at least one device");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -627,7 +629,7 @@ impl FaultPlan {
             }
         }
 
-        FaultPlan {
+        FaultInjector {
             config,
             n_devices,
             n_rounds,
@@ -643,9 +645,19 @@ impl FaultPlan {
         }
     }
 
+    /// An injector that never injects anything (for `n_devices` devices).
+    pub fn quiet(n_devices: usize) -> Self {
+        FaultInjector::from_config(FaultConfig::none(), n_devices, 0, 0)
+    }
+
     /// The configuration this plan was generated from.
     pub fn config(&self) -> &FaultConfig {
         &self.config
+    }
+
+    /// Per-transfer loss probability from the config.
+    pub fn loss_prob(&self) -> f64 {
+        self.config.loss_prob
     }
 
     /// Number of devices covered.
@@ -696,7 +708,7 @@ impl FaultPlan {
 
     /// Failure-domain outages *starting* in `round`: `(group, duration_rounds)`
     /// pairs. Devices in a downed group are [`DeviceFate::Offline`] for the
-    /// window (already reflected in [`FaultPlan::fate`]); this query exists
+    /// window (already reflected in [`FaultInjector::fate`]); this query exists
     /// for telemetry.
     pub fn group_outages(&self, round: usize) -> &[(usize, usize)] {
         if round >= self.n_rounds {
@@ -743,7 +755,7 @@ impl FaultPlan {
     /// Mid-round arrival (rejoin) time of `device` in `round` — meaningful
     /// only when the device is out of the cohort at round start; the round
     /// controller ignores the cell otherwise. Same bounds behaviour as
-    /// [`FaultPlan::departure_at`].
+    /// [`FaultInjector::departure_at`].
     ///
     /// # Panics
     /// Panics if `device >= n_devices`.
@@ -762,7 +774,7 @@ impl FaultPlan {
 
     /// Compute-slowdown multiplier for `device` in `round` from the drift
     /// walk (1.0 = no drift configured, or past the planned horizon).
-    /// Composes multiplicatively with [`FaultPlan::contention`].
+    /// Composes multiplicatively with [`FaultInjector::contention`].
     ///
     /// # Panics
     /// Panics if `device >= n_devices`.
@@ -827,6 +839,19 @@ impl FaultPlan {
         }
         h
     }
+
+    /// A deterministic draw stream scoped to `(round, channel)` — use a
+    /// distinct `channel` per logical consumer (e.g. device index for
+    /// phase-1 transfers, `n_devices + index` for rescue transfers) so
+    /// streams never alias.
+    pub fn draw_stream(&self, round: usize, channel: usize) -> DrawStream {
+        let seed = self
+            .seed
+            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_add((round as u64) << 32)
+            .wrapping_add(channel as u64 + 1);
+        DrawStream::new(seed)
+    }
 }
 
 /// Counter-based deterministic uniform stream (splitmix64). Independent of
@@ -859,107 +884,6 @@ impl DrawStream {
     }
 }
 
-/// The query interface a round controller consumes: plan lookups plus
-/// derived auxiliary draw streams for per-transfer decisions.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Wrap an existing plan.
-    pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector { plan }
-    }
-
-    /// Generate a plan and wrap it.
-    pub fn from_config(config: FaultConfig, n_devices: usize, n_rounds: usize, seed: u64) -> Self {
-        FaultInjector::new(FaultPlan::generate(config, n_devices, n_rounds, seed))
-    }
-
-    /// An injector that never injects anything (for `n_devices` devices).
-    pub fn quiet(n_devices: usize) -> Self {
-        FaultInjector::from_config(FaultConfig::none(), n_devices, 0, 0)
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Fate of `device` in `round` (see [`FaultPlan::fate`]).
-    pub fn fate(&self, round: usize, device: usize) -> DeviceFate {
-        self.plan.fate(round, device)
-    }
-
-    /// Contention multiplier (see [`FaultPlan::contention`]).
-    pub fn contention(&self, round: usize, device: usize) -> f64 {
-        self.plan.contention(round, device)
-    }
-
-    /// Outage windows for `round`.
-    pub fn outages(&self, round: usize) -> &[(f64, f64)] {
-        self.plan.outages(round)
-    }
-
-    /// Failure-domain outages starting in `round` (see
-    /// [`FaultPlan::group_outages`]).
-    pub fn group_outages(&self, round: usize) -> &[(usize, usize)] {
-        self.plan.group_outages(round)
-    }
-
-    /// Failure domain of `device` (see [`FaultPlan::group_of`]).
-    pub fn group_of(&self, device: usize) -> Option<usize> {
-        self.plan.group_of(device)
-    }
-
-    /// Per-transfer loss probability from the config.
-    pub fn loss_prob(&self) -> f64 {
-        self.plan.config.loss_prob
-    }
-
-    /// Whether the plan carries a live churn timeline (see
-    /// [`FaultPlan::churn_active`]).
-    pub fn churn_active(&self) -> bool {
-        self.plan.churn_active()
-    }
-
-    /// Mid-round departure time (see [`FaultPlan::departure_at`]).
-    pub fn departure_at(&self, round: usize, device: usize) -> Option<f64> {
-        self.plan.departure_at(round, device)
-    }
-
-    /// Mid-round arrival time (see [`FaultPlan::arrival_at`]).
-    pub fn arrival_at(&self, round: usize, device: usize) -> Option<f64> {
-        self.plan.arrival_at(round, device)
-    }
-
-    /// Whether the plan carries a live drift timeline (see
-    /// [`FaultPlan::drift_active`]).
-    pub fn drift_active(&self) -> bool {
-        self.plan.drift_active()
-    }
-
-    /// Drift slowdown multiplier (see [`FaultPlan::slowdown`]).
-    pub fn slowdown(&self, round: usize, device: usize) -> f64 {
-        self.plan.slowdown(round, device)
-    }
-
-    /// A deterministic draw stream scoped to `(round, channel)` — use a
-    /// distinct `channel` per logical consumer (e.g. device index for
-    /// phase-1 transfers, `n_devices + index` for rescue transfers) so
-    /// streams never alias.
-    pub fn draw_stream(&self, round: usize, channel: usize) -> DrawStream {
-        let seed = self
-            .plan
-            .seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add((round as u64) << 32)
-            .wrapping_add(channel as u64 + 1);
-        DrawStream::new(seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,22 +899,22 @@ mod tests {
 
     #[test]
     fn same_seed_gives_identical_plans() {
-        let a = FaultPlan::generate(chaos_config(), 6, 40, 42);
-        let b = FaultPlan::generate(chaos_config(), 6, 40, 42);
+        let a = FaultInjector::from_config(chaos_config(), 6, 40, 42);
+        let b = FaultInjector::from_config(chaos_config(), 6, 40, 42);
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = FaultPlan::generate(chaos_config(), 6, 40, 1);
-        let b = FaultPlan::generate(chaos_config(), 6, 40, 2);
+        let a = FaultInjector::from_config(chaos_config(), 6, 40, 1);
+        let b = FaultInjector::from_config(chaos_config(), 6, 40, 2);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn quiet_plan_is_all_healthy() {
-        let plan = FaultPlan::generate(FaultConfig::none(), 4, 20, 7);
+        let plan = FaultInjector::from_config(FaultConfig::none(), 4, 20, 7);
         for r in 0..25 {
             for j in 0..4 {
                 assert_eq!(plan.fate(r, j), DeviceFate::Healthy);
@@ -1006,7 +930,7 @@ mod tests {
     fn crash_is_followed_by_reboot_rounds_offline() {
         let mut config = FaultConfig::none().with_crash_prob(1.0);
         config.reboot_rounds = 2;
-        let plan = FaultPlan::generate(config, 1, 6, 3);
+        let plan = FaultInjector::from_config(config, 1, 6, 3);
         // Round 0 crashes, rounds 1-2 offline, round 3 crashes again, ...
         assert!(matches!(plan.fate(0, 0), DeviceFate::Crash { .. }));
         assert_eq!(plan.fate(1, 0), DeviceFate::Offline);
@@ -1017,7 +941,7 @@ mod tests {
     #[test]
     fn churn_is_permanent_and_carries_past_horizon() {
         let config = FaultConfig::none().with_churn_prob(1.0);
-        let plan = FaultPlan::generate(config, 2, 3, 5);
+        let plan = FaultInjector::from_config(config, 2, 3, 5);
         assert!(matches!(plan.fate(0, 0), DeviceFate::Depart { .. }));
         assert_eq!(plan.fate(1, 0), DeviceFate::Departed);
         assert_eq!(plan.fate(2, 1), DeviceFate::Departed);
@@ -1027,7 +951,7 @@ mod tests {
 
     #[test]
     fn crash_fractions_are_valid() {
-        let plan = FaultPlan::generate(chaos_config(), 8, 50, 11);
+        let plan = FaultInjector::from_config(chaos_config(), 8, 50, 11);
         for r in 0..50 {
             for j in 0..8 {
                 if let DeviceFate::Crash { at_frac } | DeviceFate::Depart { at_frac } =
@@ -1042,7 +966,7 @@ mod tests {
     #[test]
     fn contention_only_hits_online_devices() {
         let config = chaos_config().with_contention(1.0, 2.0);
-        let plan = FaultPlan::generate(config, 4, 30, 13);
+        let plan = FaultInjector::from_config(config, 4, 30, 13);
         for r in 0..30 {
             for j in 0..4 {
                 let c = plan.contention(r, j);
@@ -1058,7 +982,7 @@ mod tests {
     #[test]
     fn outage_windows_respect_config_shape() {
         let config = FaultConfig::none().with_outages(1.0, 20.0, 4.0);
-        let plan = FaultPlan::generate(config, 2, 10, 17);
+        let plan = FaultInjector::from_config(config, 2, 10, 17);
         for r in 0..10 {
             let windows = plan.outages(r);
             assert_eq!(windows.len(), 1);
@@ -1090,7 +1014,7 @@ mod tests {
     #[test]
     fn group_outage_takes_down_whole_domain() {
         let config = FaultConfig::none().with_group_outages(1.0, 2, 2);
-        let plan = FaultPlan::generate(config, 6, 4, 21);
+        let plan = FaultInjector::from_config(config, 6, 4, 21);
         // With prob 1 both groups go down at round 0 for 2 rounds, come back
         // up at round 2 and immediately go down again.
         for r in 0..4 {
@@ -1115,8 +1039,9 @@ mod tests {
         // Adding the group-outage knob must not disturb the main draw
         // stream: a plan without group outages is unchanged, and one *with*
         // them differs only in the overlaid cells.
-        let base = FaultPlan::generate(chaos_config(), 6, 40, 42);
-        let overlaid = FaultPlan::generate(chaos_config().with_group_outages(0.3, 3, 2), 6, 40, 42);
+        let base = FaultInjector::from_config(chaos_config(), 6, 40, 42);
+        let overlaid =
+            FaultInjector::from_config(chaos_config().with_group_outages(0.3, 3, 2), 6, 40, 42);
         for r in 0..40 {
             for j in 0..6 {
                 let (b, o) = (base.fate(r, j), overlaid.fate(r, j));
@@ -1132,7 +1057,7 @@ mod tests {
     fn quiet_configs_report_group_outages() {
         assert!(FaultConfig::none().is_quiet());
         assert!(!FaultConfig::none().with_group_outages(0.1, 2, 1).is_quiet());
-        let plan = FaultPlan::generate(FaultConfig::none(), 3, 5, 1);
+        let plan = FaultInjector::from_config(FaultConfig::none(), 3, 5, 1);
         assert!(plan.group_outages(0).is_empty());
         assert_eq!(plan.group_of(0), None);
     }
@@ -1142,8 +1067,8 @@ mod tests {
         // The churn timeline comes from its own salted stream: every fate,
         // contention cell and outage window of the base plan is unchanged,
         // and only the fingerprint (which mixes the new cells) moves.
-        let base = FaultPlan::generate(chaos_config(), 6, 40, 42);
-        let churned = FaultPlan::generate(
+        let base = FaultInjector::from_config(chaos_config(), 6, 40, 42);
+        let churned = FaultInjector::from_config(
             chaos_config().with_churn_process(ChurnConfig::symmetric(0.02, 50.0)),
             6,
             40,
@@ -1165,8 +1090,8 @@ mod tests {
     fn quiet_churn_process_draws_nothing() {
         // Rate 0 generates no timeline at all: the plan (and fingerprint)
         // is byte-identical to one with no churn process configured.
-        let base = FaultPlan::generate(chaos_config(), 6, 40, 42);
-        let quiet = FaultPlan::generate(
+        let base = FaultInjector::from_config(chaos_config(), 6, 40, 42);
+        let quiet = FaultInjector::from_config(
             chaos_config().with_churn_process(ChurnConfig::symmetric(0.0, 50.0)),
             6,
             40,
@@ -1191,8 +1116,8 @@ mod tests {
             arrive_rate: 0.02,
             horizon_s: 40.0,
         });
-        let a = FaultPlan::generate(config.clone(), 5, 30, 9);
-        let b = FaultPlan::generate(config, 5, 30, 9);
+        let a = FaultInjector::from_config(config.clone(), 5, 30, 9);
+        let b = FaultInjector::from_config(config, 5, 30, 9);
         assert_eq!(a, b);
         let mut fired = 0usize;
         for r in 0..30 {
@@ -1225,7 +1150,7 @@ mod tests {
         assert_eq!(lowered.churn_prob, 0.0);
         let churn = lowered.churn_process.expect("bridge installs a process");
         assert_eq!(churn.arrive_rate, 0.0);
-        let plan = FaultPlan::generate(lowered, 40, 250, 77);
+        let plan = FaultInjector::from_config(lowered, 40, 250, 77);
         let mut fired = 0usize;
         let cells = 40 * 250;
         for r in 0..250 {
@@ -1244,8 +1169,8 @@ mod tests {
 
     #[test]
     fn lowering_zero_churn_is_the_identity() {
-        let base = FaultPlan::generate(chaos_config().with_churn_prob(0.0), 6, 40, 42);
-        let lowered = FaultPlan::generate(
+        let base = FaultInjector::from_config(chaos_config().with_churn_prob(0.0), 6, 40, 42);
+        let lowered = FaultInjector::from_config(
             chaos_config().with_churn_prob(0.0).lower_churn_prob(25.0),
             6,
             40,
@@ -1260,9 +1185,9 @@ mod tests {
         // Plans that churn only through the legacy per-round fate table
         // must replay byte-identically forever: pin the digest so neither
         // the main draw order nor the fingerprint mix can silently move.
-        let plan = FaultPlan::generate(FaultConfig::none().with_churn_prob(0.5), 4, 6, 42);
+        let plan = FaultInjector::from_config(FaultConfig::none().with_churn_prob(0.5), 4, 6, 42);
         assert_eq!(plan.fingerprint(), 0xf3e7_e07b_714d_7223);
-        let replay = FaultPlan::generate(FaultConfig::none().with_churn_prob(0.5), 4, 6, 42);
+        let replay = FaultInjector::from_config(FaultConfig::none().with_churn_prob(0.5), 4, 6, 42);
         assert_eq!(plan.fingerprint(), replay.fingerprint());
     }
 
@@ -1271,8 +1196,8 @@ mod tests {
         // The drift walk comes from its own salted stream: every fate,
         // contention cell and outage window of the base plan is unchanged,
         // and only the fingerprint (which mixes the new cells) moves.
-        let base = FaultPlan::generate(chaos_config(), 6, 40, 42);
-        let drifted = FaultPlan::generate(
+        let base = FaultInjector::from_config(chaos_config(), 6, 40, 42);
+        let drifted = FaultInjector::from_config(
             chaos_config().with_drift(DriftConfig::new(0.1, 4.0)),
             6,
             40,
@@ -1294,8 +1219,8 @@ mod tests {
     fn quiet_drift_draws_nothing() {
         // Sigma 0 generates no timeline at all: the plan (and fingerprint)
         // is byte-identical to one with no drift configured.
-        let base = FaultPlan::generate(chaos_config(), 6, 40, 42);
-        let quiet = FaultPlan::generate(
+        let base = FaultInjector::from_config(chaos_config(), 6, 40, 42);
+        let quiet = FaultInjector::from_config(
             chaos_config().with_drift(DriftConfig::new(0.0, 4.0)),
             6,
             40,
@@ -1315,8 +1240,8 @@ mod tests {
     #[test]
     fn drift_replays_respects_caps_and_actually_moves() {
         let config = FaultConfig::none().with_drift(DriftConfig::new(0.2, 3.0));
-        let a = FaultPlan::generate(config.clone(), 5, 60, 9);
-        let b = FaultPlan::generate(config, 5, 60, 9);
+        let a = FaultInjector::from_config(config.clone(), 5, 60, 9);
+        let b = FaultInjector::from_config(config, 5, 60, 9);
         assert_eq!(a, b);
         let mut moved = false;
         for r in 0..60 {
@@ -1342,7 +1267,7 @@ mod tests {
         // A walk is correlated: the round-to-round change of the walk is
         // much smaller than its excursion from 1, so a slow device stays
         // slow long enough to be learnable.
-        let plan = FaultPlan::generate(
+        let plan = FaultInjector::from_config(
             FaultConfig::none().with_drift(DriftConfig::new(0.05, 4.0)),
             4,
             80,
@@ -1366,7 +1291,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "drift sigma")]
     fn negative_drift_sigma_rejected() {
-        let _ = FaultPlan::generate(
+        let _ = FaultInjector::from_config(
             FaultConfig::none().with_drift(DriftConfig::new(-0.1, 2.0)),
             2,
             5,
@@ -1377,7 +1302,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_slowdown must be >= 1")]
     fn sub_unit_drift_cap_rejected() {
-        let _ = FaultPlan::generate(
+        let _ = FaultInjector::from_config(
             FaultConfig::none().with_drift(DriftConfig::new(0.1, 0.5)),
             2,
             5,
@@ -1388,7 +1313,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite non-negative rate")]
     fn negative_churn_rate_rejected() {
-        let _ = FaultPlan::generate(
+        let _ = FaultInjector::from_config(
             FaultConfig::none().with_churn_process(ChurnConfig::symmetric(-0.1, 10.0)),
             2,
             5,
@@ -1399,7 +1324,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "horizon must be positive")]
     fn zero_churn_horizon_rejected() {
-        let _ = FaultPlan::generate(
+        let _ = FaultInjector::from_config(
             FaultConfig::none().with_churn_process(ChurnConfig::symmetric(0.1, 0.0)),
             2,
             5,
@@ -1410,18 +1335,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "failure domain")]
     fn zero_group_count_rejected() {
-        let _ = FaultPlan::generate(FaultConfig::none().with_group_outages(0.5, 0, 1), 4, 5, 0);
+        let _ =
+            FaultInjector::from_config(FaultConfig::none().with_group_outages(0.5, 0, 1), 4, 5, 0);
     }
 
     #[test]
     #[should_panic(expected = "probability")]
     fn invalid_probability_rejected() {
-        let _ = FaultPlan::generate(FaultConfig::none().with_crash_prob(1.5), 2, 5, 0);
+        let _ = FaultInjector::from_config(FaultConfig::none().with_crash_prob(1.5), 2, 5, 0);
     }
 
     #[test]
     #[should_panic(expected = "at least one device")]
     fn empty_cohort_rejected() {
-        let _ = FaultPlan::generate(FaultConfig::none(), 0, 5, 0);
+        let _ = FaultInjector::from_config(FaultConfig::none(), 0, 5, 0);
     }
 }

@@ -22,7 +22,7 @@ use serde::Serialize;
 /// FedAsync staleness discount: the effective mixing weight of an update
 /// that is `staleness` server versions old, given base rate `eta`. Shared
 /// by [`AsyncFlSetup`] and the coordinator's buffered-async merge
-/// ([`Coordinator`](crate::Coordinator)) so both paths discount identically.
+/// ([`coordinator`](crate::coordinator)) so both paths discount identically.
 pub fn staleness_weight(eta: f64, staleness: usize) -> f64 {
     eta / (1.0 + staleness as f64)
 }

@@ -39,7 +39,6 @@ use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::Probe;
 
 use crate::cohorts::{default_engine_threads, DEFAULT_COHORT_SIZE};
-use crate::coordinator::{CoordinationMode, Coordinator};
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
 use crate::hier::HierEngine;
 use crate::spec::{BuildTarget, DeviceSetSpec, JobSpec};
@@ -228,9 +227,9 @@ pub enum Selection {
     Bandit(SelectionConfig),
 }
 
-/// One builder for every simulator: the sequential [`EventRoundSim`], the
-/// population engine [`HierEngine`] built on it, and the [`Coordinator`]
-/// that drives a default-topology engine.
+/// One builder for every simulator: the sequential [`EventRoundSim`] and
+/// the population engine [`HierEngine`] built on it, as a `hier` topology
+/// or a default-topology `coordinator`.
 ///
 /// A builder is a wire [`JobSpec`] plus host-side extras. Setters are
 /// infallible and write spec fields (normalised the way the wire is:
@@ -263,8 +262,9 @@ pub enum Selection {
 ///
 /// Every “—” cell is a typed [`ConfigError`], never a silent drop.
 pub struct SimBuilder {
-    /// Every wire knob. `spec.target` is unused (the `build_*` method is
-    /// the target), and so is `spec.devices` while `devices` overrides it.
+    /// Every wire knob. The `build_*` method stamps its target into
+    /// `spec.target`, which the population engine reads; `spec.devices`
+    /// is unused while `devices` overrides it.
     spec: JobSpec,
     /// The ad-hoc fleet handed to [`SimBuilder::new`]; it has no wire form.
     devices: Option<Vec<Device>>,
@@ -747,7 +747,7 @@ impl SimBuilder {
             sized("priors", priors.len())?;
         }
         if let Some(injector) = &self.extras.injector {
-            sized("fault plan", injector.plan().n_devices())?;
+            sized("fault plan", injector.n_devices())?;
         }
         Ok(())
     }
@@ -823,22 +823,13 @@ impl SimBuilder {
         ))
     }
 
-    /// Build a [`Coordinator`]: a default-topology [`HierEngine`] driven
-    /// by a cross-cohort control loop. The deadline policy resolves
-    /// against the *pooled population* predictions (one global straggler
-    /// cutoff per round) in barrier mode, or is rejected in buffered-async
-    /// mode where no global barrier exists.
-    pub fn build_coordinator(mut self) -> Result<Coordinator, ConfigError> {
-        self.check(BuildTarget::Coordinator)?;
-        let mode = match self.spec.buffered_async.take() {
-            None => CoordinationMode::Barrier,
-            Some((buffer, eta)) => CoordinationMode::BufferedAsync { buffer, eta },
-        };
-        // The coordinator owns deadline resolution: cohorts must not also
-        // resolve per-cohort, so the engine is always built with its own
-        // policy Off and receives the global cutoff round by round.
-        let policy = self.spec.deadline.take().unwrap_or(DeadlinePolicy::Off);
-        Ok(Coordinator::from_parts(self.engine()?, policy, mode))
+    /// Build a default-topology [`HierEngine`] whose server tier runs a
+    /// cross-cohort control loop ([`HierEngine::coordinate`]). The deadline
+    /// policy resolves against the *pooled population* predictions (one
+    /// global straggler cutoff per round) in barrier mode, or is rejected
+    /// in buffered-async mode where no global barrier exists.
+    pub fn build_coordinator(self) -> Result<HierEngine, ConfigError> {
+        self.engine(BuildTarget::Coordinator)
     }
 
     /// Build the population engine, [`HierEngine`]: one [`EventRoundSim`]
@@ -853,12 +844,14 @@ impl SimBuilder {
     /// tiers — the tiers emit nothing, and a single cohort replays the
     /// sequential [`EventRoundSim`] byte for byte.
     pub fn build_hier(self) -> Result<HierEngine, ConfigError> {
-        self.check(BuildTarget::Hier)?;
-        self.engine()
+        self.engine(BuildTarget::Hier)
     }
 
-    /// Build the population engine over the checked configuration.
-    fn engine(mut self) -> Result<HierEngine, ConfigError> {
+    /// Check the configuration for `target`, stamp the target into the
+    /// spec, and build the population engine over it.
+    fn engine(mut self, target: BuildTarget) -> Result<HierEngine, ConfigError> {
+        self.check(target)?;
+        self.spec.target = target;
         let cohort_size = self.spec.cohort_size.unwrap_or(DEFAULT_COHORT_SIZE);
         let threads = self.spec.threads.unwrap_or_else(default_engine_threads);
         // Cohort fault plans always carry their cohort seed, so even a

@@ -100,8 +100,8 @@ impl fmt::Debug for FloatList<'_> {
 ///
 /// This is the pooling input for [`DeadlinePolicy`](fedsched_core::DeadlinePolicy)
 /// resolution across a whole population: the pooling in
-/// [`Coordinator`](crate::Coordinator). A single cohort predicts its
-/// active users only, through [`predict_user_time`].
+/// [`HierEngine::coordinate`](crate::HierEngine::coordinate). A single
+/// cohort predicts its active users only, through [`predict_user_time`].
 pub fn predict_round_times(
     devices: &[Device],
     workload: &TrainingWorkload,

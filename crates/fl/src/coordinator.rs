@@ -1,20 +1,25 @@
-//! Cross-cohort coordination: one control loop above a default-topology
-//! [`HierEngine`].
+//! The coordinator view of a population run, and the FedBuff merge
+//! ledger its server tier can keep.
 //!
-//! The engine scales the simulation out, but each cohort still makes its
-//! decisions from cohort-local information — an adaptive deadline resolved
-//! inside a slow cohort is lax exactly where it should bite. The
-//! [`Coordinator`] closes that loop at the population level:
+//! Each cohort of a [`HierEngine`](crate::HierEngine) otherwise makes its
+//! decisions from cohort-local information — an adaptive deadline
+//! resolved inside a slow cohort is lax exactly where it should bite. An
+//! engine built for the `coordinator` target
+//! ([`SimBuilder::build_coordinator`](crate::SimBuilder::build_coordinator))
+//! closes that loop at its server tier, and
+//! [`HierEngine::coordinate`](crate::HierEngine::coordinate) reports the
+//! rounds in this module's terms:
 //!
-//! * **Global straggler deadline** — before each round it pools
+//! * **Global straggler deadline** — before each round the server pools
 //!   side-effect-free predicted per-user times across *every* cohort,
-//!   resolves the [`DeadlinePolicy`] once against the pooled distribution,
-//!   and pushes the single resulting cutoff into every cohort
-//!   ([`Event::GlobalDeadlineSet`]). Deadline-cut shards keep their partial
-//!   credit and rescue accounting, now rolled up population-wide.
-//! * **Barrier aggregation** — after the cohorts run, per-round outcomes
-//!   merge into population-level [`GlobalRoundOutcome`]s that name the
-//!   straggling cohorts ([`Event::CohortStraggling`]).
+//!   resolves the [`DeadlinePolicy`](fedsched_core::DeadlinePolicy) once
+//!   against the pooled distribution, and pushes the single resulting
+//!   cutoff into every cohort ([`Event::GlobalDeadlineSet`]).
+//!   Deadline-cut shards keep their partial credit and rescue accounting,
+//!   now rolled up population-wide.
+//! * **Barrier aggregation** — per-round outcomes read as
+//!   population-level [`GlobalRoundOutcome`]s that name the straggling
+//!   cohorts ([`Event::CohortStraggling`]).
 //! * **Buffered async mode** — alternatively, cohorts report into a
 //!   buffered aggregator (FedBuff-style): the server merges as soon as
 //!   `buffer` updates are queued, discounting each by the shared FedAsync
@@ -27,21 +32,23 @@
 //!
 //! # Determinism contract
 //!
-//! Everything the coordinator adds is plain arithmetic over the engine's
+//! Everything the server tier adds is plain arithmetic over the cohorts'
 //! deterministic outputs, computed on the control thread: results and
-//! telemetry are bit-identical at any thread count. With
-//! [`DeadlinePolicy::Off`] in barrier mode the coordinator is a pure
-//! pass-through — byte-identical reports and event streams to driving the
-//! engine directly (pinned by `tests/coordinator_identity.rs`).
+//! telemetry are bit-identical at any thread count.
+//! [`HierEngine::run`](crate::HierEngine::run) and
+//! [`HierEngine::coordinate`](crate::HierEngine::coordinate) are two views
+//! of one advance, so both emit the same trace; with the deadline policy
+//! off in barrier mode that trace and the engine report are byte-identical
+//! to a `hier` engine's (pinned by `tests/coordinator_identity.rs`).
 
-use fedsched_core::{DeadlinePolicy, EventQueue, Schedule};
+use fedsched_core::EventQueue;
 use fedsched_telemetry::{Event, Probe};
 use serde::Serialize;
 
 use crate::asyncfl::staleness_weight;
 use crate::clock::TimingReport;
 use crate::cohorts::CohortReport;
-use crate::hier::{HierEngine, HierReport};
+use crate::hier::HierReport;
 use crate::resilient::RoundOutcome;
 
 /// Population-level result of a coordinated run: the default-topology
@@ -83,22 +90,6 @@ impl From<HierReport> for EngineReport {
     }
 }
 
-/// How cohort results meet the global model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub enum CoordinationMode {
-    /// Synchronous: every round waits for all cohorts, then aggregates.
-    Barrier,
-    /// FedBuff-style: cohort updates queue into a buffer of size `buffer`;
-    /// each flush merges the queued updates with staleness discount
-    /// `eta / (1 + staleness)` and bumps the server version once.
-    BufferedAsync {
-        /// Updates per merge.
-        buffer: usize,
-        /// Base mixing rate.
-        eta: f64,
-    },
-}
-
 /// One population-level round as the coordinator saw it.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GlobalRoundOutcome {
@@ -129,12 +120,13 @@ pub struct MergeRecord {
     pub weight: f64,
 }
 
-/// Aggregate result of one [`Coordinator::run`] call.
+/// Aggregate result of one
+/// [`HierEngine::coordinate`](crate::HierEngine::coordinate) call.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CoordinatorReport {
     /// The underlying population report (timing, per-cohort
     /// breakdowns). With the policy off in barrier mode this is
-    /// byte-identical to driving the engine directly.
+    /// byte-identical to driving a `hier` engine.
     pub engine: EngineReport,
     /// Population-level per-round outcomes with coordination context.
     pub global_rounds: Vec<GlobalRoundOutcome>,
@@ -156,7 +148,55 @@ impl CoordinatorReport {
     pub fn mean_coverage(&self) -> f64 {
         self.engine.mean_coverage()
     }
+
+    /// The coordinator view of an advance: its rounds wrapped in the
+    /// deadline in force and the straggling cohorts, next to the merges
+    /// the ledger made and the simulated span.
+    pub(crate) fn view((report, deadlines, merges, span_s): Advance) -> Self {
+        let engine = EngineReport::from(report);
+        let (makespans, cohorts) = (&engine.timing.per_round_makespan, &engine.cohorts);
+        let global_rounds = (engine.rounds.iter().zip(deadlines).enumerate())
+            .map(|(r, (outcome, deadline_s))| GlobalRoundOutcome {
+                outcome: outcome.clone(),
+                deadline_s,
+                straggling_cohorts: straggling_cohorts(makespans, cohorts, r)
+                    .map(|(c, _)| c)
+                    .collect(),
+                cohort_makespans: cohorts
+                    .iter()
+                    .map(|c| c.timing.per_round_makespan[r])
+                    .collect(),
+            })
+            .collect();
+        CoordinatorReport {
+            engine,
+            global_rounds,
+            merges,
+            span_s,
+        }
+    }
 }
+
+/// Cohorts that straggled in round `r`, each with its deadline-cut user
+/// count: those that set the population makespan `makespans[r]`, or had
+/// users cut.
+pub(crate) fn straggling_cohorts<'a>(
+    makespans: &[f64],
+    cohorts: &'a [CohortReport],
+    r: usize,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let pop_max = makespans[r];
+    cohorts.iter().enumerate().filter_map(move |(c, cohort)| {
+        let makespan = cohort.timing.per_round_makespan[r];
+        let timed_out = cohort.rounds[r].timed_out;
+        ((pop_max > 0.0 && makespan == pop_max) || timed_out > 0).then_some((c, timed_out))
+    })
+}
+
+/// One advance of a population engine: its report, the global deadline
+/// in force each round, the merges its ledger made, and the simulated
+/// span.
+pub(crate) type Advance = (HierReport, Vec<Option<f64>>, Vec<MergeRecord>, f64);
 
 /// A cohort update waiting in the async buffer.
 #[derive(Debug, Clone, Copy)]
@@ -166,181 +206,60 @@ struct PendingUpdate {
     pull_version: usize,
 }
 
-/// Cross-cohort coordination engine. Build with
-/// [`SimBuilder::build_coordinator`](crate::SimBuilder::build_coordinator).
-pub struct Coordinator {
-    engine: HierEngine,
-    policy: DeadlinePolicy,
-    mode: CoordinationMode,
-    probe: Probe,
-    /// Server model version (bumped once per async flush).
+/// The FedBuff server's merge ledger: cohort updates queue and merge
+/// `buffer` at a time with staleness discount `eta / (1 + staleness)`,
+/// bumping the server version once per flush. Its state persists across
+/// calls like the cohorts' own.
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Updates per merge.
+    buffer: usize,
+    /// Base mixing rate.
+    eta: f64,
+    /// Server model version (bumped once per flush).
     server_version: usize,
-    /// Per-cohort simulated clock (async mode): when the cohort last
-    /// reported in.
+    /// Per-cohort simulated clock: when the cohort last reported in.
     cohort_clock: Vec<f64>,
-    /// Server version each cohort last pulled (async mode).
+    /// Server version each cohort last pulled.
     cohort_pull_version: Vec<usize>,
-    /// Updates queued but not yet merged (async mode; persists across
-    /// calls).
-    buffer: Vec<PendingUpdate>,
+    /// Updates queued but not yet merged.
+    pending: Vec<PendingUpdate>,
 }
 
-impl Coordinator {
-    /// Assemble a coordinator over a default-topology engine. The engine
-    /// must have been built with its own deadline policy off — the
-    /// coordinator owns deadline resolution.
-    pub(crate) fn from_parts(
-        engine: HierEngine,
-        policy: DeadlinePolicy,
-        mode: CoordinationMode,
-    ) -> Self {
-        let probe = engine.probe_handle();
-        Coordinator {
-            engine,
-            policy,
-            mode,
-            probe,
-            server_version: 0,
-            cohort_clock: Vec::new(),
-            cohort_pull_version: Vec::new(),
-            buffer: Vec::new(),
+impl Ledger {
+    /// An empty ledger for the buffered-async options `(buffer, eta)`.
+    pub(crate) fn new((buffer, eta): (usize, f64)) -> Self {
+        Ledger {
+            buffer,
+            eta,
+            ..Ledger::default()
         }
     }
 
-    /// The deadline policy resolved globally each round.
-    pub fn policy(&self) -> DeadlinePolicy {
-        self.policy
-    }
-
-    /// The coordination mode.
-    pub fn mode(&self) -> CoordinationMode {
-        self.mode
-    }
-
-    /// The underlying engine (e.g. for device snapshots).
-    pub fn engine(&self) -> &HierEngine {
-        &self.engine
-    }
-
-    /// Rounds simulated so far across all `run` calls.
-    pub fn rounds_done(&self) -> usize {
-        self.engine.rounds_done()
-    }
-
-    /// Server model version (async mode; barrier mode leaves it at zero).
-    pub fn server_version(&self) -> usize {
+    /// Server model version.
+    pub(crate) fn server_version(&self) -> usize {
         self.server_version
     }
 
-    /// Simulate `rounds` coordinated rounds of `schedule`. Cohort state
-    /// (RNG streams, thermal, round numbering, async clocks) persists
-    /// across calls exactly like the engine's.
-    ///
-    /// # Panics
-    /// Panics if the schedule's user count differs from the population.
-    pub fn run(&mut self, schedule: &Schedule, rounds: usize) -> CoordinatorReport {
-        match self.mode {
-            CoordinationMode::Barrier if self.policy.is_off() => {
-                self.run_passthrough(schedule, rounds)
-            }
-            CoordinationMode::Barrier => self.run_barrier(schedule, rounds),
-            CoordinationMode::BufferedAsync { buffer, eta } => {
-                self.run_async(schedule, rounds, buffer, eta)
-            }
-        }
-    }
-
-    /// Off-policy barrier mode: one pass-through engine call, so reports
-    /// and the spliced event stream stay byte-identical to the bare
-    /// engine. (Looping per round here would re-order the spliced JSONL.)
-    fn run_passthrough(&mut self, schedule: &Schedule, rounds: usize) -> CoordinatorReport {
-        let report = EngineReport::from(self.engine.run(schedule, rounds));
-        let global_rounds = global_rounds_of(&report, &vec![None; rounds]);
-        let span_s = report.timing.per_round_makespan.iter().sum();
-        CoordinatorReport {
-            engine: report,
-            global_rounds,
-            merges: Vec::new(),
-            span_s,
-        }
-    }
-
-    /// Deadline barrier mode: resolve one pooled deadline, push it into
-    /// every cohort, run one round, account — round by round.
-    fn run_barrier(&mut self, schedule: &Schedule, rounds: usize) -> CoordinatorReport {
-        let mut deadlines = Vec::with_capacity(rounds);
-        let mut reports = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            let round = self.engine.rounds_done();
-            // Predictions are side-effect-free (clones, no RNG), so the
-            // resolution is invisible to the simulated timeline.
-            let predicted = self.engine.predicted_user_times(schedule);
-            let deadline_s = self.policy.resolve(&predicted);
-            let pooled = predicted
-                .iter()
-                .filter(|t| t.is_finite() && **t > 0.0)
-                .count();
-            self.engine.set_cohort_deadlines(deadline_s);
-            let n_cohorts = self.engine.n_cohorts();
-            let policy_name = self.policy.name();
-            self.probe.emit(|| Event::GlobalDeadlineSet {
-                round,
-                policy: policy_name.to_string(),
-                deadline_s,
-                pooled,
-                cohorts: n_cohorts,
-            });
-
-            let report = EngineReport::from(self.engine.run(schedule, 1));
-            for (cohort, straggle) in straggling_cohorts(&report, 0) {
-                let makespan_s = report.cohorts[cohort].timing.per_round_makespan[0];
-                self.probe.emit(|| Event::CohortStraggling {
-                    round,
-                    cohort,
-                    makespan_s,
-                    deadline_s,
-                    timed_out: straggle.timed_out,
-                });
-            }
-            deadlines.push(deadline_s);
-            reports.push(report);
-        }
-        let report = fold_reports(reports);
-        let global_rounds = global_rounds_of(&report, &deadlines);
-        let span_s = report.timing.per_round_makespan.iter().sum();
-        CoordinatorReport {
-            engine: report,
-            global_rounds,
-            merges: Vec::new(),
-            span_s,
-        }
-    }
-
-    /// Buffered-async mode: the cohorts simulate exactly as in
-    /// pass-through, but aggregation is re-timed — each cohort reports in
-    /// at its own cumulative pace and the server merges per `buffer`
-    /// arrivals with staleness discount.
+    /// Re-time the cohorts' rounds as asynchronous arrivals and merge
+    /// them: each cohort reports in at its own cumulative pace and the
+    /// server merges per `buffer` arrivals. Returns the merges and the
+    /// span, the slowest cohort's own busy time.
     ///
     /// Cohort merges are *events in one global simulated-time stream*: a
     /// per-call [`EventQueue`] keyed by `(time, seq)`, with completions
     /// scheduled cohort-major so equal-time ties pop lowest-cohort first
-    /// and a cohort's own rounds pop in round order — exactly the ordering
-    /// the old per-cohort clock bookkeeping sorted into, now produced by
-    /// the same event core the round engines drain. All scheduling is
-    /// post-hoc arithmetic over per-cohort makespans, hence
-    /// thread-invariant; the staleness-weighted merge ledger is unchanged.
-    fn run_async(
+    /// and a cohort's own rounds pop in round order — the same event core
+    /// the round engines drain. All scheduling is post-hoc arithmetic over
+    /// per-cohort makespans, hence thread-invariant.
+    pub(crate) fn settle(
         &mut self,
-        schedule: &Schedule,
-        rounds: usize,
-        buffer: usize,
-        eta: f64,
-    ) -> CoordinatorReport {
-        let report = EngineReport::from(self.engine.run(schedule, rounds));
-        let n_cohorts = report.cohorts.len();
-        if self.cohort_clock.len() != n_cohorts {
-            self.cohort_clock = vec![0.0; n_cohorts];
-            self.cohort_pull_version = vec![0; n_cohorts];
+        cohorts: &[CohortReport],
+        probe: &Probe,
+    ) -> (Vec<MergeRecord>, f64) {
+        if self.cohort_clock.len() != cohorts.len() {
+            self.cohort_clock = vec![0.0; cohorts.len()];
+            self.cohort_pull_version = vec![0; cohorts.len()];
         }
 
         // Each cohort finishes its rounds back-to-back on its own clock;
@@ -348,7 +267,7 @@ impl Coordinator {
         // stream at cumulative cohort time, carrying (cohort, round).
         let mut stream: EventQueue<(usize, usize)> = EventQueue::new();
         let mut span_s = 0.0f64;
-        for (c, cohort) in report.cohorts.iter().enumerate() {
+        for (c, cohort) in cohorts.iter().enumerate() {
             let start = self.cohort_clock[c];
             let mut t = start;
             for (r, &m) in cohort.timing.per_round_makespan.iter().enumerate() {
@@ -361,16 +280,16 @@ impl Coordinator {
 
         let mut merges = Vec::new();
         while let Some((t, _seq, (c, round))) = stream.pop() {
-            self.buffer.push(PendingUpdate {
+            self.pending.push(PendingUpdate {
                 cohort: c,
                 round,
                 pull_version: self.cohort_pull_version[c],
             });
-            if self.buffer.len() >= buffer {
-                for item in std::mem::take(&mut self.buffer) {
+            if self.pending.len() >= self.buffer {
+                for item in std::mem::take(&mut self.pending) {
                     let staleness = self.server_version - item.pull_version;
-                    let weight = staleness_weight(eta, staleness);
-                    self.probe.emit(|| Event::AsyncMerge {
+                    let weight = staleness_weight(self.eta, staleness);
+                    probe.emit(|| Event::AsyncMerge {
                         t_s: t,
                         user: item.cohort,
                         staleness,
@@ -389,121 +308,65 @@ impl Coordinator {
             // The cohort pulls the freshest model before its next round.
             self.cohort_pull_version[c] = self.server_version;
         }
-
-        let global_rounds = global_rounds_of(&report, &vec![None; rounds]);
-        CoordinatorReport {
-            engine: report,
-            global_rounds,
-            merges,
-            span_s,
-        }
+        (merges, span_s)
     }
-}
-
-/// Which cohorts straggled in round `r` of `report`: set the population
-/// makespan, or had users deadline-cut.
-struct Straggle {
-    timed_out: usize,
-}
-
-fn straggling_cohorts(report: &EngineReport, r: usize) -> Vec<(usize, Straggle)> {
-    let pop_max = report.timing.per_round_makespan[r];
-    report
-        .cohorts
-        .iter()
-        .enumerate()
-        .filter_map(|(c, cohort)| {
-            let makespan = cohort.timing.per_round_makespan[r];
-            let timed_out = cohort.rounds[r].timed_out;
-            if (pop_max > 0.0 && makespan == pop_max) || timed_out > 0 {
-                Some((c, Straggle { timed_out }))
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
-/// Wrap an engine report's rounds in coordination context.
-fn global_rounds_of(report: &EngineReport, deadlines: &[Option<f64>]) -> Vec<GlobalRoundOutcome> {
-    report
-        .rounds
-        .iter()
-        .enumerate()
-        .map(|(r, outcome)| GlobalRoundOutcome {
-            outcome: outcome.clone(),
-            deadline_s: deadlines.get(r).copied().flatten(),
-            straggling_cohorts: straggling_cohorts(report, r)
-                .into_iter()
-                .map(|(c, _)| c)
-                .collect(),
-            cohort_makespans: report
-                .cohorts
-                .iter()
-                .map(|c| c.timing.per_round_makespan[r])
-                .collect(),
-        })
-        .collect()
 }
 
 /// Fold single-round engine reports into one multi-round report, matching
-/// the arithmetic a single multi-round engine call would have produced:
-/// makespans concatenate, per-user means average over rounds, comm
-/// fraction is the per-round mean.
-fn fold_reports(reports: Vec<EngineReport>) -> EngineReport {
+/// the arithmetic a single multi-round call would have produced at the
+/// server, edge and cohort tiers: makespans and outcomes concatenate,
+/// per-user means average over rounds, the comm fraction is the
+/// per-round mean, and rejection counts sum.
+pub(crate) fn fold_rounds(reports: Vec<HierReport>) -> HierReport {
     let rounds = reports.len();
-    if rounds == 1 {
-        return reports.into_iter().next().expect("one report");
-    }
     let mut iter = reports.into_iter();
     let mut acc = iter.next().expect("at least one round");
-    let mut user_totals: Vec<f64> = acc.timing.per_user_mean.clone();
-    let mut comm_sum = acc.timing.comm_fraction;
-    let mut cohort_user_totals: Vec<Vec<f64>> = acc
-        .cohorts
-        .iter()
-        .map(|c| c.timing.per_user_mean.clone())
-        .collect();
-    let mut cohort_comm_sums: Vec<f64> =
-        acc.cohorts.iter().map(|c| c.timing.comm_fraction).collect();
     for rep in iter {
-        acc.timing
-            .per_round_makespan
-            .extend(rep.timing.per_round_makespan);
-        for (total, mean) in user_totals.iter_mut().zip(&rep.timing.per_user_mean) {
-            *total += mean;
+        append_round(&mut acc.timing, &mut acc.rounds, rep.timing, rep.rounds);
+        for (e, next) in acc.edges.iter_mut().zip(rep.edges) {
+            append_round(&mut e.timing, &mut e.rounds, next.timing, next.rounds);
         }
-        comm_sum += rep.timing.comm_fraction;
-        acc.rounds.extend(rep.rounds);
-        for (c, cohort) in rep.cohorts.into_iter().enumerate() {
-            acc.cohorts[c]
-                .timing
-                .per_round_makespan
-                .extend(cohort.timing.per_round_makespan);
-            for (total, mean) in cohort_user_totals[c]
-                .iter_mut()
-                .zip(&cohort.timing.per_user_mean)
-            {
-                *total += mean;
-            }
-            cohort_comm_sums[c] += cohort.timing.comm_fraction;
-            acc.cohorts[c].rounds.extend(cohort.rounds);
+        for (c, next) in acc.cohorts.iter_mut().zip(rep.cohorts) {
+            append_round(&mut c.timing, &mut c.rounds, next.timing, next.rounds);
         }
+        acc.edge_rejections += rep.edge_rejections;
+        acc.server_rejections += rep.server_rejections;
     }
     let r = rounds as f64;
-    acc.timing.per_user_mean = user_totals.into_iter().map(|t| t / r).collect();
-    acc.timing.comm_fraction = comm_sum / r;
-    for (c, cohort) in acc.cohorts.iter_mut().enumerate() {
-        cohort.timing.per_user_mean = cohort_user_totals[c].iter().map(|t| t / r).collect();
-        cohort.timing.comm_fraction = cohort_comm_sums[c] / r;
-    }
+    let average = |timing: &mut TimingReport| {
+        for total in &mut timing.per_user_mean {
+            *total /= r;
+        }
+        timing.comm_fraction /= r;
+    };
+    average(&mut acc.timing);
+    acc.edges.iter_mut().for_each(|e| average(&mut e.timing));
+    acc.cohorts.iter_mut().for_each(|c| average(&mut c.timing));
     acc
+}
+
+/// Append one more round of a tier's result: makespans and outcomes
+/// concatenate, per-user means and the comm fraction accumulate as sums
+/// for [`fold_rounds`] to average.
+fn append_round(
+    timing: &mut TimingReport,
+    rounds: &mut Vec<RoundOutcome>,
+    next: TimingReport,
+    next_rounds: Vec<RoundOutcome>,
+) {
+    timing.per_round_makespan.extend(next.per_round_makespan);
+    for (total, mean) in timing.per_user_mean.iter_mut().zip(&next.per_user_mean) {
+        *total += mean;
+    }
+    timing.comm_fraction += next.comm_fraction;
+    rounds.extend(next_rounds);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{RoundConfig, SimBuilder};
+    use fedsched_core::{DeadlinePolicy, Schedule};
     use fedsched_device::{Device, DeviceModel, TrainingWorkload};
     use fedsched_net::Link;
 
@@ -548,7 +411,7 @@ mod tests {
             .cohort_size(6)
             .build_coordinator()
             .unwrap();
-        let report = coord.run(&schedule, 3);
+        let report = coord.coordinate(&schedule, 3);
         assert_eq!(report.engine, expected);
         assert!(report.merges.is_empty());
         assert_eq!(report.global_rounds.len(), 3);
@@ -567,7 +430,7 @@ mod tests {
             .deadline(DeadlinePolicy::Quantile(0.5))
             .build_coordinator()
             .unwrap();
-        let report = coord.run(&schedule, 3);
+        let report = coord.coordinate(&schedule, 3);
         // A median cutoff over a heterogeneous population must cut someone.
         assert!(
             report.engine.rounds.iter().any(|r| r.timed_out > 0),
@@ -592,7 +455,7 @@ mod tests {
                 .deadline(DeadlinePolicy::MeanFactor(1.2))
                 .build_coordinator()
                 .unwrap();
-            let report = coord.run(&schedule, 3);
+            let report = coord.coordinate(&schedule, 3);
             format!("{report:?}")
         };
         let baseline = run(1);
@@ -609,7 +472,7 @@ mod tests {
             .buffered_async(2, 0.6)
             .build_coordinator()
             .unwrap();
-        let report = coord.run(&schedule, 3);
+        let report = coord.coordinate(&schedule, 3);
         // 4 cohorts x 3 rounds = 12 arrivals, buffer 2 => 6 flushes.
         assert_eq!(report.merges.len(), 12);
         assert_eq!(coord.server_version(), 6);
@@ -639,10 +502,10 @@ mod tests {
                 .unwrap()
         };
         let mut split = mk();
-        let a = split.run(&schedule, 2);
-        let b = split.run(&schedule, 2);
+        let a = split.coordinate(&schedule, 2);
+        let b = split.coordinate(&schedule, 2);
         let mut whole = mk();
-        let w = whole.run(&schedule, 4);
+        let w = whole.coordinate(&schedule, 4);
         assert_eq!(split.server_version(), whole.server_version());
         let split_merges: Vec<_> = a.merges.iter().chain(&b.merges).cloned().collect();
         assert_eq!(split_merges, w.merges);

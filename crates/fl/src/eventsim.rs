@@ -261,9 +261,9 @@ impl EventRoundSim {
 
     /// Overwrite the deadline for the next rounds with an
     /// already-resolved cutoff (or clear it). This is the coordination
-    /// hook: [`Coordinator`](crate::Coordinator) resolves one global
-    /// deadline from population-pooled predictions and pushes it into every
-    /// cohort before the cohorts run.
+    /// hook: a `coordinator` [`HierEngine`](crate::HierEngine) resolves one
+    /// global deadline from population-pooled predictions and pushes it
+    /// into every cohort before the cohorts run.
     ///
     /// # Panics
     /// Panics unless `deadline_s` is positive and finite.
@@ -331,7 +331,7 @@ impl EventRoundSim {
             // are read for devices absent *at round start* — parked, or
             // gone from an earlier round — before the sweep can mark
             // anyone else gone.
-            let churn = self.inner.injector().plan().churn_active();
+            let churn = self.inner.injector().churn_active();
             let arrival_cells: Vec<(usize, f64)> = if churn {
                 (0..n)
                     .filter(|&j| {

@@ -8,8 +8,12 @@
 //! [`derive_cohort_seed`], runs the cohorts on a worker pool, splices
 //! their buffered telemetry into the engine probe in cohort order, and
 //! then folds the cohort results through its edge and server tiers. The
-//! cohort tier's determinism contract lives in [`cohorts`](crate::cohorts);
-//! [`Coordinator`](crate::Coordinator) wraps a default-topology engine.
+//! cohort tier's determinism contract lives in [`cohorts`](crate::cohorts).
+//!
+//! Built for the `coordinator` target, the default topology's server tier
+//! pools one deadline across the population or keeps a FedBuff merge
+//! ledger (see [`coordinator`](crate::coordinator)); [`HierEngine::run`]
+//! and [`HierEngine::coordinate`] are two views of one advance.
 //!
 //! # Determinism and parity contract
 //!
@@ -53,7 +57,7 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use fedsched_core::Schedule;
+use fedsched_core::{DeadlinePolicy, Schedule};
 use fedsched_device::Device;
 use fedsched_parallel::{fixed_chunks, parallel_map_stealing};
 use fedsched_telemetry::{Event, EventLog, Probe};
@@ -64,9 +68,10 @@ use serde::Serialize;
 use crate::builder::SequentialExtras;
 use crate::clock::{predict_round_times, TimingReport};
 use crate::cohorts::{derive_cohort_seed, CohortReport};
+use crate::coordinator::{fold_rounds, straggling_cohorts, Advance, CoordinatorReport, Ledger};
 use crate::eventsim::EventRoundSim;
 use crate::resilient::RoundOutcome;
-use crate::spec::JobSpec;
+use crate::spec::{BuildTarget, JobSpec};
 
 /// Derive the backhaul RNG seed for `edge` from the master seed.
 ///
@@ -300,12 +305,22 @@ pub struct HierEngine {
     /// [`derive_edge_seed`]; streams continue across `run` calls exactly
     /// like the device-tier sim RNGs.
     edge_rngs: Vec<StdRng>,
+    /// Server-tier deadline policy (`coordinator` target): resolved once
+    /// per round against the pooled population predictions. `Off` leaves
+    /// the cohorts' own policy in force.
+    pooled: DeadlinePolicy,
+    /// Server-tier FedBuff merge ledger (`coordinator` target with
+    /// buffered-async options).
+    ledger: Option<Ledger>,
 }
 
 impl HierEngine {
+    /// Assemble an engine over a checked spec. A `coordinator` spec's
+    /// deadline moves to the server tier, so its cohorts are built without
+    /// one, and its buffered-async options become the merge ledger.
     pub(crate) fn from_parts(
         devices: Vec<Device>,
-        spec: JobSpec,
+        mut spec: JobSpec,
         probe: Probe,
         cohort_size: usize,
         threads: usize,
@@ -314,6 +329,13 @@ impl HierEngine {
         let edge_rngs = (0..edges)
             .map(|e| StdRng::seed_from_u64(derive_edge_seed(spec.seed, e)))
             .collect();
+        let (pooled, ledger) = match spec.target {
+            BuildTarget::Coordinator => (
+                spec.deadline.take().unwrap_or(DeadlinePolicy::Off),
+                spec.buffered_async.map(Ledger::new),
+            ),
+            _ => (DeadlinePolicy::Off, None),
+        };
         HierEngine {
             n: devices.len(),
             pending: devices,
@@ -325,6 +347,8 @@ impl HierEngine {
             slots: Vec::new(),
             rounds_done: 0,
             edge_rngs,
+            pooled,
+            ledger,
         }
     }
 
@@ -343,9 +367,15 @@ impl HierEngine {
         self.threads
     }
 
-    /// Rounds simulated so far across all `run` calls.
+    /// Rounds simulated so far across all `run` and `coordinate` calls.
     pub fn rounds_done(&self) -> usize {
         self.rounds_done
+    }
+
+    /// Server model version: one bump per buffered-async flush, zero
+    /// without a merge ledger.
+    pub fn server_version(&self) -> usize {
+        self.ledger.as_ref().map_or(0, Ledger::server_version)
     }
 
     /// Snapshot of the population's devices in population order (e.g. to
@@ -362,31 +392,13 @@ impl HierEngine {
         out
     }
 
-    /// A clone of the engine's probe (shares the attached sink), for the
-    /// coordinator to emit population-level events into the same stream.
-    pub(crate) fn probe_handle(&self) -> Probe {
-        self.probe.clone()
-    }
-
-    /// Push one straggler deadline into every cohort (or clear them with
-    /// `None`). This is the [`Coordinator`](crate::Coordinator) hook for
-    /// applying a globally-resolved deadline before a round runs; it builds
-    /// the cohort sims if needed but never advances any RNG stream.
-    pub(crate) fn set_cohort_deadlines(&mut self, deadline_s: Option<f64>) {
-        self.ensure_slots();
-        for slot in &self.slots {
-            slot.sim.lock().unwrap().set_deadline(deadline_s);
-        }
-    }
-
     /// Side-effect-free per-user predicted round times for `schedule`,
     /// pooled over the *whole population* in population order. Built from
     /// current device state (thermal throttling included), predicted in
     /// place cohort by cohort, and never draws from any RNG — calling it
-    /// does not perturb the simulated timeline. The
-    /// [`Coordinator`](crate::Coordinator) resolves adaptive deadline
-    /// policies against this pool.
-    pub(crate) fn predicted_user_times(&self, schedule: &Schedule) -> Vec<f64> {
+    /// does not perturb the simulated timeline. The server tier resolves
+    /// its pooled deadline policy against this pool.
+    fn predicted_user_times(&self, schedule: &Schedule) -> Vec<f64> {
         assert_eq!(
             schedule.shards.len(),
             self.n,
@@ -519,12 +531,90 @@ impl HierEngine {
     /// [`Event::EdgeReduce`] per edge, then an edge-tier
     /// [`Event::RobustAggregate`] per edge (non-FedAvg edge tier), then
     /// one server-tier [`Event::RobustAggregate`] (non-FedAvg server
-    /// tier).
+    /// tier). A server-tier policy adds its own events (see
+    /// [`HierEngine::coordinate`]).
     ///
     /// # Panics
     ///
     /// Panics when `schedule` arity does not match the population.
     pub fn run(&mut self, schedule: &Schedule, rounds: usize) -> HierReport {
+        self.advance(schedule, rounds).0
+    }
+
+    /// Simulate `rounds` rounds exactly as [`HierEngine::run`] does and
+    /// report them in the coordinator's terms: global deadlines,
+    /// straggling cohorts, buffered-async merges and the simulated span.
+    /// A pooled deadline runs the rounds one at a time, each between an
+    /// [`Event::GlobalDeadlineSet`] and one [`Event::CohortStraggling`]
+    /// per straggler; a ledger emits an [`Event::AsyncMerge`] per merge.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `schedule` arity does not match the population.
+    pub fn coordinate(&mut self, schedule: &Schedule, rounds: usize) -> CoordinatorReport {
+        CoordinatorReport::view(self.advance(schedule, rounds))
+    }
+
+    /// The one advance behind both views. Without a ledger its span is
+    /// the sum of the round makespans.
+    fn advance(&mut self, schedule: &Schedule, rounds: usize) -> Advance {
+        let (report, deadlines) = if self.pooled.is_off() {
+            (self.run_tiers(schedule, rounds), vec![None; rounds])
+        } else {
+            // One pooled cutoff per round, pushed into every cohort before
+            // the round runs.
+            let (mut deadlines, mut reports) = (Vec::new(), Vec::new());
+            for _ in 0..rounds {
+                let round = self.rounds_done;
+                // Predictions are side-effect-free (clones, no RNG), so the
+                // resolution is invisible to the simulated timeline.
+                let predicted = self.predicted_user_times(schedule);
+                let deadline_s = self.pooled.resolve(&predicted);
+                let pooled = predicted
+                    .iter()
+                    .filter(|t| t.is_finite() && **t > 0.0)
+                    .count();
+                self.ensure_slots();
+                for slot in &self.slots {
+                    let mut sim = slot.sim.lock().expect("a cohort round panicked");
+                    sim.set_deadline(deadline_s);
+                }
+                let (policy, cohorts) = (self.pooled.name(), self.n_cohorts());
+                self.probe.emit(|| Event::GlobalDeadlineSet {
+                    round,
+                    policy: policy.to_string(),
+                    deadline_s,
+                    pooled,
+                    cohorts,
+                });
+
+                let report = self.run_tiers(schedule, 1);
+                let makespans = &report.timing.per_round_makespan;
+                for (cohort, timed_out) in straggling_cohorts(makespans, &report.cohorts, 0) {
+                    let makespan_s = report.cohorts[cohort].timing.per_round_makespan[0];
+                    self.probe.emit(|| Event::CohortStraggling {
+                        round,
+                        cohort,
+                        makespan_s,
+                        deadline_s,
+                        timed_out,
+                    });
+                }
+                deadlines.push(deadline_s);
+                reports.push(report);
+            }
+            (fold_rounds(reports), deadlines)
+        };
+        let (merges, span_s) = match &mut self.ledger {
+            Some(ledger) => ledger.settle(&report.cohorts, &self.probe),
+            None => (Vec::new(), report.timing.per_round_makespan.iter().sum()),
+        };
+        (report, deadlines, merges, span_s)
+    }
+
+    /// Run the cohorts `rounds` rounds and fold them through the edge and
+    /// server tiers.
+    fn run_tiers(&mut self, schedule: &Schedule, rounds: usize) -> HierReport {
         let first_round = self.rounds_done;
         let cohorts = self.run_cohorts(schedule, rounds);
         let probe = &self.probe;

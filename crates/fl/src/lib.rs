@@ -11,8 +11,8 @@
 //!   model — crashes, churn, lossy links, retries, deadlines and mid-round
 //!   straggler rescue — and is inert when no faults are configured. The
 //!   population engine, [`HierEngine`], runs one `EventRoundSim` per
-//!   cohort under a two-tier reduction; [`Coordinator`] drives a
-//!   default-topology engine with a population-level control loop.
+//!   cohort under a two-tier reduction; a `coordinator` engine's server
+//!   tier adds a population-level control loop ([`HierEngine::coordinate`]).
 //! * [`engine`] actually trains: synchronous FedAvg over `fedsched-nn`
 //!   networks on partitioned synthetic data (Figs. 2, 3 and 6, Tables III
 //!   and V). Clients train in parallel on scoped threads; aggregation is
@@ -48,9 +48,7 @@ pub use clock::TimingReport;
 pub use cohorts::{
     default_engine_threads, derive_cohort_seed, CohortReport, DEFAULT_COHORT_SIZE, THREADS_ENV,
 };
-pub use coordinator::{
-    CoordinationMode, Coordinator, CoordinatorReport, EngineReport, GlobalRoundOutcome, MergeRecord,
-};
+pub use coordinator::{CoordinatorReport, EngineReport, GlobalRoundOutcome, MergeRecord};
 pub use engine::{FlOutcome, FlSetup};
 pub use eventsim::{AdmissionPolicy, EventRoundSim};
 pub use gossip::{GossipOutcome, GossipSetup, Topology};

@@ -364,9 +364,9 @@ pub(crate) struct ResilientRoundSim {
 impl ResilientRoundSim {
     /// Overwrite the deadline for the *next* rounds with an
     /// already-resolved cutoff (or clear it). This is the coordination
-    /// hook: [`Coordinator`](crate::Coordinator) resolves one global
-    /// deadline from population-pooled predictions and pushes it into every
-    /// cohort before the cohorts run.
+    /// hook: a `coordinator` [`HierEngine`](crate::HierEngine) resolves one
+    /// global deadline from population-pooled predictions and pushes it
+    /// into every cohort before the cohorts run.
     pub(crate) fn set_deadline(&mut self, deadline_s: Option<f64>) {
         if let Some(d) = deadline_s {
             assert!(d > 0.0 && d.is_finite(), "deadline must be positive");
@@ -590,7 +590,7 @@ impl ResilientRoundSim {
             });
         }
         for &(group, duration_rounds) in self.injector.group_outages(round) {
-            let members = self.injector.plan().group_members(group).len();
+            let members = self.injector.group_members(group).len();
             self.probe.emit(|| Event::GroupOutage {
                 round,
                 group,

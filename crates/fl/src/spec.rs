@@ -47,7 +47,6 @@ use fedsched_robust::AggregatorKind;
 use fedsched_telemetry::Probe;
 
 use crate::builder::{ConfigError, SimBuilder};
-use crate::coordinator::Coordinator;
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
 use crate::hier::HierEngine;
 
@@ -68,6 +67,13 @@ pub const MAX_FLEET_DEVICES: usize = 1 << 24;
 /// the simulator is built, at up to 64 bytes a cell for a fault plan with
 /// churn and drift, so the cap holds one plan near 1 GiB.
 pub const MAX_PLAN_CELLS: usize = 1 << 24;
+
+/// Most samples one round of a wire schedule may ask for, Σ shards ×
+/// `shard_size`: 64 for each device of the million-device scale target.
+/// The round core trains a device's samples batch by batch, so the cap
+/// bounds a round's device loop, and a hostile shard size or shard count
+/// fails at decode instead of pinning a worker.
+pub const MAX_ROUND_SAMPLES: usize = 1 << 26;
 
 fn bad(problem: impl Into<String>) -> ConfigError {
     ConfigError::InvalidSpec(problem.into())
@@ -100,8 +106,8 @@ fn finite(field: &str, value: f64, positive: bool) -> Result<f64, ConfigError> {
 pub enum BuildTarget {
     /// [`SimBuilder::build_event_sim`] — the sequential round engine.
     EventSim,
-    /// [`SimBuilder::build_coordinator`] — population engine plus control
-    /// loop.
+    /// [`SimBuilder::build_coordinator`] — the population engine with a
+    /// coordinating server tier.
     Coordinator,
     /// [`SimBuilder::build_hier`] — the population engine.
     Hier,
@@ -674,18 +680,18 @@ pub struct RoundDigest {
 
 enum SimKind {
     EventSim(Box<EventRoundSim>),
-    Coordinator(Coordinator),
+    Coordinator(HierEngine),
     Hier(HierEngine),
 }
 
 /// A live simulator built from a [`JobSpec`], stepped one global round at
 /// a time.
 ///
-/// Behind it sits one of three hosts of the round core: the sequential
-/// [`EventRoundSim`], the population engine [`HierEngine`], or a
-/// [`Coordinator`] over a default-topology engine. `step` renders the
-/// host's own report type (`ChaosReport`, `HierReport` or
-/// `CoordinatorReport`) into [`RoundDigest::detail`].
+/// Behind it sits one of two hosts of the round core: the sequential
+/// [`EventRoundSim`] or the population engine [`HierEngine`]. `step`
+/// renders the target's report (`ChaosReport`, `HierReport` or, from
+/// [`HierEngine::coordinate`], `CoordinatorReport`) into
+/// [`RoundDigest::detail`].
 ///
 /// One-round stepping is a load-bearing choice, not a convenience: the
 /// population engine splices per-cohort telemetry buffers after each `run`
@@ -708,8 +714,8 @@ impl BuiltSim {
                 let report = sim.run(schedule, 1);
                 (report.timing.per_round_makespan[0], format!("{report:?}"))
             }
-            SimKind::Coordinator(coordinator) => {
-                let report = coordinator.run(schedule, 1);
+            SimKind::Coordinator(engine) => {
+                let report = engine.coordinate(schedule, 1);
                 (
                     report.engine.timing.per_round_makespan[0],
                     format!("{report:?}"),
@@ -1221,7 +1227,9 @@ pub fn schedule_to_json(s: &Schedule) -> JsonValue {
     ])
 }
 
-/// Decode a [`Schedule`] written by [`schedule_to_json`].
+/// Decode a [`Schedule`] written by [`schedule_to_json`]. The shard size
+/// must be finite and positive, and one round may ask for at most
+/// [`MAX_ROUND_SAMPLES`] samples.
 pub fn schedule_from_json(v: &JsonValue) -> Result<Schedule, ConfigError> {
     expect_fields(v, &["shards", "shard_size"])?;
     let shards = v
@@ -1236,6 +1244,13 @@ pub fn schedule_from_json(v: &JsonValue) -> Result<Schedule, ConfigError> {
         .req("shard_size")
         .and_then(|x| x.as_f64_lenient())
         .map_err(shape)?;
+    let shard_size = finite("shard_size", shard_size, true)?;
+    let total = shards.iter().fold(0usize, |sum, &k| sum.saturating_add(k));
+    if total as f64 * shard_size > MAX_ROUND_SAMPLES as f64 {
+        return Err(bad(format!(
+            "schedule of {total} shards x shard_size {shard_size} exceeds {MAX_ROUND_SAMPLES} samples a round"
+        )));
+    }
     Ok(Schedule::new(shards, shard_size))
 }
 

@@ -39,6 +39,13 @@ use crate::supervisor::{AdvanceReply, CrashMode, JobInfo, Supervisor, Supervisor
 /// Maximum accepted request-body size; a [`JobRequest`] is a few KB.
 const MAX_BODY: usize = 1 << 20;
 
+/// Longest request line or header line accepted, in bytes, line ending
+/// included.
+const MAX_HEAD_LINE: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 64;
+
 /// A bound, not-yet-serving HTTP server.
 pub struct Server {
     listener: TcpListener,
@@ -128,6 +135,7 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     }
 }
@@ -151,12 +159,31 @@ fn handle_connection(stream: TcpStream, supervisor: &Supervisor) -> io::Result<(
     stream.flush()
 }
 
+/// Read one line of the request head, at most [`MAX_HEAD_LINE`] bytes; a
+/// longer line is a ready-made 431 response.
+fn read_head_line(reader: &mut impl BufRead) -> Result<String, Response> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_HEAD_LINE as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|_| Response::error(400, "bad_request", "connection error mid-request"))?;
+    if line.len() == MAX_HEAD_LINE && !line.ends_with(b"\n") {
+        return Err(Response::error(
+            431,
+            "bad_request",
+            "request head line too long",
+        ));
+    }
+    String::from_utf8(line)
+        .map_err(|_| Response::error(400, "bad_request", "request head is not UTF-8"))
+}
+
 /// Parse one request off the wire; malformed input becomes a ready-made
-/// 400/413 response.
-fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Response> {
+/// 400/413/431 response.
+fn read_request(reader: &mut impl BufRead) -> Result<Request, Response> {
     let io_err = |_| Response::error(400, "bad_request", "connection error mid-request");
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(io_err)?;
+    let line = read_head_line(reader)?;
     let mut parts = line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1.") => (m.to_string(), t.to_string()),
@@ -170,12 +197,18 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, Response> 
     };
 
     let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(io_err)?;
+    for count in 0.. {
+        let header = read_head_line(reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err(Response::error(
+                431,
+                "bad_request",
+                "too many request headers",
+            ));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -361,5 +394,35 @@ fn route(request: &Request, supervisor: &Supervisor) -> Response {
             Response::error(405, "bad_request", "method not allowed on this path")
         }
         _ => Response::error(404, "not_found", "no such route"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn status_of(head: String) -> u16 {
+        match read_request(&mut io::Cursor::new(head.into_bytes())) {
+            Ok(_) => 200,
+            Err(response) => response.status,
+        }
+    }
+
+    fn with_headers(n: usize) -> String {
+        let headers: String = (0..n).map(|i| format!("X-H{i}: v\r\n")).collect();
+        format!("GET /healthz HTTP/1.1\r\n{headers}\r\n")
+    }
+
+    #[test]
+    fn request_head_is_bounded() {
+        let long = "a".repeat(9 << 10);
+        assert_eq!(status_of(format!("GET /{long} HTTP/1.1\r\n\r\n")), 431);
+        assert_eq!(
+            status_of(format!("GET / HTTP/1.1\r\nX-Long: {long}\r\n\r\n")),
+            431
+        );
+        assert_eq!(status_of(with_headers(MAX_HEADERS + 1)), 431);
+        assert_eq!(status_of(with_headers(MAX_HEADERS)), 200);
+        assert_eq!(status_text(431), "Request Header Fields Too Large");
     }
 }

@@ -290,6 +290,21 @@ mod tests {
         let mut zero = request();
         zero.rounds_total = 0;
         assert_eq!(err(&zero.canonical_json()), "invalid_spec");
+        // Schedules the round core cannot simulate: a round of ~1e17
+        // samples, a 2^53 shard count, and a negative shard size.
+        let schedule = r#""schedule":{"shards":[8,8,8],"shard_size":100}"#;
+        let text = req.canonical_json();
+        assert!(text.contains(schedule), "{text}");
+        for bad_schedule in [
+            r#""schedule":{"shards":[8,8,8],"shard_size":1e15}"#,
+            r#""schedule":{"shards":[9007199254740992,8,8],"shard_size":100}"#,
+            r#""schedule":{"shards":[8,8,8],"shard_size":-5}"#,
+        ] {
+            let doc = text.replace(schedule, bad_schedule);
+            let err = JobRequest::parse(&doc).unwrap_err();
+            assert_eq!(err.cause_code(), "invalid_spec", "{doc}");
+            assert!(err.to_string().contains("shard"), "{err}");
+        }
     }
 
     #[test]

@@ -334,6 +334,48 @@ fn out_of_range_fault_configs_are_rejected_and_the_server_stays_up() {
 }
 
 #[test]
+fn unsimulable_schedules_are_rejected_and_the_server_stays_up() {
+    let addr = start_server();
+    let text = request(105, 2).canonical_json();
+    // About 3.6e16 samples a round: the first advance would pin a worker
+    // and its connection thread for good.
+    let schedule = r#""shard_size":100"#;
+    let doc = text.replace(schedule, r#""shard_size":1e15"#);
+    assert_ne!(doc, text, "the substitution must apply");
+    let (status, body) = http(&addr, "POST", "/jobs", &doc);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_cause(&body), "invalid_spec");
+    assert!(
+        body.contains("shard_size"),
+        "{body} does not name shard_size"
+    );
+    let (status, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+}
+
+#[test]
+fn oversized_request_heads_are_refused_and_the_server_stays_up() {
+    let addr = start_server();
+    // A 1 MiB header line. The server answers 431 after its first 8 KiB
+    // and closes, so the rest of the write may fail or be reset.
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let head = format!(
+        "GET /healthz HTTP/1.1\r\nX-Long: {}\r\n\r\n",
+        "a".repeat(1 << 20)
+    );
+    let _ = stream.write_all(head.as_bytes());
+    let mut raw = String::new();
+    let _ = stream.read_to_string(&mut raw);
+    drop(stream);
+    // A reset may cut the answer short; whatever arrives is the 431.
+    let want = "HTTP/1.1 431 ";
+    let n = raw.len().min(want.len());
+    assert_eq!(raw[..n], want[..n], "{raw}");
+    let (status, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+}
+
+#[test]
 fn unknown_routes_and_methods_are_typed_errors() {
     let addr = start_server();
     let (status, body) = http(&addr, "GET", "/nope", "");

@@ -1,8 +1,8 @@
 //! Chaos round walkthrough: a Fed-LBAP schedule replayed under injected
 //! faults, with and without mid-round straggler rescue.
 //!
-//! A seeded [`FaultPlan`] decrees crashes, churn, lossy transfers and CPU
-//! contention; the round engine retries transfers, detects dead
+//! A seeded [`FaultInjector`] plan decrees crashes, churn, lossy transfers
+//! and CPU contention; the round engine retries transfers, detects dead
 //! users and reassigns their shards to survivors. The run is fully
 //! deterministic: the same seed replays the same chaos, byte for byte.
 //!
@@ -10,7 +10,7 @@
 //! cargo run --release --example chaos_round
 //! ```
 //!
-//! [`FaultPlan`]: fedsched::faults::FaultPlan
+//! [`FaultInjector`]: fedsched::faults::FaultInjector
 
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ fn main() {
     println!("schedule: {:?} shards", schedule.shards);
     println!(
         "fault plan fingerprint: {:#018x}\n",
-        injector().plan().fingerprint()
+        injector().fingerprint()
     );
 
     for rescue in [false, true] {

@@ -57,10 +57,13 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> differential suites at forced pool widths"
+# golden_trace replays the table-1 goldens through `Host::Hier` and
+# `Host::Coordinator` on the default pool, so the width reaches it too.
+echo "==> differential and golden suites at forced pool widths"
 for threads in 4 8; do
   for suite in parallel_identity builder_identity coordinator_identity \
-               robust_identity event_identity hier_identity bandit_identity; do
+               robust_identity event_identity hier_identity bandit_identity \
+               golden_trace; do
     FEDSCHED_THREADS=$threads cargo test -q -p fedsched --test "$suite"
   done
   FEDSCHED_THREADS=$threads cargo test -q -p fedsched-serve --test resume_identity

@@ -92,7 +92,7 @@ fn run_three_ways(
         BuildTarget::Coordinator => {
             let mut sim = builder.build_coordinator().expect("config is valid");
             (0..ROUNDS)
-                .map(|_| format!("{:?}", sim.run(schedule, 1)))
+                .map(|_| format!("{:?}", sim.coordinate(schedule, 1)))
                 .collect()
         }
         BuildTarget::Hier => {

@@ -1,4 +1,6 @@
-//! Differential tests for the cross-cohort [`Coordinator`].
+//! Differential tests for the cross-cohort coordinator: a default-topology
+//! `HierEngine` whose server tier pools the deadline or keeps a merge
+//! ledger, read through `HierEngine::coordinate`.
 //!
 //! Two contracts are pinned here. First, coordination is *opt-in*: with
 //! the deadline policy off in barrier mode, the coordinator is a verbatim
@@ -86,7 +88,7 @@ fn off_coordinator_is_byte_identical_to_engine_at_every_thread_count() {
                 .probe(Probe::attached(log.clone()))
                 .build_coordinator()
                 .expect("coordinator config is valid");
-            let report = coord.run(&schedule, rounds);
+            let report = coord.coordinate(&schedule, rounds);
             (format!("{:?}", report.engine), log.to_jsonl())
         };
 
@@ -112,7 +114,7 @@ fn deadline_run(n: usize, rounds: usize, threads: usize) -> (String, String) {
         .probe(Probe::attached(log.clone()))
         .build_coordinator()
         .expect("coordinator config is valid");
-    let report = coord.run(&schedule, rounds);
+    let report = coord.coordinate(&schedule, rounds);
     (format!("{report:?}"), log.to_jsonl())
 }
 
@@ -141,7 +143,7 @@ fn async_run(n: usize, rounds: usize, threads: usize) -> (String, String) {
         .probe(Probe::attached(log.clone()))
         .build_coordinator()
         .expect("coordinator config is valid");
-    let report = coord.run(&schedule, rounds);
+    let report = coord.coordinate(&schedule, rounds);
     (format!("{report:?}"), log.to_jsonl())
 }
 
@@ -159,6 +161,45 @@ fn buffered_async_run_is_thread_invariant_down_to_trace_bytes() {
     }
 }
 
+/// `run` and `coordinate` are two views of one advance: for equal builds
+/// of the plain, pooled-deadline and buffered-async coordinators, the
+/// `HierReport` view reduces to the coordinator view's engine report, and
+/// both calls emit the same trace.
+#[test]
+fn run_and_coordinate_are_views_of_the_same_rounds() {
+    let n = 24;
+    let rounds = 3;
+    let schedule = uniform(n, 5);
+    type Configure = fn(SimBuilder) -> SimBuilder;
+    let configs: [(&str, Configure); 3] = [
+        ("plain", |b| b),
+        ("pooled deadline", |b| {
+            b.deadline(DeadlinePolicy::MeanFactor(1.1))
+        }),
+        ("buffered async", |b| b.buffered_async(3, 0.5)),
+    ];
+    for (name, configure) in configs {
+        let build = |log: &Arc<EventLog>| {
+            configure(
+                SimBuilder::new(population(n, SEED), round_config(SEED))
+                    .cohort_size(6)
+                    .faults(chaos_plan(), rounds)
+                    .retry(RetryPolicy::default_chaos())
+                    .probe(Probe::attached(log.clone())),
+            )
+            .build_coordinator()
+            .expect("coordinator config is valid")
+        };
+        let (run_log, coordinate_log) = (Arc::new(EventLog::new()), Arc::new(EventLog::new()));
+        let ran = EngineReport::from(build(&run_log).run(&schedule, rounds));
+        let coordinated = build(&coordinate_log).coordinate(&schedule, rounds);
+        assert_eq!(ran, coordinated.engine, "{name}: report views diverged");
+        let trace = run_log.to_jsonl();
+        assert!(!trace.is_empty(), "{name}: empty trace");
+        assert_eq!(trace, coordinate_log.to_jsonl(), "{name}: traces diverged");
+    }
+}
+
 #[test]
 fn async_merge_ledger_obeys_staleness_discount_arithmetic() {
     let n = 24; // 4 cohorts of 6
@@ -171,7 +212,7 @@ fn async_merge_ledger_obeys_staleness_discount_arithmetic() {
         .buffered_async(buffer, eta)
         .build_coordinator()
         .expect("coordinator config is valid");
-    let report = coord.run(&schedule, rounds);
+    let report = coord.coordinate(&schedule, rounds);
 
     // Every cohort/round update lands in some flush: 4 cohorts x 3 rounds
     // of updates, merged `buffer` at a time.

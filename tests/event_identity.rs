@@ -317,7 +317,7 @@ fn coordinator_hosts_event_cohorts_unchanged() {
             .probe(Probe::attached(log.clone()))
             .build_coordinator()
             .expect("coordinator config is valid");
-        let report = coord.run(&schedule, rounds);
+        let report = coord.coordinate(&schedule, rounds);
         (format!("{report:?}"), log.to_jsonl())
     };
 

@@ -11,7 +11,7 @@ use fedsched::core::{
 };
 use fedsched::data::{Dataset, DatasetKind, Partition};
 use fedsched::device::{Device, DeviceModel, TrainingWorkload};
-use fedsched::faults::{FaultConfig, FaultInjector, FaultPlan};
+use fedsched::faults::{FaultConfig, FaultInjector};
 use fedsched::fl::{
     fedavg_aggregate, DeadlinePolicy, EventRoundSim, FlSetup, RoundConfig, SimBuilder,
 };
@@ -187,7 +187,7 @@ fn same_seed_reproduces_fault_trace_and_outcome() {
     let schedule = Schedule::new(vec![8, 6, 5, 4, 3], 100.0);
     let run = |seed: u64| {
         let injector = FaultInjector::from_config(stormy_config(), n, 4, seed);
-        let fingerprint = injector.plan().fingerprint();
+        let fingerprint = injector.fingerprint();
         let report =
             chaos_sim(n, 11, injector, |b| b.retry(RetryPolicy::default_chaos())).run(&schedule, 4);
         (fingerprint, report)
@@ -274,10 +274,10 @@ proptest! {
             .with_loss_prob(loss)
             .with_contention(contention, 2.5)
             .with_outages(outage, 30.0, 8.0);
-        let plan = FaultPlan::generate(config, n, rounds, fault_seed);
+        let injector = FaultInjector::from_config(config, n, rounds, fault_seed);
         let schedule = Schedule::new(shards.clone(), 100.0);
         let scheduled_total: usize = shards.iter().sum();
-        let mut sim = chaos_sim(n, fault_seed ^ 0xABCD, FaultInjector::new(plan), |b| {
+        let mut sim = chaos_sim(n, fault_seed ^ 0xABCD, injector, |b| {
             let mut b = b.retry(RetryPolicy::default_chaos());
             if let Some(d) = deadline {
                 b = b.deadline(DeadlinePolicy::Fixed(d));
@@ -312,10 +312,10 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let config = FaultConfig::none().with_crash_prob(crash);
-        let a = FaultPlan::generate(config.clone(), n, rounds, seed);
-        let b = FaultPlan::generate(config, n, rounds, seed);
+        let a = FaultInjector::from_config(config.clone(), n, rounds, seed);
+        let b = FaultInjector::from_config(config, n, rounds, seed);
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
-        let quiet = FaultPlan::generate(FaultConfig::none(), n, rounds, seed);
+        let quiet = FaultInjector::from_config(FaultConfig::none(), n, rounds, seed);
         for round in 0..rounds {
             prop_assert!(quiet.outages(round).is_empty());
             for dev in 0..n {

@@ -56,8 +56,9 @@ fn hier_golden_path() -> PathBuf {
 /// Which build target hosts the round core for a golden scenario. Every
 /// host must produce the same bytes: `Sequential` is one sim, `Hier` the
 /// population engine in its default (trivial) topology — one edge per
-/// cohort, cohort 0 continuing the master stream — and `Coordinator` an
-/// Off-policy coordinator over that engine.
+/// cohort, cohort 0 continuing the master stream — and `Coordinator` that
+/// engine built for the `coordinator` target with its server policy off,
+/// read through `HierEngine::coordinate`.
 #[derive(Clone, Copy)]
 enum Host {
     Sequential,
@@ -104,7 +105,7 @@ fn run_on(host: Host, builder: SimBuilder, schedule: &Schedule) {
         }
         Host::Coordinator => {
             let mut sim = builder.build_coordinator().expect("golden config is valid");
-            let _ = sim.run(schedule, 3);
+            let _ = sim.coordinate(schedule, 3);
         }
         Host::Hier => {
             let mut sim = builder.build_hier().expect("golden config is valid");
@@ -324,7 +325,7 @@ fn multicohort_reports_match_pinned_fingerprints() {
             (
                 name,
                 fingerprint(&hier.run(&fleet_schedule(), 3)),
-                fingerprint(&coordinator.run(&fleet_schedule(), 3)),
+                fingerprint(&coordinator.coordinate(&fleet_schedule(), 3)),
             )
         })
         .collect();
