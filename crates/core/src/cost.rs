@@ -131,9 +131,10 @@ impl CostMatrix {
         row.partition_point(|&c| c <= threshold)
     }
 
-    /// All matrix entries, sorted ascending (the candidate thresholds of
-    /// Fed-LBAP's binary search).
-    pub fn sorted_costs(&self) -> Vec<f64> {
+    /// All matrix entries, sorted ascending: the candidate thresholds of the
+    /// paper's binary search, which the Fed-LBAP tests keep as an oracle.
+    #[cfg(test)]
+    pub(crate) fn sorted_costs(&self) -> Vec<f64> {
         let mut v = self.rows.clone();
         v.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
         v

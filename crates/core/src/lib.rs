@@ -9,9 +9,10 @@
 //!
 //! * [`lbap::FedLbap`] solves problem **P1** (IID data): jointly partition
 //!   `D` data shards and assign them to `n` users to minimize the makespan.
-//!   A binary search over the sorted cost matrix finds the minimal threshold
-//!   `c*` admitting a feasible assignment, in `O(ns log ns)` (paper
-//!   Algorithm 1).
+//!   The paper (Algorithm 1) binary-searches the sorted cost matrix for the
+//!   minimal threshold `c*` admitting a feasible assignment, in
+//!   `O(ns log ns)`; the same `c*` is the `s`-th smallest matrix entry, which
+//!   a min-heap merge of the monotone rows finds in `O(n + s log n)`.
 //! * [`minavg::FedMinAvg`] solves problem **P2** (non-IID data): greedy
 //!   min-average-cost shard placement where each user carries an *accuracy
 //!   cost* [`acc::AccuracyCost`] (Eq. 6) reflecting how skewed its class

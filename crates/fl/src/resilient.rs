@@ -45,11 +45,12 @@ use serde::Serialize;
 use crate::clock::{self, TimingReport};
 
 /// Cost profile assigned to devices the server knows nothing about (never
-/// observed) or knows to be gone: large but finite, so cost matrices stay
-/// valid while schedulers starve the device of work.
-const PENALTY_FIXED_S: f64 = 1e6;
-/// Per-sample slope of the penalty profile.
-const PENALTY_PER_SAMPLE_S: f64 = 1e3;
+/// observed) or knows to be gone: 1e6 s fixed plus 1e3 s a sample, large
+/// but finite, so cost matrices stay valid while schedulers starve the
+/// device of work.
+fn penalty() -> LinearProfile {
+    LinearProfile::new(1e6, 1e3)
+}
 /// Forgetting factor for the per-device online profilers: recent rounds
 /// dominate, so estimates track thermal drift and contention.
 pub(crate) const PROFILER_LAMBDA: f64 = 0.9;
@@ -1049,35 +1050,43 @@ impl ResilientRoundSim {
     /// Between-round rescheduling: re-plan the *next* round from the
     /// online profiles fitted this round. Returns whether `current` was
     /// replaced — the event path rebuilds its active set when it was.
-    pub(crate) fn maybe_reschedule(&mut self, current: &mut Schedule, orig_total: usize) -> bool {
-        let n = self.devices.len();
-        if let Some((scheduler, every)) = &self.rescheduler {
-            if self.rounds_done.is_multiple_of(*every) && orig_total > 0 {
-                let comm_est = self.link.round_seconds(self.model_bytes);
-                let profiles: Vec<LinearProfile> = (0..n)
-                    .map(|j| {
-                        if self.known_gone[j]
-                            || (self.profilers[j].observations() == 0 && !self.has_prior)
-                        {
-                            LinearProfile::new(PENALTY_FIXED_S, PENALTY_PER_SAMPLE_S)
-                        } else {
-                            self.profilers[j].profile()
-                        }
-                    })
-                    .collect();
-                let costs = CostMatrix::from_profiles(
-                    &profiles,
-                    orig_total,
-                    current.shard_size,
-                    &vec![comm_est; n],
-                );
-                if let Ok(next) = scheduler.schedule_traced(&costs, &self.probe) {
-                    *current = next;
-                    return true;
-                }
-            }
+    pub(crate) fn maybe_reschedule(&self, current: &mut Schedule, orig_total: usize) -> bool {
+        let Some((scheduler, every)) = &self.rescheduler else {
+            return false;
+        };
+        if !self.rounds_done.is_multiple_of(*every) || orig_total == 0 {
+            return false;
         }
-        false
+        self.replan(scheduler.as_ref(), current, orig_total, |j| {
+            if self.known_gone[j] || (self.profilers[j].observations() == 0 && !self.has_prior) {
+                penalty()
+            } else {
+                self.profilers[j].profile()
+            }
+        })
+    }
+
+    /// Plan `orig_total` shards with `scheduler` over every device, priced
+    /// by `profile(j)` plus the link's round-trip estimate, and replace
+    /// `current` when the scheduler accepts. Returns whether it did.
+    fn replan(
+        &self,
+        scheduler: &dyn Scheduler,
+        current: &mut Schedule,
+        orig_total: usize,
+        profile: impl Fn(usize) -> LinearProfile,
+    ) -> bool {
+        let n = self.devices.len();
+        let profiles: Vec<LinearProfile> = (0..n).map(profile).collect();
+        let comm_est = self.link.round_seconds(self.model_bytes);
+        let costs = CostMatrix::from_profiles(
+            &profiles,
+            orig_total,
+            current.shard_size,
+            &vec![comm_est; n],
+        );
+        let next = scheduler.schedule_traced(&costs, &self.probe);
+        next.map(|next| *current = next).is_ok()
     }
 
     /// Bandit selection for the coming round: pick the cohort from devices
@@ -1104,8 +1113,10 @@ impl ResilientRoundSim {
         let mut stream = selection_stream(sel.seed, round as u64);
         let selected = sel.policy.select(&eligible, k, &mut stream);
         debug_assert!(!selected.is_empty(), "k >= 1 with an eligible device");
+        let mut picked = vec![false; n];
         for &j in &selected {
             sel.soc_at_select[j] = self.devices[j].battery_soc();
+            picked[j] = true;
         }
         sel.last_selected = selected.clone();
         let policy_name = sel.policy.name();
@@ -1142,29 +1153,15 @@ impl ResilientRoundSim {
             observed_profiles.iter().map(|p| p.fixed).sum::<f64>() / m,
             observed_profiles.iter().map(|p| p.per_sample).sum::<f64>() / m,
         );
-        let comm_est = self.link.round_seconds(self.model_bytes);
-        let profiles: Vec<LinearProfile> = (0..n)
-            .map(|j| {
-                if !selected.contains(&j) || self.known_gone[j] {
-                    LinearProfile::new(PENALTY_FIXED_S, PENALTY_PER_SAMPLE_S)
-                } else if self.profilers[j].observations() == 0 && !self.has_prior {
-                    neutral.clone()
-                } else {
-                    self.profilers[j].profile()
-                }
-            })
-            .collect();
-        let costs = CostMatrix::from_profiles(
-            &profiles,
-            orig_total,
-            current.shard_size,
-            &vec![comm_est; n],
-        );
-        if let Ok(next) = FedLbap.schedule_traced(&costs, &self.probe) {
-            *current = next;
-            return true;
-        }
-        false
+        self.replan(&FedLbap, current, orig_total, |j| {
+            if !picked[j] || self.known_gone[j] {
+                penalty()
+            } else if self.profilers[j].observations() == 0 && !self.has_prior {
+                neutral.clone()
+            } else {
+                self.profilers[j].profile()
+            }
+        })
     }
 
     /// Credit this round's picked arms: observed throughput (samples per

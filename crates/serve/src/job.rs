@@ -16,6 +16,10 @@ use fedsched_fl::{ConfigError, JobSpec};
 /// Version tag for the job-request and snapshot wire documents.
 pub const JOB_DOC_VERSION: u64 = 1;
 
+/// Largest `rounds_total` a job request may ask for: a bigger budget,
+/// advanced by a large `{"rounds":k}`, would pin its worker for good.
+pub const MAX_JOB_ROUNDS: usize = 1 << 20;
+
 fn bad(problem: impl Into<String>) -> ConfigError {
     ConfigError::InvalidSpec(problem.into())
 }
@@ -86,6 +90,11 @@ impl JobRequest {
             .ok_or_else(|| bad("job request needs an integer `rounds_total`"))?;
         if rounds_total == 0 {
             return Err(bad("`rounds_total` must be at least 1"));
+        }
+        if rounds_total > MAX_JOB_ROUNDS {
+            return Err(bad(format!(
+                "`rounds_total` {rounds_total} exceeds the limit of {MAX_JOB_ROUNDS}"
+            )));
         }
         if schedule.shards.len() != spec.devices.n_devices()? {
             return Err(bad(format!(
@@ -290,6 +299,18 @@ mod tests {
         let mut zero = request();
         zero.rounds_total = 0;
         assert_eq!(err(&zero.canonical_json()), "invalid_spec");
+        // The round budget is bounded, and the bound itself decodes.
+        let mut over = request();
+        over.rounds_total = MAX_JOB_ROUNDS + 1;
+        let e = JobRequest::parse(&over.canonical_json()).unwrap_err();
+        assert_eq!(e.cause_code(), "invalid_spec");
+        assert!(e.to_string().contains("rounds_total"), "{e}");
+        let mut at_limit = request();
+        at_limit.rounds_total = MAX_JOB_ROUNDS;
+        assert_eq!(
+            JobRequest::parse(&at_limit.canonical_json()).unwrap(),
+            at_limit
+        );
         // Schedules the round core cannot simulate: a round of ~1e17
         // samples, a 2^53 shard count, and a negative shard size.
         let schedule = r#""schedule":{"shards":[8,8,8],"shard_size":100}"#;

@@ -354,6 +354,23 @@ fn unsimulable_schedules_are_rejected_and_the_server_stays_up() {
 }
 
 #[test]
+fn unbounded_round_budgets_are_rejected_and_the_server_stays_up() {
+    let addr = start_server();
+    // 2^53 rounds: advanced with a large `{"rounds":k}`, the job would pin
+    // its worker with no end in sight.
+    let doc = request(107, 1 << 53).canonical_json();
+    let (status, body) = http(&addr, "POST", "/jobs", &doc);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_cause(&body), "invalid_spec");
+    assert!(
+        body.contains("rounds_total"),
+        "{body} does not name rounds_total"
+    );
+    let (status, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+}
+
+#[test]
 fn oversized_request_heads_are_refused_and_the_server_stays_up() {
     let addr = start_server();
     // A 1 MiB header line. The server answers 431 after its first 8 KiB

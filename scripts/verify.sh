@@ -57,6 +57,11 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+# The tier-1 run checks Fed-LBAP's heap-merge threshold against the paper's
+# sorted binary search on 512 instances; this runs the same oracle deeper.
+echo "==> Fed-LBAP threshold oracle at 3,000 cases (release)"
+PROPTEST_CASES=3000 cargo test -q --release -p fedsched-core threshold_matches_sorted_search_oracle
+
 # golden_trace replays the table-1 goldens through `Host::Hier` and
 # `Host::Coordinator` on the default pool, so the width reaches it too.
 echo "==> differential and golden suites at forced pool widths"
