@@ -17,13 +17,17 @@
 //!   nesting capped at [`MAX_DEPTH`]).
 //! * [`JsonValue::encode`] — compact, byte-deterministic output. `f64`
 //!   values print through Rust's shortest-round-trip formatting (the same
-//!   rule the telemetry JSONL uses), so `parse(encode(v)) == v` exactly.
+//!   rule the telemetry JSONL uses), so `parse(encode(v)) == v` exactly;
+//!   strings go through the telemetry encoder's escaper,
+//!   [`fedsched_telemetry::json::push_str`].
 //!
 //! Non-finite floats are not representable in JSON numbers; the wire
 //! schemas encode them as the strings `"inf"` / `"-inf"` / `"nan"` and
 //! decode them through [`JsonValue::as_f64_lenient`].
 
 use std::fmt;
+
+use fedsched_telemetry::json::push_str;
 
 /// Maximum container nesting the parser accepts; deeper documents are
 /// rejected rather than risking a stack overflow on hostile input (the
@@ -105,7 +109,7 @@ impl JsonValue {
             JsonValue::Bool(true) => out.push_str("true"),
             JsonValue::Bool(false) => out.push_str("false"),
             JsonValue::Num(v) => push_f64(out, *v),
-            JsonValue::Str(s) => push_escaped(out, s),
+            JsonValue::Str(s) => push_str(out, s),
             JsonValue::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -122,7 +126,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    push_escaped(out, key);
+                    push_str(out, key);
                     out.push(':');
                     value.encode_into(out);
                 }
@@ -279,25 +283,6 @@ fn push_f64(out: &mut String, v: f64) {
     debug_assert!(v.is_finite(), "JSON numbers must be finite");
     use fmt::Write;
     let _ = write!(out, "{v}");
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

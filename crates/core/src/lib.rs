@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod acc;
-pub mod analysis;
 pub mod baselines;
 pub mod causes;
 pub mod cost;
@@ -42,11 +41,9 @@ pub mod exact;
 pub mod json;
 pub mod lbap;
 pub mod minavg;
-pub mod privacy;
 pub mod schedule;
 
 pub use acc::AccuracyCost;
-pub use analysis::{analyze, ScheduleAnalysis};
 pub use baselines::{EqualScheduler, ProportionalScheduler, RandomScheduler};
 pub use cost::CostMatrix;
 pub use dropout::{DeadlineDropout, DeadlinePolicy, DropReport};

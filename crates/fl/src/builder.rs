@@ -42,6 +42,13 @@ use crate::cohorts::{default_engine_threads, DEFAULT_COHORT_SIZE};
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
 use crate::hier::HierEngine;
 use crate::spec::{BuildTarget, DeviceSetSpec, JobSpec};
+
+/// Most worker threads a population engine may ask for. An advance starts
+/// `min(threads, cohorts)` OS threads, so one uncapped spec could exhaust
+/// the host's thread limit; the default pool
+/// ([`fedsched_parallel::recommended_threads`]) stops at 16.
+pub const MAX_ENGINE_THREADS: usize = 256;
+
 /// Why a simulator could not be built.
 ///
 /// Every variant has a stable machine-readable [`cause_code`] (snake_case,
@@ -431,7 +438,8 @@ impl SimBuilder {
         self
     }
 
-    /// Worker threads (coordinator and hier only). Never changes results.
+    /// Worker threads (coordinator and hier only), at most
+    /// [`MAX_ENGINE_THREADS`]. Never changes results.
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = Some(threads);
         self
@@ -795,8 +803,14 @@ impl SimBuilder {
         if cohort_size == 0 {
             return Err(ConfigError::ZeroCohortSize);
         }
-        if s.threads == Some(0) {
-            return Err(ConfigError::ZeroThreads);
+        match s.threads {
+            Some(0) => return Err(ConfigError::ZeroThreads),
+            Some(threads) if threads > MAX_ENGINE_THREADS => {
+                return Err(ConfigError::InvalidSpec(format!(
+                    "threads {threads} exceeds the limit of {MAX_ENGINE_THREADS}"
+                )))
+            }
+            _ => {}
         }
         if s.edges.is_some_and(|edges| edges > n.div_ceil(cohort_size)) {
             return Err(ConfigError::InvalidTopology(

@@ -22,7 +22,7 @@
 //!   cohorts ([`Event::CohortStraggling`]).
 //! * **Buffered async mode** — alternatively, cohorts report into a
 //!   buffered aggregator (FedBuff-style): the server merges as soon as
-//!   `buffer` updates are queued, discounting each by the shared FedAsync
+//!   `buffer` updates are queued, discounting each by the FedAsync
 //!   staleness weight ([`staleness_weight`]), with all bookkeeping in
 //!   simulated time ([`Event::AsyncMerge`]).
 //!
@@ -45,7 +45,6 @@ use fedsched_core::EventQueue;
 use fedsched_telemetry::{Event, Probe};
 use serde::Serialize;
 
-use crate::asyncfl::staleness_weight;
 use crate::clock::TimingReport;
 use crate::cohorts::CohortReport;
 use crate::hier::HierReport;
@@ -204,6 +203,12 @@ struct PendingUpdate {
     cohort: usize,
     round: usize,
     pull_version: usize,
+}
+
+/// FedAsync staleness discount: the effective mixing weight of an update
+/// that is `staleness` server versions old, given base rate `eta`.
+pub fn staleness_weight(eta: f64, staleness: usize) -> f64 {
+    eta / (1.0 + staleness as f64)
 }
 
 /// The FedBuff server's merge ledger: cohort updates queue and merge
@@ -479,6 +484,9 @@ mod tests {
         for m in &report.merges {
             assert!((m.weight - staleness_weight(0.6, m.staleness)).abs() < 1e-12);
         }
+        // FedAsync's discount: eta / (1 + staleness).
+        assert_eq!(staleness_weight(0.6, 0), 0.6);
+        assert_eq!(staleness_weight(0.6, 2), 0.6 / 3.0);
         // Async span: nobody waits, so the span is the slowest cohort's own
         // total, never more than the barrier span (sum of per-round maxes).
         let barrier_span: f64 = report.engine.timing.per_round_makespan.iter().sum();

@@ -26,36 +26,32 @@
 #![warn(missing_docs)]
 
 pub mod assign;
-pub mod asyncfl;
 pub mod builder;
 pub mod clock;
 pub mod cohorts;
 pub mod coordinator;
 pub mod engine;
 pub mod eventsim;
-pub mod gossip;
 pub mod hier;
 pub mod metrics;
 mod resilient;
-pub mod secure;
 pub mod server;
 pub mod spec;
 
 pub use assign::{assignment_from_schedule_iid, assignment_from_schedule_noniid};
-pub use asyncfl::{staleness_weight, AsyncFlOutcome, AsyncFlSetup};
 pub use builder::{ConfigError, RoundConfig, Selection, SimBuilder};
 pub use clock::TimingReport;
 pub use cohorts::{
     default_engine_threads, derive_cohort_seed, CohortReport, DEFAULT_COHORT_SIZE, THREADS_ENV,
 };
-pub use coordinator::{CoordinatorReport, EngineReport, GlobalRoundOutcome, MergeRecord};
+pub use coordinator::{
+    staleness_weight, CoordinatorReport, EngineReport, GlobalRoundOutcome, MergeRecord,
+};
 pub use engine::{FlOutcome, FlSetup};
 pub use eventsim::{AdmissionPolicy, EventRoundSim};
-pub use gossip::{GossipOutcome, GossipSetup, Topology};
 pub use hier::{derive_edge_seed, edge_cohort_ranges, EdgeReport, HierEngine, HierReport};
 pub use metrics::{analyze_round, cosine_similarity, DivergenceReport};
 pub use resilient::{ChaosReport, RoundOutcome};
-pub use secure::{mask_update, secure_fedavg, unmask_sum};
 pub use server::fedavg_aggregate;
 pub use spec::{BuildTarget, BuiltSim, DeviceSetSpec, JobSpec, RoundDigest, SPEC_VERSION};
 

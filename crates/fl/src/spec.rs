@@ -310,7 +310,8 @@ pub struct JobSpec {
     pub faults: Option<(FaultConfig, usize)>,
     /// Devices per cohort (population-engine targets).
     pub cohort_size: Option<usize>,
-    /// Worker threads (population-engine targets).
+    /// Worker threads (population-engine targets), at most
+    /// [`MAX_ENGINE_THREADS`](crate::builder::MAX_ENGINE_THREADS).
     pub threads: Option<usize>,
     /// Buffered-async coordination `(buffer, eta)` (coordinator target).
     pub buffered_async: Option<(usize, f64)>,
@@ -1227,9 +1228,24 @@ pub fn schedule_to_json(s: &Schedule) -> JsonValue {
     ])
 }
 
-/// Decode a [`Schedule`] written by [`schedule_to_json`]. The shard size
-/// must be finite and positive, and one round may ask for at most
-/// [`MAX_ROUND_SAMPLES`] samples.
+/// A schedule's shard bounds: the shard size must be finite and positive,
+/// and one round may ask for at most [`MAX_ROUND_SAMPLES`] samples.
+pub fn check_schedule(schedule: &Schedule) -> Result<(), ConfigError> {
+    let shard_size = finite("shard_size", schedule.shard_size, true)?;
+    let total = schedule
+        .shards
+        .iter()
+        .fold(0usize, |sum, &k| sum.saturating_add(k));
+    if total as f64 * shard_size > MAX_ROUND_SAMPLES as f64 {
+        return Err(bad(format!(
+            "schedule of {total} shards x shard_size {shard_size} exceeds {MAX_ROUND_SAMPLES} samples a round"
+        )));
+    }
+    Ok(())
+}
+
+/// Decode a [`Schedule`] written by [`schedule_to_json`], refusing one
+/// that fails [`check_schedule`].
 pub fn schedule_from_json(v: &JsonValue) -> Result<Schedule, ConfigError> {
     expect_fields(v, &["shards", "shard_size"])?;
     let shards = v
@@ -1244,14 +1260,9 @@ pub fn schedule_from_json(v: &JsonValue) -> Result<Schedule, ConfigError> {
         .req("shard_size")
         .and_then(|x| x.as_f64_lenient())
         .map_err(shape)?;
-    let shard_size = finite("shard_size", shard_size, true)?;
-    let total = shards.iter().fold(0usize, |sum, &k| sum.saturating_add(k));
-    if total as f64 * shard_size > MAX_ROUND_SAMPLES as f64 {
-        return Err(bad(format!(
-            "schedule of {total} shards x shard_size {shard_size} exceeds {MAX_ROUND_SAMPLES} samples a round"
-        )));
-    }
-    Ok(Schedule::new(shards, shard_size))
+    let schedule = Schedule::new(shards, shard_size);
+    check_schedule(&schedule)?;
+    Ok(schedule)
 }
 
 #[cfg(test)]

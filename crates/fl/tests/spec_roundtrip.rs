@@ -14,6 +14,7 @@ use fedsched_core::DeadlinePolicy;
 use fedsched_core::Schedule;
 use fedsched_device::TrainingWorkload;
 use fedsched_faults::{DriftConfig, FaultConfig};
+use fedsched_fl::builder::MAX_ENGINE_THREADS;
 use fedsched_fl::spec::{schedule_from_json, schedule_to_json, MAX_FLEET_DEVICES, MAX_PLAN_CELLS};
 use fedsched_fl::{
     AdmissionPolicy, AdversaryConfig, AggregatorKind, AttackKind, BuildTarget, ChurnConfig,
@@ -602,6 +603,35 @@ fn bad_specs_fail_before_their_fleet_is_built() {
         match spec.build(Probe::disabled()) {
             Ok(_) => panic!("{:?} must not build", spec.target),
             Err(err) => assert_eq!(err, checked),
+        }
+    }
+}
+
+#[test]
+fn thread_counts_past_the_engine_cap_are_refused() {
+    // 100,000 one-device cohorts: an advance would start one OS thread
+    // per cohort up to `threads`. Checks build nothing and start nothing.
+    for target in [BuildTarget::Hier, BuildTarget::Coordinator] {
+        let mut spec = JobSpec::new(
+            target,
+            DeviceSetSpec::Replicated {
+                preset: 3,
+                copies: 10_000,
+                seed: 1,
+            },
+            TrainingWorkload::lenet(),
+            Link::wifi_campus(),
+            2.5e6,
+            1,
+        );
+        spec.cohort_size = Some(1);
+        spec.threads = Some(MAX_ENGINE_THREADS);
+        assert_eq!(spec.check(), Ok(()), "{target:?} at the cap");
+        for threads in [MAX_ENGINE_THREADS + 1, 1_000_000] {
+            spec.threads = Some(threads);
+            let err = spec.check().expect_err("past the cap");
+            assert_eq!(err.cause_code(), "invalid_spec", "{err}");
+            assert!(err.to_string().contains("threads"), "{err}");
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use fedsched_core::json::{self, JsonValue};
 use fedsched_core::Schedule;
-use fedsched_fl::spec::{schedule_from_json, schedule_to_json};
+use fedsched_fl::spec::{check_schedule, schedule_from_json, schedule_to_json};
 use fedsched_fl::{ConfigError, JobSpec};
 
 /// Version tag for the job-request and snapshot wire documents.
@@ -63,8 +63,35 @@ impl JobRequest {
         self.to_json().encode()
     }
 
-    /// Strict decode; unknown fields and version mismatches are
-    /// [`ConfigError::InvalidSpec`].
+    /// The request-level checks, each an [`ConfigError::InvalidSpec`], in
+    /// decode order: the schedule's shard bounds ([`check_schedule`]),
+    /// `rounds_total` in `1..=`[`MAX_JOB_ROUNDS`], and one schedule entry
+    /// per device the spec builds. Decoding and
+    /// [`Supervisor::create_job`](crate::Supervisor::create_job) both run
+    /// them, so an in-process request meets the wire's rules.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        check_schedule(&self.schedule)?;
+        let rounds_total = self.rounds_total;
+        if rounds_total == 0 {
+            return Err(bad("`rounds_total` must be at least 1"));
+        }
+        if rounds_total > MAX_JOB_ROUNDS {
+            return Err(bad(format!(
+                "`rounds_total` {rounds_total} exceeds the limit of {MAX_JOB_ROUNDS}"
+            )));
+        }
+        let n_devices = self.spec.devices.n_devices()?;
+        if self.schedule.shards.len() != n_devices {
+            return Err(bad(format!(
+                "schedule covers {} devices but the spec builds {n_devices}",
+                self.schedule.shards.len()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Strict decode; unknown fields, version mismatches and requests
+    /// that fail [`JobRequest::check`] are [`ConfigError::InvalidSpec`].
     pub fn from_json(v: &JsonValue) -> Result<Self, ConfigError> {
         expect_fields(v, &["version", "spec", "schedule", "rounds_total"])?;
         let version = v
@@ -88,26 +115,13 @@ impl JobRequest {
             .get("rounds_total")
             .and_then(|x| x.as_usize().ok())
             .ok_or_else(|| bad("job request needs an integer `rounds_total`"))?;
-        if rounds_total == 0 {
-            return Err(bad("`rounds_total` must be at least 1"));
-        }
-        if rounds_total > MAX_JOB_ROUNDS {
-            return Err(bad(format!(
-                "`rounds_total` {rounds_total} exceeds the limit of {MAX_JOB_ROUNDS}"
-            )));
-        }
-        if schedule.shards.len() != spec.devices.n_devices()? {
-            return Err(bad(format!(
-                "schedule covers {} devices but the spec builds {}",
-                schedule.shards.len(),
-                spec.devices.n_devices()?
-            )));
-        }
-        Ok(JobRequest {
+        let request = JobRequest {
             spec,
             schedule,
             rounds_total,
-        })
+        };
+        request.check()?;
+        Ok(request)
     }
 
     /// Parse a request from raw JSON text.

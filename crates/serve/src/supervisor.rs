@@ -211,8 +211,9 @@ impl Supervisor {
     /// Submit a job. Returns `(info, cached)`; `cached` is true when an
     /// identical request (same fingerprint) was already running, in
     /// which case the existing job is returned untouched. New jobs are
-    /// validated eagerly — a bad spec is reported here, not at first
-    /// advance — and persisted to the store at round zero.
+    /// validated eagerly — a bad request ([`JobRequest::check`]) or spec
+    /// is reported here, not at first advance — and persisted to the
+    /// store at round zero.
     pub fn create_job(&self, request: JobRequest) -> Result<(JobInfo, bool), SupervisorError> {
         let job_id = request.job_id();
         {
@@ -222,6 +223,7 @@ impl Supervisor {
             }
         }
         // Validate before spawning anything; the worker builds.
+        request.check()?;
         request.spec.check()?;
         let snapshot = Snapshot {
             job_id: job_id.clone(),
@@ -616,6 +618,39 @@ mod tests {
             sup.list().is_empty(),
             "rejected jobs must not be registered"
         );
+    }
+
+    #[test]
+    fn in_process_requests_are_held_to_the_wire_request_checks() {
+        use crate::job::MAX_JOB_ROUNDS;
+        use fedsched_fl::spec::MAX_ROUND_SAMPLES;
+
+        let edits: [fn(&mut JobRequest); 6] = [
+            |r| r.rounds_total = 0,
+            |r| r.rounds_total = MAX_JOB_ROUNDS + 1,
+            // Two entries for Testbed II's six devices.
+            |r| r.schedule.shards.truncate(2),
+            |r| r.schedule.shard_size = -5.0,
+            |r| r.schedule.shard_size = f64::NAN,
+            // 36 shards of 2^26 / 35 samples: past a round's cap.
+            |r| r.schedule.shard_size = MAX_ROUND_SAMPLES as f64 / 35.0,
+        ];
+        let store: Arc<dyn StateStore> = Arc::new(MemoryStore::new());
+        let sup = Supervisor::new(store.clone());
+        for edit in edits {
+            let mut req = request(61, 3);
+            edit(&mut req);
+            let wire = JobRequest::parse(&req.canonical_json()).expect_err("decoding refuses it");
+            assert_eq!(wire.cause_code(), "invalid_spec", "{wire}");
+            match sup.create_job(req.clone()) {
+                Err(SupervisorError::Config(e)) => assert_eq!(e, wire, "{req:?}"),
+                other => panic!("expected `{wire}` for {req:?}, got {other:?}"),
+            }
+        }
+        assert!(sup.list().is_empty(), "refused jobs must not be registered");
+        assert!(store.list().unwrap().is_empty(), "nor persisted");
+        let (adopted, skipped) = Supervisor::new(store).restore_all().unwrap();
+        assert!(adopted.is_empty() && skipped.is_empty());
     }
 
     #[test]

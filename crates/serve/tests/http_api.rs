@@ -371,6 +371,35 @@ fn unbounded_round_budgets_are_rejected_and_the_server_stays_up() {
 }
 
 #[test]
+fn oversized_thread_counts_are_rejected_and_the_server_stays_up() {
+    let addr = start_server();
+    let mut spec = JobSpec::new(
+        BuildTarget::Hier,
+        DeviceSetSpec::Testbed {
+            preset: 1,
+            seed: 109,
+        },
+        TrainingWorkload::lenet(),
+        Link::wifi_campus(),
+        2.5e6,
+        109,
+    );
+    spec.threads = Some(1 << 40);
+    let doc = JobRequest {
+        spec,
+        schedule: Schedule::new(vec![8; 3], 100.0),
+        rounds_total: 2,
+    }
+    .canonical_json();
+    let (status, body) = http(&addr, "POST", "/jobs", &doc);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_cause(&body), "invalid_spec");
+    assert!(body.contains("threads"), "{body} does not name threads");
+    let (status, _) = http(&addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+}
+
+#[test]
 fn oversized_request_heads_are_refused_and_the_server_stays_up() {
     let addr = start_server();
     // A 1 MiB header line. The server answers 431 after its first 8 KiB

@@ -297,22 +297,14 @@ pub enum Event {
         link_s: f64,
     },
 
-    // ---- async / gossip / dropout decision points --------------------------
-    /// The async FL server merged a client update with a
-    /// staleness-discounted weight.
+    // ---- async / dropout decision points -----------------------------------
+    /// A coordinator's buffered-async merge ledger merged a cohort update
+    /// with a staleness-discounted weight (`user` is the cohort).
     AsyncMerge {
         t_s: f64,
         user: usize,
         staleness: usize,
         weight: f64,
-    },
-    /// A gossip mixing round completed.
-    GossipMix {
-        round: usize,
-        /// Topology name (`"ring"`, `"complete"`).
-        topology: String,
-        /// Mean L2 distance of replicas from the consensus after mixing.
-        consensus_gap: f64,
     },
     /// Deadline-Dropout hard-dropped a user, losing its data for the round.
     DeadlineDrop {
@@ -358,7 +350,6 @@ impl Event {
             Event::CohortStraggling { .. } => "cohort_straggling",
             Event::EdgeReduce { .. } => "edge_reduce",
             Event::AsyncMerge { .. } => "async_merge",
-            Event::GossipMix { .. } => "gossip_mix",
             Event::DeadlineDrop { .. } => "deadline_drop",
         }
     }
@@ -749,15 +740,6 @@ impl Event {
                 let _ = write!(out, ",\"user\":{user},\"staleness\":{staleness}");
                 push_f64_field(&mut out, "weight", *weight);
             }
-            Event::GossipMix {
-                round,
-                topology,
-                consensus_gap,
-            } => {
-                let _ = write!(out, ",\"round\":{round},\"topology\":");
-                json::push_str(&mut out, topology);
-                push_f64_field(&mut out, "consensus_gap", *consensus_gap);
-            }
             Event::DeadlineDrop {
                 user,
                 predicted_s,
@@ -1133,15 +1115,6 @@ mod tests {
             }
             .to_json(),
             "{\"ev\":\"async_merge\",\"t_s\":10.5,\"user\":3,\"staleness\":2,\"weight\":0.2}"
-        );
-        assert_eq!(
-            Event::GossipMix {
-                round: 1,
-                topology: "ring".into(),
-                consensus_gap: 0.5
-            }
-            .to_json(),
-            "{\"ev\":\"gossip_mix\",\"round\":1,\"topology\":\"ring\",\"consensus_gap\":0.5}"
         );
         assert_eq!(
             Event::DeadlineDrop {
@@ -1615,11 +1588,6 @@ mod tests {
                 user: 0,
                 staleness: 0,
                 weight: 0.6,
-            },
-            Event::GossipMix {
-                round: 0,
-                topology: "complete".into(),
-                consensus_gap: 0.0,
             },
             Event::DeadlineDrop {
                 user: 0,

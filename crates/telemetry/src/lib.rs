@@ -33,11 +33,11 @@
 
 mod compact;
 mod event;
-mod json;
+pub mod json;
 mod metrics;
 mod recorder;
 
 pub use compact::{compact_jsonl, CompactStats, BANDIT_KINDS, CHURN_KINDS, DEVICE_LEVEL_KINDS};
 pub use event::Event;
 pub use metrics::{Histogram, MetricsRegistry};
-pub use recorder::{EventLog, JsonlSink, NullRecorder, Probe, Recorder};
+pub use recorder::{EventLog, NullRecorder, Probe, Recorder};

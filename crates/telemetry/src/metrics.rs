@@ -318,7 +318,6 @@ impl MetricsRegistry {
     /// | `cohort_straggling` | `cohort_straggling` | `cohort_straggle_makespan_s` |
     /// | `edge_reduce` | `edge_reduces` | `edge_reduce_makespan_s`, `edge_link_s` |
     /// | `async_merge` | `async_merges` | `async_staleness`, `async_mix_weight` |
-    /// | `gossip_mix` | `gossip_mixes` | `gossip_consensus_gap` |
     /// | `deadline_drop` | `deadline_drops`, `deadline_lost_shards` | — |
     pub fn ingest<'a, I: IntoIterator<Item = &'a Event>>(&mut self, events: I) {
         for event in events {
@@ -438,10 +437,6 @@ impl MetricsRegistry {
                     self.incr("async_merges", 1);
                     self.observe("async_staleness", *staleness as f64);
                     self.observe("async_mix_weight", *weight);
-                }
-                Event::GossipMix { consensus_gap, .. } => {
-                    self.incr("gossip_mixes", 1);
-                    self.observe("gossip_consensus_gap", *consensus_gap);
                 }
                 Event::DeadlineDrop { lost_shards, .. } => {
                     self.incr("deadline_drops", 1);
@@ -677,11 +672,6 @@ mod tests {
                 staleness: 2,
                 weight: 0.2,
             },
-            Event::GossipMix {
-                round: 0,
-                topology: "ring".into(),
-                consensus_gap: 0.25,
-            },
             Event::DeadlineDrop {
                 user: 2,
                 predicted_s: 50.0,
@@ -704,7 +694,6 @@ mod tests {
         assert_eq!(reg.histogram("round_coverage").unwrap().mean(), 0.9);
         assert_eq!(reg.counter("async_merges"), 1);
         assert_eq!(reg.histogram("async_staleness").unwrap().mean(), 2.0);
-        assert_eq!(reg.counter("gossip_mixes"), 1);
         assert_eq!(reg.counter("deadline_drops"), 1);
         assert_eq!(reg.counter("deadline_lost_shards"), 6);
     }

@@ -1,9 +1,6 @@
 //! Recorders (where events go) and the [`Probe`] handle (how code emits).
 
 use crate::event::Event;
-use std::fs::File;
-use std::io::Write;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// A sink for telemetry events. Implementations must be thread-safe: the
@@ -94,102 +91,6 @@ impl EventLog {
 impl Recorder for EventLog {
     fn record(&self, event: &Event) {
         self.events.lock().unwrap().push(event.clone());
-    }
-}
-
-/// Streams events as JSON Lines to any writer (typically a file).
-///
-/// Encoded lines are accumulated in an internal batch and written to the
-/// underlying writer only every [`JsonlSink::DEFAULT_BATCH`] events (tunable
-/// via [`JsonlSink::with_batch_size`]), on [`JsonlSink::flush`], or on drop.
-/// Batching keeps the per-event cost of a chaos run — which can emit one
-/// event per retry attempt — to a string append instead of a syscall-prone
-/// write.
-pub struct JsonlSink<W: Write + Send> {
-    state: Mutex<SinkState<W>>,
-    batch_size: usize,
-}
-
-struct SinkState<W: Write> {
-    /// Encoded-but-unwritten JSONL lines (each newline-terminated).
-    buf: String,
-    /// Number of events currently held in `buf`.
-    pending: usize,
-    /// The sink batches lines itself, so the writer is used bare — each
-    /// drain is a single `write_all` of the whole batch.
-    writer: W,
-}
-
-impl JsonlSink<File> {
-    /// Create (truncate) `path` and stream events to it.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self::new(File::create(path)?))
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Events buffered per write by default.
-    pub const DEFAULT_BATCH: usize = 64;
-
-    /// Wrap an arbitrary writer.
-    pub fn new(writer: W) -> Self {
-        JsonlSink {
-            state: Mutex::new(SinkState {
-                buf: String::new(),
-                pending: 0,
-                writer,
-            }),
-            batch_size: Self::DEFAULT_BATCH,
-        }
-    }
-
-    /// Set how many events are batched before hitting the writer. A size of
-    /// 1 writes through on every event (values below 1 are treated as 1).
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Flush batched lines through to the underlying writer.
-    pub fn flush(&self) -> std::io::Result<()> {
-        let mut state = self.state.lock().unwrap();
-        state.drain()?;
-        state.writer.flush()
-    }
-}
-
-impl<W: Write> SinkState<W> {
-    /// Write every batched line to the writer and clear the batch.
-    fn drain(&mut self) -> std::io::Result<()> {
-        if self.pending > 0 {
-            self.writer.write_all(self.buf.as_bytes())?;
-            self.buf.clear();
-            self.pending = 0;
-        }
-        Ok(())
-    }
-}
-
-impl<W: Write + Send> Recorder for JsonlSink<W> {
-    fn record(&self, event: &Event) {
-        let mut state = self.state.lock().unwrap();
-        state.buf.push_str(&event.to_json());
-        state.buf.push('\n');
-        state.pending += 1;
-        if state.pending >= self.batch_size {
-            // An I/O error mid-simulation shouldn't kill the run; telemetry
-            // is best-effort once the sink was successfully created.
-            let _ = state.drain();
-        }
-    }
-}
-
-impl<W: Write + Send> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        if let Ok(mut state) = self.state.lock() {
-            let _ = state.drain();
-            let _ = state.writer.flush();
-        }
     }
 }
 
@@ -409,77 +310,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.lines().count(), 2);
         assert!(a.ends_with('\n'));
-    }
-
-    fn sink_bytes<W: Write + Send + Clone>(sink: &JsonlSink<W>) -> W {
-        sink.state.lock().unwrap().writer.clone()
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        let sink = JsonlSink::new(Vec::new());
-        sink.record(&sample(7));
-        sink.flush().unwrap();
-        assert_eq!(
-            String::from_utf8(sink_bytes(&sink)).unwrap(),
-            "{\"ev\":\"round_start\",\"round\":7,\"n_users\":4}\n"
-        );
-    }
-
-    #[test]
-    fn jsonl_sink_batches_until_threshold() {
-        let sink = JsonlSink::new(Vec::new()).with_batch_size(3);
-        sink.record(&sample(0));
-        sink.record(&sample(1));
-        // Below the batch size: nothing has reached the writer yet.
-        assert!(sink_bytes(&sink).is_empty());
-        sink.record(&sample(2));
-        // Threshold hit: all three lines written in one batch.
-        let text = String::from_utf8(sink_bytes(&sink)).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        sink.record(&sample(3));
-        assert_eq!(
-            String::from_utf8(sink_bytes(&sink))
-                .unwrap()
-                .lines()
-                .count(),
-            3,
-            "fourth event should still be batched"
-        );
-        sink.flush().unwrap();
-        assert_eq!(
-            String::from_utf8(sink_bytes(&sink))
-                .unwrap()
-                .lines()
-                .count(),
-            4
-        );
-    }
-
-    #[test]
-    fn jsonl_sink_drop_flushes_partial_batch() {
-        let shared = Arc::new(Mutex::new(Vec::new()));
-
-        #[derive(Clone)]
-        struct SharedWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedWriter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        {
-            let sink = JsonlSink::new(SharedWriter(shared.clone())).with_batch_size(100);
-            sink.record(&sample(0));
-            sink.record(&sample(1));
-            assert!(shared.lock().unwrap().is_empty());
-        }
-        let text = String::from_utf8(shared.lock().unwrap().clone()).unwrap();
-        assert_eq!(text.lines().count(), 2, "drop must flush the batch");
     }
 
     #[test]

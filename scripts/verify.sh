@@ -2,7 +2,7 @@
 # Tier-1 verification: formatting, lints, release build, full test suite.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick   skip the release build (debug build + tests only)
+#   --quick   skip the release build, the example runs and the scale gate
 #
 # Scope notes: fmt/clippy run only on the fedsched crates and the exp_perf
 # benchmark package — vendor/ holds minimal offline stand-ins for external
@@ -83,6 +83,19 @@ cargo clippy -q --manifest-path exp_perf/Cargo.toml --all-targets -- -D warnings
 cargo test -q --manifest-path exp_perf/Cargo.toml
 
 if [[ "$QUICK" -eq 0 ]]; then
+  # Every example is seeded, so two runs must print the same bytes.
+  echo "==> examples: release build, each run twice, captures compared byte for byte"
+  cargo build -q --release --examples
+  runs=target/example-runs
+  mkdir -p "$runs"
+  for src in examples/*.rs; do
+    name=$(basename "$src" .rs)
+    for pass in 1 2; do
+      "./target/release/examples/$name" > "$runs/$name.$pass"
+    done
+    cmp "$runs/$name.1" "$runs/$name.2"
+  done
+
   echo "==> hierarchy scale smoke (thread invariance at 1k; arena-vs-scalar at 100k; 1M through HierEngine; budgets)"
   cargo run -q --release -p fedsched-bench --bin exp_scale -- --hier-check
 fi
