@@ -110,8 +110,8 @@ pub struct CoordinationPoint {
 }
 
 /// The round core at one sparse-participation geometry: `active` of
-/// `population` devices hold shards, the rest are parked. The
-/// discrete-event drain pays O(active) per round, never O(population).
+/// `population` devices hold shards, the rest are idle. The round core
+/// pays O(active) per round, never O(population).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventEnginePoint {
     /// Devices simulated.
@@ -288,7 +288,7 @@ pub fn coordination_point(n: usize, seed: u64, rounds: usize) -> CoordinationPoi
 }
 
 /// Time the round core with `active` of `n` devices holding one small
-/// shard per round and the rest parked.
+/// shard per round and the rest idle.
 pub fn event_point(n: usize, active: usize, rounds: usize, seed: u64) -> EventEnginePoint {
     // One single-sample shard per active device keeps the simulation work
     // (thermal stepping, comm draws) small, so the per-round bookkeeping
@@ -595,8 +595,8 @@ pub fn render(sweep: &ScaleoutSweep) -> String {
     let ev = &sweep.event;
     out.push_str(&format!(
         "\n### Event core — sparse participation\n\n\
-         {} of {} devices hold shards for {} rounds. The discrete-event \
-         queue only touches devices whose events fire.\n\n\
+         {} of {} devices hold shards for {} rounds. The round core \
+         only touches the devices that hold shards.\n\n\
          event core {:.2} ms.\n",
         ev.active,
         ev.population,

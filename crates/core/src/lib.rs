@@ -36,7 +36,6 @@ pub mod baselines;
 pub mod causes;
 pub mod cost;
 pub mod dropout;
-pub mod events;
 pub mod exact;
 pub mod json;
 pub mod lbap;
@@ -47,7 +46,6 @@ pub use acc::AccuracyCost;
 pub use baselines::{EqualScheduler, ProportionalScheduler, RandomScheduler};
 pub use cost::CostMatrix;
 pub use dropout::{DeadlineDropout, DeadlinePolicy, DropReport};
-pub use events::{EventQueue, Parking};
 pub use exact::ExactMinMax;
 pub use json::{JsonError, JsonValue};
 pub use lbap::FedLbap;

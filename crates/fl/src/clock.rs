@@ -210,6 +210,27 @@ pub fn admission_start(arrive_s: f64, detection: f64) -> f64 {
     arrive_s.max(detection)
 }
 
+/// Refuse a NaN simulated time. A NaN would still order (after every real
+/// time, under [`f64::total_cmp`]), but it is always a bug in the caller's
+/// clock arithmetic and must not reach a report.
+#[track_caller]
+pub(crate) fn assert_time(t: f64) {
+    assert!(!t.is_nan(), "event time must not be NaN");
+}
+
+/// Put timed items in the order the server sees them: earliest first,
+/// equal times in insertion order (the sort is stable). Times compare
+/// under [`f64::total_cmp`], so `-0.0` precedes `+0.0`.
+///
+/// # Panics
+/// Panics if any time is NaN (see [`assert_time`]).
+pub(crate) fn sort_by_time<T>(items: &mut [(f64, T)]) {
+    for &(t, _) in items.iter() {
+        assert_time(t);
+    }
+    items.sort_by(|a, b| a.0.total_cmp(&b.0));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,5 +346,42 @@ mod tests {
         assert_eq!(admission_start(12.0, 4.0), 12.0);
         assert_eq!(admission_start(4.0, 12.0), 12.0);
         assert_eq!(admission_start(5.0, 5.0), 5.0);
+    }
+
+    #[test]
+    fn earlier_times_sort_first() {
+        // An earlier time comes first, whatever the insertion order.
+        let mut items = vec![(3.0, "c"), (1.0, "a"), (2.0, "b")];
+        sort_by_time(&mut items);
+        assert_eq!(items, vec![(1.0, "a"), (2.0, "b"), (3.0, "c")]);
+
+        // `-0.0` precedes `+0.0`, even when inserted after it.
+        let mut items = vec![(0.0, "pos"), (-0.0, "neg")];
+        sort_by_time(&mut items);
+        assert_eq!(
+            items.iter().map(|i| i.1).collect::<Vec<_>>(),
+            ["neg", "pos"]
+        );
+        assert!(items[0].0.is_sign_negative());
+    }
+
+    #[test]
+    fn equal_times_keep_insertion_order() {
+        // Interleaved with other times.
+        let mut items: Vec<(f64, usize)> = (0..100).map(|i| ((i % 3) as f64, i)).collect();
+        sort_by_time(&mut items);
+        for w in items.windows(2) {
+            assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
+        }
+    }
+
+    #[test]
+    fn nan_time_panics() {
+        let nan = std::panic::catch_unwind(|| sort_by_time(&mut [(1.0, ()), (f64::NAN, ())]));
+        let message = nan.expect_err("a NaN time must panic");
+        assert_eq!(
+            message.downcast_ref::<&str>(),
+            Some(&"event time must not be NaN")
+        );
     }
 }

@@ -43,6 +43,7 @@
 use fedsched_parallel::recommended_threads;
 use serde::Serialize;
 
+use crate::builder::MAX_ENGINE_THREADS;
 use crate::clock::TimingReport;
 use crate::resilient::RoundOutcome;
 
@@ -72,16 +73,22 @@ pub fn derive_cohort_seed(master: u64, cohort: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Default thread count for new engines: `FEDSCHED_THREADS` when set to a
-/// positive integer, otherwise [`recommended_threads`]. The env override
-/// lets CI force a multi-worker pool on single-core runners (and vice
-/// versa) without touching call sites.
+/// Default thread count for new engines: `FEDSCHED_THREADS` when set to an
+/// integer in `1..=`[`MAX_ENGINE_THREADS`], otherwise
+/// [`recommended_threads`]. The env override lets CI force a multi-worker
+/// pool on single-core runners (and vice versa) without touching call
+/// sites.
 pub fn default_engine_threads() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
+    threads_override(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or_else(recommended_threads)
+}
+
+/// The pool width a `FEDSCHED_THREADS` value asks for. Values outside
+/// `1..=MAX_ENGINE_THREADS`, like non-numbers, are ignored: the cap a
+/// spec's own `threads` meets holds for the override too.
+fn threads_override(value: Option<&str>) -> Option<usize> {
+    value
         .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(recommended_threads)
+        .filter(|t| (1..=MAX_ENGINE_THREADS).contains(t))
 }
 
 /// One cohort's contribution to a population-engine run.
@@ -114,6 +121,16 @@ mod tests {
     use fedsched_telemetry::{Event, EventLog, Probe};
 
     const MODEL_BYTES: f64 = 2.5e6;
+
+    #[test]
+    fn thread_override_is_held_to_the_engine_cap() {
+        assert_eq!(threads_override(Some("4")), Some(4));
+        assert_eq!(threads_override(Some("256")), Some(256));
+        for ignored in ["257", "1000000", "0", "x"] {
+            assert_eq!(threads_override(Some(ignored)), None, "{ignored:?}");
+        }
+        assert_eq!(threads_override(None), None);
+    }
 
     fn population(n: usize, seed: u64) -> Vec<Device> {
         let models = DeviceModel::all();

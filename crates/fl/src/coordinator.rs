@@ -41,11 +41,10 @@
 //! off in barrier mode that trace and the engine report are byte-identical
 //! to a `hier` engine's (pinned by `tests/coordinator_identity.rs`).
 
-use fedsched_core::EventQueue;
 use fedsched_telemetry::{Event, Probe};
 use serde::Serialize;
 
-use crate::clock::TimingReport;
+use crate::clock::{self, TimingReport};
 use crate::cohorts::CohortReport;
 use crate::hier::HierReport;
 use crate::resilient::RoundOutcome;
@@ -251,12 +250,12 @@ impl Ledger {
     /// server merges per `buffer` arrivals. Returns the merges and the
     /// span, the slowest cohort's own busy time.
     ///
-    /// Cohort merges are *events in one global simulated-time stream*: a
-    /// per-call [`EventQueue`] keyed by `(time, seq)`, with completions
-    /// scheduled cohort-major so equal-time ties pop lowest-cohort first
-    /// and a cohort's own rounds pop in round order — the same event core
-    /// the round engines drain. All scheduling is post-hoc arithmetic over
-    /// per-cohort makespans, hence thread-invariant.
+    /// Cohort merges are *events in one global simulated-time stream*:
+    /// completions listed cohort-major, then sorted stably by time
+    /// ([`clock::sort_by_time`]), so equal-time ties go lowest-cohort
+    /// first and a cohort's own rounds stay in round order. All of it is
+    /// post-hoc arithmetic over per-cohort makespans, hence
+    /// thread-invariant.
     pub(crate) fn settle(
         &mut self,
         cohorts: &[CohortReport],
@@ -270,21 +269,23 @@ impl Ledger {
         // Each cohort finishes its rounds back-to-back on its own clock;
         // nobody waits for anybody. Its completions enter the global
         // stream at cumulative cohort time, carrying (cohort, round).
-        let mut stream: EventQueue<(usize, usize)> = EventQueue::new();
+        let mut stream: Vec<(f64, (usize, usize))> = Vec::new();
         let mut span_s = 0.0f64;
         for (c, cohort) in cohorts.iter().enumerate() {
             let start = self.cohort_clock[c];
             let mut t = start;
             for (r, &m) in cohort.timing.per_round_makespan.iter().enumerate() {
                 t += m;
-                stream.schedule(t, (c, cohort.rounds[r].round));
+                stream.push((t, (c, cohort.rounds[r].round)));
             }
             self.cohort_clock[c] = t;
             span_s = span_s.max(t - start);
         }
 
+        clock::sort_by_time(&mut stream);
+
         let mut merges = Vec::new();
-        while let Some((t, _seq, (c, round))) = stream.pop() {
+        for (t, (c, round)) in stream {
             self.pending.push(PendingUpdate {
                 cohort: c,
                 round,

@@ -1,14 +1,14 @@
-//! The round core: synchronous rounds replayed from a discrete-event
-//! queue.
+//! The round core: synchronous rounds over the active set only.
 //!
 //! [`EventRoundSim`] is the only round engine. The sequential target
 //! ([`SimBuilder::build_event_sim`](crate::SimBuilder::build_event_sim))
 //! is one of them; every population engine runs one per cohort. It keeps
-//! a [`Parking`] bitmap over the cohort: devices
-//! with no scheduled shards are *parked* and are never iterated, never
-//! predicted against, and never scheduled into the queue. The per-round
-//! hot loop is `O(active + events)` instead of `O(devices)`, which at the
-//! roadmap's population targets is where almost all the cycles would go.
+//! the list of *active* devices, those with scheduled samples; idle
+//! devices are never iterated, never predicted against and never timed.
+//! The per-round hot loop is `O(active)` instead of `O(devices)`, which
+//! at the roadmap's population targets is where almost all the cycles
+//! would go. Only while a churn process runs does a round also scan the
+//! absent devices for arrivals.
 //!
 //! # Determinism contract
 //!
@@ -22,21 +22,22 @@
 //!   (`phase1_device`, `RoundTally::absorb`, `rescue_phase`,
 //!   `robust_overlay`, `close_round`) in a fixed order, so RNG
 //!   consumption and telemetry are shared by construction.
-//! * Completion events are pushed into the [`EventQueue`] in device index
-//!   order, *after* the full phase-1 loop — a crashed user's server-side
-//!   wait (`crash_det`) is only known once everyone has been swept, and
-//!   pushing afterwards makes sequence order equal index order. The
-//!   straggler is then selected from ascending `(time, seq)` pops with a
-//!   strictly-greater comparison, which picks the lowest-index device
-//!   among equal-time finishers — exactly an index scan.
-//! * Rescue begins only after the phase-1 queue drains (`RoundEvent::RescueBegin`
-//!   fires at the failure-detection time): a mid-drain rescue could race a
-//!   later finisher for the straggler slot and flip a tie.
+//! * The round is synchronous, so its makespan is a maximum. The
+//!   straggler is folded in device index order, *after* the full phase-1
+//!   sweep (a crashed user's server-side wait, `crash_det`, is only known
+//!   once everyone has been swept), with a strictly-greater comparison
+//!   that picks the lowest-index device among equal-time finishers.
+//! * Mid-round arrivals are read in index order and then sorted stably by
+//!   time (`clock::sort_by_time`), so the earliest arrival, lowest
+//!   index on ties, heads the list and is the admission winner.
+//! * Rescue begins only after every phase-1 outcome is folded, at the
+//!   failure-detection time: a rescue folded earlier could race a later
+//!   finisher for the straggler slot and flip a tie.
 //! * Adaptive deadlines resolve over the *active set only*; idle devices
 //!   predict `0.0` and [`fedsched_core::DeadlinePolicy::resolve`] ignores
 //!   non-positive entries, so the resolved cutoff is unchanged.
 
-use fedsched_core::{DeadlinePolicy, EventQueue, Parking, Schedule};
+use fedsched_core::{DeadlinePolicy, Schedule};
 use fedsched_device::Device;
 use fedsched_faults::{AdversaryPlan, FaultInjector};
 use fedsched_net::RetryPolicy;
@@ -53,37 +54,11 @@ use crate::resilient::{
 };
 use crate::spec::JobSpec;
 
-/// Timed events within one simulated round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RoundEvent {
-    /// A device's phase-1 outcome reaches the server (its finish, cutoff,
-    /// failure-detection or timeout instant). `comm_s` is the straggler
-    /// communication share should this event win the makespan.
-    DeviceDone { user: usize, comm_s: f64 },
-    /// A device leaves mid-round via the continuous churn process; its
-    /// partial credit reaches the server at the departure timestamp and
-    /// its remaining shards are already in the rescue pool.
-    DeviceDepart { user: usize, comm_s: f64 },
-    /// An absent device comes online mid-round. What happens next is the
-    /// admission policy's call: `Reject` parks it forever, the other
-    /// policies make it eligible again (and `MidRoundFill` may hand it
-    /// orphaned work this very round).
-    DeviceArrive { user: usize },
-    /// The round deadline elapses (bookkeeping marker; cuts themselves
-    /// are resolved by the shared clock helpers).
-    DeadlineFire,
-    /// All phase-1 failures are detected; shard reassignment may start.
-    RescueBegin,
-    /// The round's synchronous barrier: everything the server waits on
-    /// has fired.
-    RoundClose,
-}
-
 /// What the server does with a device that arrives mid-round via the
 /// churn process (builder knob: [`SimBuilder::admission`](crate::SimBuilder::admission)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
-    /// Ignore arrivals: the device stays parked forever. The arrival is
+    /// Ignore arrivals: the device stays offline forever. The arrival is
     /// still visible in telemetry (`device_arrive`). Default.
     #[default]
     Reject,
@@ -99,7 +74,7 @@ pub enum AdmissionPolicy {
 }
 
 /// The round engine: faults, deadlines, rescue, rescheduling, selection
-/// and churn on a discrete-event core.
+/// and churn, over the active set only.
 ///
 /// Construct through
 /// [`SimBuilder::build_event_sim`](crate::SimBuilder::build_event_sim);
@@ -107,9 +82,8 @@ pub enum AdmissionPolicy {
 /// coordinator built on it) hosts one per cohort.
 pub struct EventRoundSim {
     inner: ResilientRoundSim,
-    queue: EventQueue<RoundEvent>,
-    parking: Parking,
-    /// Unparked device indices, ascending — the only per-round iterable.
+    /// Devices with scheduled samples, ascending — the only per-round
+    /// iterable.
     active: Vec<usize>,
     /// Users with any scheduled shard (`k > 0`), for round framing. May
     /// exceed `active.len()` when fractional shard sizes round a user's
@@ -202,8 +176,6 @@ impl EventRoundSim {
         };
         EventRoundSim {
             inner,
-            queue: EventQueue::new(),
-            parking: Parking::new(n),
             // Filled by the first `run`, which rebinds before anything
             // reads it; an empty list costs nothing per idle device.
             active: Vec::new(),
@@ -221,37 +193,36 @@ impl EventRoundSim {
         self.inner
     }
 
-    /// Re-derive the parked set and active list from `schedule`. Runs
-    /// once per `run` call and once per between-round reschedule — never
-    /// in the per-round hot loop.
+    /// Re-derive the active list from `schedule`. Runs once per `run`
+    /// call and once per between-round re-split — never in the per-round
+    /// hot loop.
     fn rebind(&mut self, schedule: &Schedule) {
         self.participants = schedule.shards.iter().filter(|&&k| k > 0).count();
         self.unplaced = 0;
+        self.active.clear();
         for (j, &k) in schedule.shards.iter().enumerate() {
             let samples = (k as f64 * schedule.shard_size) as usize;
             if samples > 0 {
-                self.parking.unpark(j);
+                self.active.push(j);
             } else {
-                self.parking.park(j);
                 self.unplaced += k;
             }
         }
-        self.active = self.parking.active_indices();
     }
 
     /// Number of devices.
     pub fn n_devices(&self) -> usize {
-        self.inner.n_devices()
+        self.inner.devices.len()
     }
 
     /// Borrow the devices (e.g. to inspect battery drain afterwards).
     pub fn devices(&self) -> &[Device] {
-        self.inner.devices()
+        &self.inner.devices
     }
 
     /// The fault injector driving this run.
     pub fn injector(&self) -> &FaultInjector {
-        self.inner.injector()
+        &self.inner.injector
     }
 
     /// Reset every device's thermal state (between experiment arms).
@@ -271,17 +242,6 @@ impl EventRoundSim {
         self.inner.set_deadline(deadline_s);
     }
 
-    /// Devices currently parked (idle under the last bound schedule).
-    pub fn parked_devices(&self) -> usize {
-        self.parking.parked_count()
-    }
-
-    /// Lifetime count of events pushed through the queue — the `O(events)`
-    /// side of the complexity claim, exposed for tests and benchmarks.
-    pub fn events_scheduled(&self) -> u64 {
-        self.queue.scheduled_total()
-    }
-
     /// Simulate `rounds` synchronous rounds under faults, starting from
     /// `schedule` (which a configured rescheduler or selection policy may
     /// replace between rounds). Device thermal state persists across
@@ -293,25 +253,25 @@ impl EventRoundSim {
     pub fn run(&mut self, schedule: &Schedule, rounds: usize) -> ChaosReport {
         assert_eq!(
             schedule.shards.len(),
-            self.inner.n_devices(),
+            self.n_devices(),
             "schedule/cohort size mismatch"
         );
-        let n = self.inner.n_devices();
+        let n = self.n_devices();
         let orig_total = schedule.total_shards();
         let mut current = schedule.clone();
         self.rebind(&current);
         let mut scheduled_total = orig_total;
-        let probe = self.inner.probe_handle();
+        let probe = self.inner.probe.clone();
         let mut per_round = Vec::with_capacity(rounds);
         let mut user_totals = vec![0.0f64; n];
         let mut straggler_comm = 0.0f64;
         let mut outcomes = Vec::with_capacity(rounds);
 
         for _ in 0..rounds {
-            let round = self.inner.current_round();
+            let round = self.inner.rounds_done;
             // Bandit selection re-splits the load before anything else
             // looks at the schedule; a replaced schedule re-derives the
-            // parked set so unpicked devices drop straight out of the hot
+            // active list so unpicked devices drop straight out of the hot
             // loop.
             if self.inner.selection_begin(&mut current, orig_total) {
                 self.rebind(&current);
@@ -328,23 +288,23 @@ impl EventRoundSim {
 
             // Continuous churn (inert unless the fault plan carries a
             // churn timeline: no scan, no events, no RNG). Arrival cells
-            // are read for devices absent *at round start* — parked, or
+            // are read for devices absent *at round start* — idle, or
             // gone from an earlier round — before the sweep can mark
             // anyone else gone.
-            let churn = self.inner.injector().churn_active();
-            let arrival_cells: Vec<(usize, f64)> = if churn {
+            let churn = self.inner.injector.churn_active();
+            let mut arrivals: Vec<(f64, usize)> = if churn {
                 (0..n)
                     .filter(|&j| {
                         let samples = (current.shards[j] as f64 * current.shard_size) as usize;
                         samples == 0 || self.gone[j]
                     })
-                    .filter_map(|j| self.inner.injector().arrival_at(round, j).map(|t| (j, t)))
+                    .filter_map(|j| self.inner.injector.arrival_at(round, j).map(|t| (t, j)))
                     .collect()
             } else {
                 Vec::new()
             };
 
-            // Phase 1 over the active set only. Parked devices are never
+            // Phase 1 over the active set only. Idle devices are never
             // touched: no fate check, no RNG draw, no event. Process-gone
             // devices short-circuit to offline (shards straight to the
             // rescue pool) without consuming plan fates or RNG.
@@ -365,7 +325,7 @@ impl EventRoundSim {
                     Phase1::Offline { shards: k }
                 } else {
                     let depart_at = if churn {
-                        self.inner.injector().departure_at(round, j)
+                        self.inner.injector.departure_at(round, j)
                     } else {
                         None
                     };
@@ -389,77 +349,37 @@ impl EventRoundSim {
             }
             let crash_det = clock::crash_detection(deadline_s, responder_max, fail_max);
 
-            // Schedule completion events in device index order (sequence
-            // number == index rank), after the full sweep so `crash_det`
-            // is final. Order-independent tallies fold here too.
+            // Fold the phase-1 outcomes in device index order, after the
+            // full sweep so `crash_det` is final. The strictly-greater
+            // straggler update resolves equal times to the lowest index.
             let mut tally = RoundTally::new();
-            debug_assert!(
-                self.queue.is_empty(),
-                "round must start with a drained queue"
-            );
+            let mut track = StragglerTrack::new();
             for (j, e) in &entries {
                 let (total, busy, comm_v) = tally.absorb(*j, e, deadline_s, crash_det);
+                clock::assert_time(total);
                 user_totals[*j] += busy;
-                let ev = match e {
-                    Phase1::Departed { .. } => RoundEvent::DeviceDepart {
-                        user: *j,
-                        comm_s: comm_v,
-                    },
-                    _ => RoundEvent::DeviceDone {
-                        user: *j,
-                        comm_s: comm_v,
-                    },
-                };
-                self.queue.schedule(total, ev);
+                track.observe(*j, total, comm_v);
             }
-            if let Some(d) = deadline_s {
-                self.queue.schedule(d, RoundEvent::DeadlineFire);
-            }
-            // Arrivals enter the same (time, seq) stream, scheduled in
-            // device index order after the completions so equal-time ties
-            // still resolve to the lowest index.
-            for &(j, t) in &arrival_cells {
-                self.queue.schedule(t, RoundEvent::DeviceArrive { user: j });
-            }
-
-            // Drain: the straggler emerges from ascending (time, seq) pops
-            // under a strictly-greater update — equal-time ties resolve to
-            // the earliest sequence number, i.e. the lowest device index.
-            // Arrivals fold into the pending list in the same pop order,
-            // so its head is the admission winner (earliest, lowest index).
-            let mut track = StragglerTrack::new();
-            let mut arrivals_pending: Vec<(f64, usize)> = Vec::new();
-            while let Some((t, _seq, ev)) = self.queue.pop() {
-                match ev {
-                    RoundEvent::DeviceDone { user, comm_s }
-                    | RoundEvent::DeviceDepart { user, comm_s } => track.observe(user, t, comm_s),
-                    RoundEvent::DeviceArrive { user } => {
-                        probe.emit(|| Event::DeviceArrive {
-                            round,
-                            t_s: t,
-                            user,
-                        });
-                        if self.admission != AdmissionPolicy::Reject {
-                            self.gone[user] = false;
-                            self.inner.set_known_gone(user, false);
-                            arrivals_pending.push((t, user));
-                        }
-                    }
-                    RoundEvent::DeadlineFire => {}
-                    RoundEvent::RescueBegin | RoundEvent::RoundClose => {
-                        unreachable!("phase-2 events are never queued during phase 1")
-                    }
+            // Arrivals in time order, lowest index on ties: the head is
+            // the admission winner.
+            clock::sort_by_time(&mut arrivals);
+            for &(t, user) in &arrivals {
+                probe.emit(|| Event::DeviceArrive {
+                    round,
+                    t_s: t,
+                    user,
+                });
+                if self.admission != AdmissionPolicy::Reject {
+                    self.gone[user] = false;
+                    self.inner.known_gone[user] = false;
                 }
             }
 
-            // Phase 2: rescue fires strictly after the phase-1 drain, at
-            // the failure-detection instant.
+            // Phase 2: rescue begins once every phase-1 outcome is folded,
+            // at the failure-detection instant.
             let mut rescued = 0usize;
-            if self.inner.rescue_enabled() && tally.pool_total() > 0 {
-                self.queue
-                    .schedule(tally.detection, RoundEvent::RescueBegin);
-                let fired = self.queue.pop();
-                debug_assert!(matches!(fired, Some((_, _, RoundEvent::RescueBegin))));
+            if self.inner.rescue && tally.pool_total() > 0 {
+                clock::assert_time(tally.detection);
                 rescued = self.inner.rescue_phase(
                     round,
                     &lossy,
@@ -472,14 +392,14 @@ impl EventRoundSim {
                 );
             }
             // Mid-round admission: whatever rescue left orphaned goes to
-            // the round's earliest arrival (head of the pop-ordered
-            // pending list), starting no earlier than failure detection.
+            // the round's earliest arrival, starting no earlier than
+            // failure detection.
             let mut admitted = 0usize;
             let mut admit_done = 0usize;
             if self.admission == AdmissionPolicy::MidRoundFill {
                 let leftover = tally.pool_total() - rescued;
                 if leftover > 0 {
-                    if let Some(&(t_arr, joiner)) = arrivals_pending.first() {
+                    if let Some(&(t_arr, joiner)) = arrivals.first() {
                         let start = clock::admission_start(t_arr, tally.detection);
                         if let Some(done) = self.inner.admission_phase(
                             round,
@@ -502,12 +422,10 @@ impl EventRoundSim {
             let rejected_updates = self.inner.robust_overlay(round, &entries);
 
             // The synchronous barrier: close at the final makespan.
-            self.queue.schedule(track.worst, RoundEvent::RoundClose);
-            let closed = self.queue.pop();
-            debug_assert!(matches!(closed, Some((_, _, RoundEvent::RoundClose))));
+            clock::assert_time(track.worst);
             // Selection rewards settle after the round closes; the clone
             // exists only while a policy is attached.
-            let observed_for_reward = if self.inner.selection_active() {
+            let observed_for_reward = if self.inner.selection.is_some() {
                 observed.clone()
             } else {
                 Vec::new()
@@ -635,9 +553,7 @@ mod tests {
     fn idle_devices_stay_parked_and_unqueued() {
         let mut sim = plain_sim(5);
         let report = sim.run(&Schedule::new(vec![20, 0, 0], 100.0), 4);
-        assert_eq!(sim.parked_devices(), 2);
-        // Per round: one device event + one round-close marker.
-        assert_eq!(sim.events_scheduled(), 4 * 2);
+        assert_eq!(sim.active, vec![0]);
         assert_eq!(report.timing.per_user_mean[1], 0.0);
         assert_eq!(report.timing.per_user_mean[2], 0.0);
     }
@@ -698,7 +614,6 @@ mod tests {
         let b = quiet.run(&schedule, 6);
         assert_eq!(a, b);
         assert_eq!(log_a.to_jsonl(), log_b.to_jsonl());
-        assert_eq!(plain.events_scheduled(), quiet.events_scheduled());
     }
 
     #[test]
@@ -985,21 +900,15 @@ mod tests {
         let _ = quiet_sim(6).run(&Schedule::new(vec![1, 1], 100.0), 1);
     }
 
-    #[test]
-    fn sequence_counter_survives_rounds() {
-        let mut sim = plain_sim(6);
-        sim.run(&Schedule::new(vec![5, 5, 5], 100.0), 2);
-        let after_two = sim.events_scheduled();
-        sim.run(&Schedule::new(vec![5, 5, 5], 100.0), 1);
-        assert!(sim.events_scheduled() > after_two);
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
 
-        /// Random (population, seed, shards, crash/loss, deadline): the
-        /// event core's report and trace equal the lockstep oracle's bit
-        /// for bit, rescue and retries included.
+        /// Random (population, seed, shards, every legacy fault family,
+        /// drift, deadline): the event core's report and trace equal the
+        /// lockstep oracle's bit for bit, rescue and retries included.
+        /// Offline devices detected at one instant and deadline cuts give
+        /// equal finish times, which the straggler fold must break by
+        /// index.
         #[test]
         fn event_core_matches_lockstep_oracle(
             n in 1usize..24,
@@ -1008,8 +917,14 @@ mod tests {
             crash_pct in 0u32..40,
             loss_pct in 0u32..25,
             deadline_pick in 0usize..4,
+            churn_pct in 0u32..15,
+            group_pct in 0u32..30,
+            contention_pct in 0u32..40,
+            outage_pct in 0u32..30,
+            drift_on in 0u32..2,
         ) {
             use fedsched_device::DeviceModel;
+            use fedsched_faults::DriftConfig;
             let rounds = 3;
             let models = DeviceModel::all();
             let population: Vec<Device> = (0..n)
@@ -1021,9 +936,16 @@ mod tests {
                 2 => DeadlinePolicy::MeanFactor(1.2),
                 _ => DeadlinePolicy::Quantile(0.8),
             };
-            let faults = FaultConfig::none()
+            let mut faults = FaultConfig::none()
                 .with_crash_prob(f64::from(crash_pct) / 100.0)
-                .with_loss_prob(f64::from(loss_pct) / 100.0);
+                .with_loss_prob(f64::from(loss_pct) / 100.0)
+                .with_churn_prob(f64::from(churn_pct) / 100.0)
+                .with_group_outages(f64::from(group_pct) / 100.0, 3, 2)
+                .with_contention(f64::from(contention_pct) / 100.0, 2.0)
+                .with_outages(f64::from(outage_pct) / 100.0, 40.0, 10.0);
+            if drift_on == 1 {
+                faults = faults.with_drift(DriftConfig::new(0.2, 3.0));
+            }
             let build = |log: &Arc<EventLog>| {
                 let config =
                     RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, seed);

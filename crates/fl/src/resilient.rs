@@ -19,8 +19,8 @@
 //!   every few rounds from [`OnlineProfiler`] estimates fitted to what the
 //!   faulted cohort actually delivered.
 //!
-//! [`EventRoundSim`](crate::EventRoundSim) drives these phases from its
-//! event queue; it is the only product round engine. Under `cfg(test)` this
+//! [`EventRoundSim`](crate::EventRoundSim) drives these phases over its
+//! active set; it is the only product round engine. Under `cfg(test)` this
 //! module also keeps the lockstep sweep (`ResilientRoundSim::run`) that
 //! drives the same phases in device-index order — the differential oracle
 //! the event core is checked against.
@@ -145,7 +145,7 @@ pub(crate) struct SelectionState {
 /// Phase-1 result for one participating device.
 ///
 /// Produced by [`ResilientRoundSim::phase1_device`] and consumed by
-/// [`EventRoundSim`](crate::EventRoundSim)'s queue drain (and by the
+/// [`EventRoundSim`](crate::EventRoundSim)'s phase-1 fold (and by the
 /// test-only lockstep oracle).
 pub(crate) enum Phase1 {
     /// Delivered all its shards.
@@ -355,7 +355,10 @@ pub(crate) struct ResilientRoundSim {
     /// or priors — the only readers — are attached.
     pub(crate) profilers: Vec<OnlineProfiler>,
     pub(crate) has_prior: bool,
-    /// Devices the server has observed leaving for good.
+    /// Devices the server has observed leaving for good, by a legacy
+    /// departure fate or the churn process; the rescheduler starves them.
+    /// The event core clears the flag when a device re-arrives under a
+    /// non-`Reject` admission policy.
     pub(crate) known_gone: Vec<bool>,
     pub(crate) aggregator: AggregatorKind,
     pub(crate) adversary: Option<AdversaryPlan>,
@@ -403,21 +406,6 @@ impl ResilientRoundSim {
                 self.deadline.resolve(&predicted)
             }
         }
-    }
-
-    /// Number of devices.
-    pub(crate) fn n_devices(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Borrow the devices (e.g. to inspect battery drain afterwards).
-    pub(crate) fn devices(&self) -> &[Device] {
-        &self.devices
-    }
-
-    /// The fault injector driving this run.
-    pub(crate) fn injector(&self) -> &FaultInjector {
-        &self.injector
     }
 
     /// Reset every device's thermal state (between experiment arms).
@@ -1202,36 +1190,6 @@ impl ResilientRoundSim {
                 pulls,
             });
         }
-    }
-
-    /// Whether a selection policy is attached (the event path clones the
-    /// observation list for reward settlement only when one is).
-    pub(crate) fn selection_active(&self) -> bool {
-        self.selection.is_some()
-    }
-
-    /// Round index the next per-round primitive call will use.
-    pub(crate) fn current_round(&self) -> usize {
-        self.rounds_done
-    }
-
-    /// Whether mid-round straggler rescue is enabled.
-    pub(crate) fn rescue_enabled(&self) -> bool {
-        self.rescue
-    }
-
-    /// Clone of the attached probe — the event path emits round framing
-    /// (`round_start`) itself before delegating to the shared primitives.
-    pub(crate) fn probe_handle(&self) -> Probe {
-        self.probe.clone()
-    }
-
-    /// Flip the server's "gone for good" flag for a device. The event path
-    /// sets it on a process departure (the rescheduler then starves the
-    /// device exactly like a legacy `DeviceFate::Departed`) and clears it
-    /// when the device re-arrives under a non-`Reject` admission policy.
-    pub(crate) fn set_known_gone(&mut self, j: usize, gone: bool) {
-        self.known_gone[j] = gone;
     }
 
     /// Mid-round admission: hand `shards` orphaned shards to an arrived

@@ -62,6 +62,11 @@ cargo test -q
 echo "==> Fed-LBAP threshold oracle at 3,000 cases (release)"
 PROPTEST_CASES=3000 cargo test -q --release -p fedsched-core threshold_matches_sorted_search_oracle
 
+# The tier-1 run checks the round core against its lockstep oracle (every
+# legacy fault family, drift, deadlines) on 32 instances; this runs it deeper.
+echo "==> round core vs lockstep oracle at 1,000 cases (release)"
+PROPTEST_CASES=1000 cargo test -q --release -p fedsched-fl --lib event_core_matches_lockstep_oracle
+
 # golden_trace replays the table-1 goldens through `Host::Hier` and
 # `Host::Coordinator` on the default pool, so the width reaches it too.
 echo "==> differential and golden suites at forced pool widths"

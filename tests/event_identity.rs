@@ -262,7 +262,7 @@ fn attacked_event_engine_is_bit_identical_at_every_thread_count() {
 /// A configured-but-quiet churn process (both rates zero) must be
 /// strictly inert: the engine with the churn and admission knobs engaged
 /// replays the churn-free engine byte-for-byte at every thread count — no
-/// extra RNG draws, no extra queue events, no trace bytes.
+/// extra RNG draws, no arrival scan, no trace bytes.
 #[test]
 fn zero_rate_churn_event_engine_is_bit_identical_at_every_thread_count() {
     let n = 8;

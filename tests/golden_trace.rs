@@ -218,8 +218,8 @@ fn attack_trace() -> String {
 /// Event preset: two cohorts under crashes, churn, packet loss and a fixed
 /// deadline tight enough to cut stragglers, so the mid-round rescue ledger
 /// engages. Pins the full event vocabulary — deadline cuts,
-/// `shards_reassigned`, retries — as produced by the discrete-event drain,
-/// in golden form.
+/// `shards_reassigned`, retries — as produced by the round core, in golden
+/// form.
 fn event_scenario() -> SimBuilder {
     fleet_builder()
         .cohort_size(4)
